@@ -39,8 +39,8 @@ T = isets.build_explicit(np.random.default_rng(1).standard_normal((20, 5)))
 sup_est = est.estimate_complexity(T, dists.gaussian(), 50_000,
                                   stream.substream("sup"))
 for beta in (1.0, 4.0, 16.0):
-    soft, offset = est.softmax_complexity(T, dists.gaussian(), beta, 50_000,
-                                          stream.substream("soft", int(beta)))
+    soft, offset, _ = est.softmax_complexity(
+        T, dists.gaussian(), beta, 50_000, stream.substream("soft", int(beta)))
     print(f"beta={beta:5.1f}: E F_beta = {soft.mean:.5f} in "
           f"[{sup_est.mean:.5f}, {sup_est.mean + offset:.5f}]")
 

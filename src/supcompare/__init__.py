@@ -2,6 +2,9 @@
 sets, smoothed-max and Gibbs-measure machinery, Ornstein-Uhlenbeck operator
 identities, and empirical checks of dimension-free comparison bounds."""
 
+# the one version string; pyproject.toml repeats it (a test keeps them equal)
+__version__ = "0.1.0"
+
 from .index_sets import (IndexSet, GeometricProfile, build_explicit,
                          make_basis_family, make_diagonal_cube,
                          make_spin_quadratic, make_spin_tensor,
@@ -19,7 +22,7 @@ from .softmax import (WeightedMeasure, GibbsMeasure, log_partition,
                       log_laplace, tilted_measure, log_laplace_partial,
                       uniform_measure, weighted_measure,
                       lipschitz_log_moment_check, uniform_identity_gap,
-                      collapse_weight)
+                      collapse_weight, gibbs_weight_rows)
 from .ou_stein import (Polynomial, PolynomialFunction, SoftmaxFunction,
                        OperatorEstimate, PoissonReport, SteinReport,
                        HypothesisViolation, ou_apply, ou_apply_exact,
@@ -36,5 +39,3 @@ from .bounds import (BoundProfile, ComparisonReport, SudakovReport,
 from .experiments import (ExperimentResult, heavy_tail_growth,
                           spin_glass_universality, tensor_universality,
                           TENSOR_GAUSS_BAND)
-
-__version__ = "0.1.0"

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import __version__
 from . import bounds as bounds_mod
 from . import experiments
 from . import index_sets as isets
@@ -36,9 +37,7 @@ from . import ou_stein as ou
 from . import softmax as sm
 from .distributions import (DEFAULT_SEED, CoordinateDistribution,
                             RandomStream, from_name, gaussian, rademacher)
-from .estimator import estimate_complexity, softmax_complexity
-
-VERSION = "0.1.0"
+from .estimator import BRACKET_TOL, estimate_complexity, softmax_complexity
 
 SUBCOMMANDS = ("estimate", "bounds", "sudakov", "laplace", "sk", "tensor",
                "verify", "phase-curves")
@@ -46,7 +45,7 @@ VERIFY_TARGETS = ("softmax", "stein", "gibbs")
 
 _KNOWN_KEYS = {
     "subcommand", "target", "set", "distribution", "replicates", "seed",
-    "beta", "paired", "n_list", "N_list", "N", "m", "normalized", "u_grid",
+    "beta", "paired", "n_list", "N_list", "N", "m", "u_grid",
     "output_dir", "format",
 }
 
@@ -354,9 +353,8 @@ def run(config: RunConfig) -> ResultRecord:
         }]
         record.assertions["estimate_finite"] = math.isfinite(est.mean)
         if beta is not None:
-            soft, offset = softmax_complexity(T, dist, beta,
-                                              config.replicates,
-                                              stream.substream("soft"))
+            soft, offset, slack = softmax_complexity(
+                T, dist, beta, config.replicates, stream.substream("soft"))
             rows.append({
                 "metric": "softmax", "mean": soft.mean,
                 "std_error": soft.std_error, "ci_low": soft.ci_low,
@@ -366,7 +364,8 @@ def run(config: RunConfig) -> ResultRecord:
             })
             record.summary["beta"] = beta
             record.summary["offset"] = offset
-            record.assertions["softmax_bracket"] = True
+            record.summary["softmax_bracket_slack"] = slack
+            record.assertions["softmax_bracket"] = slack >= -BRACKET_TOL
         record.tables["main"] = _table_from_dicts(rows)
         record.summary["mean"] = est.mean
         record.summary["std_error"] = est.std_error
@@ -763,7 +762,7 @@ def emit(record: ResultRecord, output_dir: str, fmt: str) -> list:
             paths.append(path)
     if fmt in ("json", "both"):
         doc = {
-            "version": VERSION,
+            "version": __version__,
             "config": record.config,
             "tables": {name: {"headers": h, "rows": r}
                        for name, (h, r) in record.tables.items()},

@@ -4,7 +4,16 @@ laws xi, by Monte-Carlo or exact enumeration.
 Determinism contract: for a fixed (master seed, substream) the estimate is
 a pure function of the inputs.  Samples are drawn in fixed blocks with one
 substream per block index, so the draw for block b never depends on how
-many blocks run or in which order.
+many blocks run or in which order.  Every Monte-Carlo estimator runs its
+blocks through the one driver ``_blocked``.
+
+Sup kernels: ``_sup_kernel(T)`` is the single dispatch point that maps a
+block X of draws to sup_t <x, t> per row.  Structured sets whose kind is a
+key of ``SUP_KERNELS`` use that entry and never touch ``T.points``; every
+other set runs the chunked matmul over its distinct points.  A new fast
+path joins as one more entry ``kind: (T, X) -> sups``, plus a case in
+``KERNEL_CASES`` of tests/test_estimator.py, whose differential tests run
+every entry against the matmul path on an untagged copy of the points.
 """
 from __future__ import annotations
 
@@ -15,13 +24,15 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .distributions import CoordinateDistribution, RandomStream, gaussian
-from .index_sets import IndexSet, sign_patterns
+from .index_sets import IndexSet, dedupe, sign_patterns
 
 SAMPLE_BLOCK = 1024
 POINT_CHUNK = 16384
 BIG_DIM = 10_000
 MIN_REPLICATES = 100
 MAX_ENUM_DIM = 22
+# float tolerance of the pointwise soft-max bracket sup <= F_beta <= sup + offset
+BRACKET_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -45,43 +56,19 @@ class SupremumEstimate:
         return cls(mean, se, mean - 1.96 * se, mean + 1.96 * se, r, method, seed)
 
 
-def _dot_big(points: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # pairwise-chunked accumulation keeps rounding bounded in huge dimension
+def _chunked_sup(points: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """max over rows t of points of <x, t>, for each row x of X.
+
+    Points go in POINT_CHUNK chunks; in huge dimension the products
+    accumulate over 4096-column slices, which keeps rounding bounded.
+    """
     dim = points.shape[1]
-    acc = np.zeros(points.shape[0])
-    for lo in range(0, dim, 4096):
-        acc += points[:, lo:lo + 4096] @ x[lo:lo + 4096]
-    return acc
-
-
-def exact_sup(T: IndexSet, x) -> float:
-    """max_t <x, t>, chunked over points; compensated in huge dimension."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (T.dim,):
-        raise ValueError(f"x must have shape ({T.dim},)")
-    best = -math.inf
-    for lo in range(0, T.cardinality, POINT_CHUNK):
-        chunk = T.points[lo:lo + POINT_CHUNK]
-        z = _dot_big(chunk, x) if T.dim > BIG_DIM else chunk @ x
-        best = max(best, float(z.max()))
-    return best
-
-
-def _sup_rows(T: IndexSet, X: np.ndarray, distinct: np.ndarray) -> np.ndarray:
-    """sup_t <x, t> for each row of X; uses structure tags when exact."""
-    kind = T.kind
-    if kind == "basis-canonical":
-        return X.max(axis=1)
-    if kind == "basis-signed":
-        return np.abs(X).max(axis=1)
-    if kind == "basis-negative-scaled":
-        return (X * -T.param).max(axis=1)
     out = np.full(X.shape[0], -np.inf)
-    for lo in range(0, distinct.shape[0], POINT_CHUNK):
-        chunk = distinct[lo:lo + POINT_CHUNK]
-        if T.dim > BIG_DIM:
+    for lo in range(0, points.shape[0], POINT_CHUNK):
+        chunk = points[lo:lo + POINT_CHUNK]
+        if dim > BIG_DIM:
             Z = np.zeros((X.shape[0], chunk.shape[0]))
-            for k in range(0, T.dim, 4096):
+            for k in range(0, dim, 4096):
                 Z += X[:, k:k + 4096] @ chunk.T[k:k + 4096, :]
         else:
             Z = X @ chunk.T
@@ -89,29 +76,56 @@ def _sup_rows(T: IndexSet, X: np.ndarray, distinct: np.ndarray) -> np.ndarray:
     return out
 
 
-def _distinct_points(T: IndexSet) -> np.ndarray:
-    # sup over T equals sup over distinct rows; basis constructions never
-    # emit duplicates (and _sup_rows bypasses their points entirely), so
-    # skip the unique() pass, which copies the whole matrix
-    if T.kind.startswith("basis-"):
-        return T.points
-    uniq = np.unique(T.points, axis=0)
-    return uniq if uniq.shape[0] < T.cardinality else T.points
+def exact_sup(T: IndexSet, x) -> float:
+    """max_t <x, t>, chunked over points; compensated in huge dimension."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (T.dim,):
+        raise ValueError(f"x must have shape ({T.dim},)")
+    return float(_chunked_sup(T.points, x[None, :])[0])
+
+
+# exact sup kernels of structured sets, keyed by IndexSet.kind
+SUP_KERNELS = {
+    "basis-canonical": lambda T, X: X.max(axis=1),
+    "basis-signed": lambda T, X: np.abs(X).max(axis=1),
+    "basis-negative-scaled": lambda T, X: (X * -T.param).max(axis=1),
+}
+
+
+def _sup_kernel(T: IndexSet):
+    """X -> sup_t <x, t> for each row x of X."""
+    kernel = SUP_KERNELS.get(T.kind)
+    if kernel is not None:
+        return lambda X: kernel(T, X)
+    # the sup over T equals the sup over its distinct rows
+    distinct = dedupe(T).points
+    return lambda X: _chunked_sup(distinct, X)
+
+
+def _blocked(stream: RandomStream, tag: str, replicates: int, draw,
+             reduce) -> np.ndarray:
+    """reduce(draw(rng)[:m]) per fixed SAMPLE_BLOCK-replicate block.
+
+    Block b takes its generator from substream (tag, b); draw returns a
+    full block of SAMPLE_BLOCK rows, and the last block keeps its first m.
+    """
+    if replicates < MIN_REPLICATES:
+        raise ValueError(f"replicates must be >= {MIN_REPLICATES}")
+    out = np.empty(replicates)
+    for b, lo in enumerate(range(0, replicates, SAMPLE_BLOCK)):
+        m = min(SAMPLE_BLOCK, replicates - lo)
+        rng = stream.substream(tag, b).generator()
+        out[lo:lo + m] = reduce(draw(rng)[:m])
+    return out
 
 
 def estimate_complexity(T: IndexSet, dist: CoordinateDistribution,
                         replicates: int,
                         stream: RandomStream) -> SupremumEstimate:
     """Monte-Carlo E sup_t <xi, t> with fixed 1024-replicate blocks."""
-    if replicates < MIN_REPLICATES:
-        raise ValueError(f"replicates must be >= {MIN_REPLICATES}")
-    distinct = _distinct_points(T)
-    sups = np.empty(replicates)
-    for b, lo in enumerate(range(0, replicates, SAMPLE_BLOCK)):
-        m = min(SAMPLE_BLOCK, replicates - lo)
-        rng = stream.substream("complexity-block", b).generator()
-        X = dist.sample(rng, (SAMPLE_BLOCK, T.dim))[:m]
-        sups[lo:lo + m] = _sup_rows(T, X, distinct)
+    sups = _blocked(stream, "complexity-block", replicates,
+                    lambda rng: dist.sample(rng, (SAMPLE_BLOCK, T.dim)),
+                    _sup_kernel(T))
     return SupremumEstimate.from_samples(sups, "mc", stream.master_seed)
 
 
@@ -123,18 +137,11 @@ def paired_gap_estimate(T: IndexSet, dist: CoordinateDistribution,
     Each block draws uniforms once and pushes them through both inverse
     CDFs, so the per-replicate difference strips the shared variation.
     """
-    if replicates < MIN_REPLICATES:
-        raise ValueError(f"replicates must be >= {MIN_REPLICATES}")
     gauss = gaussian()
-    distinct = _distinct_points(T)
-    diffs = np.empty(replicates)
-    for b, lo in enumerate(range(0, replicates, SAMPLE_BLOCK)):
-        m = min(SAMPLE_BLOCK, replicates - lo)
-        rng = stream.substream("paired-block", b).generator()
-        U = rng.random((SAMPLE_BLOCK, T.dim))[:m]
-        sup_xi = _sup_rows(T, dist.ppf(U), distinct)
-        sup_g = _sup_rows(T, gauss.ppf(U), distinct)
-        diffs[lo:lo + m] = sup_xi - sup_g
+    sup = _sup_kernel(T)
+    diffs = _blocked(stream, "paired-block", replicates,
+                     lambda rng: rng.random((SAMPLE_BLOCK, T.dim)),
+                     lambda U: sup(dist.ppf(U)) - sup(gauss.ppf(U)))
     return SupremumEstimate.from_samples(diffs, "mc-paired", stream.master_seed)
 
 
@@ -143,45 +150,43 @@ def exact_rademacher_complexity(T: IndexSet) -> SupremumEstimate:
     n = T.dim
     if n > MAX_ENUM_DIM:
         raise ValueError(f"enumeration is capped at dimension {MAX_ENUM_DIM}")
-    distinct = _distinct_points(T)
+    sup = _sup_kernel(T)
     total = 1 << n
     sups = np.empty(total)
     for lo in range(0, total, POINT_CHUNK):
         m = min(POINT_CHUNK, total - lo)
-        idx = np.arange(lo, lo + m, dtype=np.uint64)
-        shifts = np.arange(n - 1, -1, -1, dtype=np.uint64)
-        X = (((idx[:, None] >> shifts[None, :]) & 1).astype(np.float64) * 2.0
-             - 1.0)
-        sups[lo:lo + m] = _sup_rows(T, X, distinct)
+        sups[lo:lo + m] = sup(sign_patterns(n, m, lo))
     mean = float(np.mean(sups))
     return SupremumEstimate(mean, 0.0, mean, mean, total, "exact-enumeration", 0)
 
 
 def softmax_complexity(T: IndexSet, dist: CoordinateDistribution, beta: float,
                        replicates: int, stream: RandomStream):
-    """(estimate of E F_beta(xi), log|T|/beta).
+    """(estimate of E F_beta(xi), log|T|/beta, worst bracket slack).
 
     The certified bracket E sup <= E F_beta <= E sup + log|T|/beta is a
-    pointwise fact; each replicate asserts sup <= F_beta <= sup + offset
-    before entering the average.  Soft-max sums run over all declared rows
-    (duplicates included), matching the offset's log-cardinality.
+    pointwise fact; the slack is the least margin min(F - sup, sup +
+    offset - F) over all replicates, so the bracket held iff slack >=
+    -BRACKET_TOL.  Soft-max sums run over all declared rows (duplicates
+    included), matching the offset's log-cardinality.
     """
-    if replicates < MIN_REPLICATES:
-        raise ValueError(f"replicates must be >= {MIN_REPLICATES}")
     beta = float(beta)
     if not beta > 0:
         raise ValueError("beta must be positive")
     offset = T.log_cardinality / beta
-    vals = np.empty(replicates)
-    for b, lo in enumerate(range(0, replicates, SAMPLE_BLOCK)):
-        m = min(SAMPLE_BLOCK, replicates - lo)
-        rng = stream.substream("softmax-block", b).generator()
-        X = dist.sample(rng, (SAMPLE_BLOCK, T.dim))[:m]
+    slack = math.inf
+
+    def smoothed(X):
+        nonlocal slack
         Z = X @ T.points.T
         sups = Z.max(axis=1)
         F = logsumexp(beta * Z, axis=1) / beta
-        if np.any(F < sups - 1e-9) or np.any(F > sups + offset + 1e-9):
-            raise AssertionError("soft-max left the certified bracket")
-        vals[lo:lo + m] = F
+        slack = min(slack, float(np.min(F - sups)),
+                    float(np.min(sups + offset - F)))
+        return F
+
+    vals = _blocked(stream, "softmax-block", replicates,
+                    lambda rng: dist.sample(rng, (SAMPLE_BLOCK, T.dim)),
+                    smoothed)
     est = SupremumEstimate.from_samples(vals, "mc-softmax", stream.master_seed)
-    return est, offset
+    return est, offset, slack

@@ -97,20 +97,24 @@ def make_basis_family(n: int, mode: str = "canonical",
                      f"basis:n={n},mode=negative-scaled,theta={theta:g}", float(theta))
 
 
-def sign_patterns(n: int, count: int | None = None) -> np.ndarray:
-    """First ``count`` sign vectors in {-1,+1}^n, lexicographic.
+def sign_patterns(n: int, count: int | None = None,
+                  start: int = 0) -> np.ndarray:
+    """``count`` sign vectors in {-1,+1}^n, lexicographic, from index ``start``.
 
     -1 sorts before +1 and the first coordinate is most significant,
-    matching itertools.product((-1, 1), repeat=n).
+    matching itertools.product((-1, 1), repeat=n).  ``count`` defaults to
+    every vector from ``start`` on.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     total = 1 << n
+    if not 0 <= start < total:
+        raise ValueError(f"start must be in [0, 2^{n})")
     if count is None:
-        count = total
-    if not 1 <= count <= total:
-        raise ValueError(f"count must be in [1, 2^{n}]")
-    idx = np.arange(count, dtype=np.uint64)
+        count = total - start
+    if not 1 <= count <= total - start:
+        raise ValueError(f"count must be in [1, 2^{n} - start]")
+    idx = np.arange(start, start + count, dtype=np.uint64)
     shifts = np.arange(n - 1, -1, -1, dtype=np.uint64)
     bits = (idx[:, None] >> shifts[None, :]) & 1
     return bits.astype(np.float64) * 2.0 - 1.0
@@ -272,7 +276,7 @@ def dedupe(T: IndexSet) -> IndexSet:
 
 
 def scale(T: IndexSet, c: float) -> IndexSet:
-    """The set c*T, keeping structure tags only when sup paths survive."""
+    """The set c*T as an ``explicit`` set; structure tags are dropped."""
     if c == 0:
         raise ValueError("scale factor must be nonzero")
     return _finalize(T.points * c, "explicit", f"scaled({c:g})*" + T.descriptor)

@@ -256,10 +256,7 @@ class SoftmaxFunction:
     def partial_rows(self, X, i: int, order: int) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
         if order == 1:
-            Z = self.beta * (X @ self.T.points.T)
-            Z -= Z.max(axis=1, keepdims=True)
-            W = np.exp(Z)
-            W /= W.sum(axis=1, keepdims=True)
+            W = sm.gibbs_weight_rows(self.T, self.beta, X)
             return W @ self.T.points[:, i]
         return sm.log_partition_partials_rows(self.T, self.beta, X, i, order)
 
@@ -269,10 +266,7 @@ class SoftmaxFunction:
     def generator_rows(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
         pts = self.T.points
-        Z = self.beta * (X @ pts.T)
-        Z -= Z.max(axis=1, keepdims=True)
-        W = np.exp(Z)
-        W /= W.sum(axis=1, keepdims=True)
+        W = sm.gibbs_weight_rows(self.T, self.beta, X)
         M1 = W @ pts
         M2 = W @ pts ** 2
         lap = self.beta * (M2 - M1 ** 2).sum(axis=1)

@@ -36,9 +36,8 @@ def _require_beta(beta: float) -> float:
 
 def log_partition(T: IndexSet, beta: float, x) -> float:
     """F_beta(x), evaluated stably (max subtraction via logsumexp)."""
-    beta = _require_beta(beta)
-    z = beta * (T.points @ np.asarray(x, dtype=np.float64))
-    return float(logsumexp(z)) / beta
+    x = np.asarray(x, dtype=np.float64)
+    return float(log_partition_rows(T, beta, x[None, :])[0])
 
 
 def log_partition_rows(T: IndexSet, beta: float, X: np.ndarray) -> np.ndarray:
@@ -99,10 +98,17 @@ def weighted_measure(T: IndexSet, weights) -> WeightedMeasure:
 
 
 def _normalized_exp(z: np.ndarray) -> np.ndarray:
-    z = z - z.max()
-    w = np.exp(z)
+    """exp(z) normalized along the last axis, max-subtracted; weights below
+    WEIGHT_FLUSH flush to exact zero."""
+    w = np.exp(z - z.max(axis=-1, keepdims=True))
     w[w < WEIGHT_FLUSH] = 0.0
-    return w / w.sum()
+    return w / w.sum(axis=-1, keepdims=True)
+
+
+def gibbs_weight_rows(T: IndexSet, beta: float, X: np.ndarray) -> np.ndarray:
+    """Gibbs weights at each row of X, shape (m, n) -> (m, |T|)."""
+    beta = _require_beta(beta)
+    return _normalized_exp(beta * (X @ T.points.T))
 
 
 def gibbs_measure(T: IndexSet, beta: float, x) -> GibbsMeasure:
@@ -142,6 +148,15 @@ def _central_moments(w: np.ndarray, li: np.ndarray, up_to: int):
     return out
 
 
+def _partial_from_moments(beta: float, order: int, cm: dict):
+    """Order-k coordinate partial of F_beta from the Gibbs central moments
+    cm[1..4]: beta^(k-1) times the k-th cumulant of l_i."""
+    if order == 1:
+        return cm[1]
+    cumulant = cm[4] - 3.0 * cm[2] ** 2 if order == 4 else cm[order]
+    return beta ** (order - 1) * cumulant
+
+
 def log_partition_partial(T: IndexSet, beta: float, x, i: int,
                           order: int) -> float:
     """Analytic coordinate partials of F_beta of orders 1..4.
@@ -156,13 +171,7 @@ def log_partition_partial(T: IndexSet, beta: float, x, i: int,
     mu = gibbs_measure(T, beta, x)
     li = T.points[:, i]
     cm = _central_moments(mu.weights, li, max(order, 2))
-    if order == 1:
-        return cm[1]
-    if order == 2:
-        return beta * cm[2]
-    if order == 3:
-        return beta ** 2 * cm[3]
-    return beta ** 3 * (cm[4] - 3.0 * cm[2] ** 2)
+    return _partial_from_moments(beta, order, cm)
 
 
 def log_partition_partials_rows(T: IndexSet, beta: float, X: np.ndarray,
@@ -171,21 +180,12 @@ def log_partition_partials_rows(T: IndexSet, beta: float, X: np.ndarray,
     if order not in (2, 3, 4):
         raise ValueError("order must be in 2..4")
     beta = _require_beta(beta)
-    Z = beta * (X @ T.points.T)
-    Z -= Z.max(axis=1, keepdims=True)
-    W = np.exp(Z)
-    W[W < WEIGHT_FLUSH] = 0.0
-    W /= W.sum(axis=1, keepdims=True)
+    W = gibbs_weight_rows(T, beta, X)
     li = T.points[:, i]
-    m1 = W @ li
-    C = li[None, :] - m1[:, None]
-    if order == 2:
-        return beta * np.einsum("bt,bt->b", W, C ** 2)
-    if order == 3:
-        return beta ** 2 * np.einsum("bt,bt->b", W, C ** 3)
-    var = np.einsum("bt,bt->b", W, C ** 2)
-    m4 = np.einsum("bt,bt->b", W, C ** 4)
-    return beta ** 3 * (m4 - 3.0 * var ** 2)
+    C = li[None, :] - (W @ li)[:, None]
+    cm = {k: np.einsum("bt,bt->b", W, C ** k)
+          for k in ((2, 4) if order == 4 else (order,))}
+    return _partial_from_moments(beta, order, cm)
 
 
 @dataclass(frozen=True)
@@ -209,9 +209,7 @@ def derivative_bound_check(T: IndexSet, beta: float, x, i: int,
     mu = gibbs_measure(T, beta, x)
     li = T.points[:, i]
     cm = _central_moments(mu.weights, li, 4)
-    d2 = beta * cm[2]
-    d3 = beta ** 2 * cm[3]
-    d4 = beta ** 3 * (cm[4] - 3.0 * cm[2] ** 2)
+    d2, d3, d4 = (_partial_from_moments(beta, k, cm) for k in (2, 3, 4))
     b2 = beta * gibbs_moment(mu, i, 2, absolute=True)
     b3 = THIRD_DERIV_CONST * beta ** 2 * gibbs_moment(mu, i, 3, absolute=True)
     b4 = FOURTH_DERIV_CONST * beta ** 3 * gibbs_moment(mu, i, 4)
@@ -220,22 +218,21 @@ def derivative_bound_check(T: IndexSet, beta: float, x, i: int,
     return DerivativeBoundReport(d2, d3, d4, b2, b3, b4, ok)
 
 
+def _tilt_logits(mu: WeightedMeasure, x) -> np.ndarray:
+    """<x, l> + log mu, the unnormalized log-density of mu tilted by x."""
+    z = mu.base.points @ np.asarray(x, dtype=np.float64)
+    with np.errstate(divide="ignore"):
+        return z + np.where(mu.weights > 0, np.log(mu.weights), -np.inf)
+
+
 def log_laplace(mu: WeightedMeasure, x) -> float:
     """Lambda_mu(x) = log E_mu exp(<x, l>), computed stably."""
-    x = np.asarray(x, dtype=np.float64)
-    z = mu.base.points @ x
-    with np.errstate(divide="ignore"):
-        logw = np.where(mu.weights > 0, np.log(mu.weights), -np.inf)
-    return float(logsumexp(z + logw))
+    return float(logsumexp(_tilt_logits(mu, x)))
 
 
 def tilted_measure(mu: WeightedMeasure, x) -> WeightedMeasure:
     """The measure with density proportional to exp(<x, l>) against mu."""
-    x = np.asarray(x, dtype=np.float64)
-    z = mu.base.points @ x
-    with np.errstate(divide="ignore"):
-        logw = np.where(mu.weights > 0, np.log(mu.weights), -np.inf)
-    w = _normalized_exp(z + logw)
+    w = _normalized_exp(_tilt_logits(mu, x))
     w.setflags(write=False)
     return WeightedMeasure(mu.base, w)
 
@@ -248,13 +245,7 @@ def log_laplace_partial(mu: WeightedMeasure, x, i: int, order: int) -> float:
     nu = tilted_measure(mu, x)
     li = mu.base.points[:, i]
     cm = _central_moments(nu.weights, li, max(order, 2))
-    if order == 1:
-        return cm[1]
-    if order == 2:
-        return cm[2]
-    if order == 3:
-        return cm[3]
-    return cm[4] - 3.0 * cm[2] ** 2
+    return _partial_from_moments(1.0, order, cm)
 
 
 def uniform_identity_gap(T: IndexSet, beta: float, x) -> float:

@@ -1,10 +1,12 @@
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
-from supcompare import cli
+import supcompare
+from supcompare import cli, estimator
 from supcompare import index_sets as isets
 
 
@@ -37,6 +39,9 @@ def test_parse_config_errors():
         cli.parse_config(["estimate", "target=softmax", "set=basis:n=2"])
     with pytest.raises(cli.ConfigError):
         cli.parse_config(["estimate", "oops", "extra", "set=basis:n=2"])
+    with pytest.raises(cli.ConfigError):
+        # normalization is a set-descriptor argument, not a config key
+        cli.parse_config(["tensor", "N=6", "m=2", "normalized=0"])
 
 
 def test_parse_config_file_merging():
@@ -148,6 +153,34 @@ def test_failed_assertion_exits_2(tmp_path):
     assert code == 2
     doc = json.loads((out / "sk.json").read_text())
     assert not doc["assertions"]["scaled_max_over_min_le_3"]
+
+
+def test_softmax_bracket_violation_exits_2(tmp_path, monkeypatch, capsys):
+    lse = estimator.logsumexp
+    # a soft-max far above the upper end sup + log|T|/beta of its bracket
+    monkeypatch.setattr(estimator, "logsumexp",
+                        lambda Z, axis: lse(Z, axis=axis) + 100.0)
+    out = tmp_path / "bracket"
+    code = run_main(["estimate", "set=basis:n=4", "distribution=gaussian",
+                     "replicates=200", "beta=1.0", f"output_dir={out}"])
+    assert code == 2
+    assert "FAIL softmax_bracket" in capsys.readouterr().out
+    doc = json.loads((out / "estimate.json").read_text())
+    assert not doc["assertions"]["softmax_bracket"]
+    # slack = log|T|/beta - 100 - max(F - sup), and 0 <= F - sup <= log|T|/beta
+    slack = doc["summary"]["softmax_bracket_slack"]
+    assert -100.0 <= slack <= math.log(4) - 100.0
+
+
+def test_version_has_one_source(tmp_path):
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == supcompare.__version__
+    out = tmp_path / "version"
+    run_main(["sudakov", "set=basis:n=4", f"output_dir={out}"])
+    doc = json.loads((out / "sudakov.json").read_text())
+    assert doc["version"] == supcompare.__version__
 
 
 def test_phase_curves_crossover_row(tmp_path):

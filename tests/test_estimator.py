@@ -62,15 +62,47 @@ def test_replicate_underflow():
         est.estimate_complexity(T, dists.gaussian(), 99, dists.RandomStream(0))
 
 
+# one case per entry of est.SUP_KERNELS: (constructor of a set of that kind
+# from n, its exact Rademacher complexity); the differential tests iterate
+# the table, so a kernel added without a case here fails them
+KERNEL_CASES = {
+    "basis-canonical": (lambda n: isets.make_basis_family(n),
+                        lambda n: 1.0 - 2.0 ** (1 - n)),
+    "basis-signed": (lambda n: isets.make_basis_family(n, "signed"),
+                     lambda n: 1.0),
+    "basis-negative-scaled": (
+        lambda n: isets.make_basis_family(n, "negative-scaled", 1.7),
+        lambda n: 1.7 * (1.0 - 2.0 ** (1 - n))),
+}
+
+
 def test_fast_paths_match_generic_bitwise():
     stream = dists.RandomStream(5).substream("fast")
-    for mode, theta in (("canonical", None), ("signed", None),
-                        ("negative-scaled", 1.7)):
-        T = isets.make_basis_family(7, mode, theta)
+    for kind in est.SUP_KERNELS:
+        T = KERNEL_CASES[kind][0](7)
+        assert T.kind == kind
         G = isets.build_explicit(T.points)  # same points, no structure tag
+        X = np.random.default_rng(3).standard_normal((300, T.dim))
+        assert np.array_equal(est._sup_kernel(T)(X), est._sup_kernel(G)(X))
         a = est.estimate_complexity(T, dists.uniform_symmetric(), 2000, stream)
         b = est.estimate_complexity(G, dists.uniform_symmetric(), 2000, stream)
         assert a.mean == b.mean and a.std_error == b.std_error
+        a = est.paired_gap_estimate(T, dists.laplace(True), 1500, stream)
+        b = est.paired_gap_estimate(G, dists.laplace(True), 1500, stream)
+        assert a == b
+
+
+@pytest.mark.parametrize("kind", sorted(est.SUP_KERNELS))
+def test_exact_rademacher_over_chunks_matches_matmul_path(kind):
+    n = 16
+    assert 1 << n == 4 * est.POINT_CHUNK  # the enumeration spans 4 chunks
+    build, exact = KERNEL_CASES[kind]
+    T = build(n)
+    r = est.exact_rademacher_complexity(T)
+    assert r == est.exact_rademacher_complexity(isets.build_explicit(T.points))
+    assert r.mean == pytest.approx(exact(n), rel=1e-15)
+    if kind == "basis-canonical":
+        assert r.mean == exact(n)
 
 
 def test_duplicates_do_not_change_estimates():
@@ -131,8 +163,10 @@ def test_gaussian_halfline_value():
 def test_softmax_complexity_bracket():
     T = isets.make_basis_family(5)
     stream = dists.RandomStream(10).substream("soft")
-    soft, offset = est.softmax_complexity(T, dists.gaussian(), 2.0, 2000, stream)
+    soft, offset, slack = est.softmax_complexity(T, dists.gaussian(), 2.0,
+                                                 2000, stream)
     assert offset == pytest.approx(math.log(5) / 2.0)
+    assert slack >= -est.BRACKET_TOL
     plain = est.estimate_complexity(T, dists.gaussian(), 2000, stream)
     # same stream tag differs, but the bracket holds in expectation strongly
     assert plain.mean - 4 * plain.std_error <= soft.mean \

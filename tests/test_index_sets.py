@@ -43,6 +43,17 @@ def test_sign_patterns_lexicographic():
     assert np.array_equal(isets.sign_patterns(4, 5), expect[:5])
 
 
+def test_sign_patterns_start_slices():
+    full = isets.sign_patterns(5)
+    for start, count in ((0, 32), (3, 7), (31, 1), (16, 16)):
+        assert np.array_equal(isets.sign_patterns(5, count, start),
+                              full[start:start + count])
+    assert np.array_equal(isets.sign_patterns(5, start=20), full[20:])
+    for count, start in ((1, 32), (5, 30), (0, 0), (1, -1)):
+        with pytest.raises(ValueError):
+            isets.sign_patterns(5, count, start)
+
+
 def test_diagonal_cube_full_and_subset():
     d = [1.0, 0.5, 0.25]
     T = isets.make_diagonal_cube(d)

@@ -82,9 +82,13 @@ def test_gibbs_weights_normalized_and_consistent():
 
 def test_weight_flush_to_exact_zero():
     T = isets.build_explicit([[0.0], [1.0]])
-    mu = sm.gibbs_measure(T, 1.0, np.array([800.0]))
-    assert mu.weights[0] == 0.0
-    assert mu.weights[1] == 1.0
+    # exp(-700) ~ 1e-304 is a normal float that only the flush zeroes
+    for x in (800.0, 700.0):
+        mu = sm.gibbs_measure(T, 1.0, np.array([x]))
+        assert mu.weights[0] == 0.0
+        assert mu.weights[1] == 1.0
+    W = sm.gibbs_weight_rows(T, 1.0, np.array([[700.0], [0.0]]))
+    assert np.array_equal(W, [[0.0, 1.0], [0.5, 0.5]])
 
 
 def test_gradient_is_gibbs_mean_and_in_hull():
