@@ -1,65 +1,95 @@
 """Finite index sets in R^n: constructors, geometric profiles, CSV round-trip.
 
 An index set is a finite collection of points t in R^n over which suprema
-sup_t <x, t> are taken.  Points are stored row-wise in a read-only float64
-array.  Duplicate rows are retained: the declared cardinality enters
+sup_t <x, t> are taken.  A set is declared by its shape and a builder of
+its point matrix; the points are built on first read and kept as a
+read-only float64 array.  Explicit, diagonal-cube and spin sets are built
+when declared.  Basis families are built only if something reads their
+points: their sup kernels and sampling need only the declared shape.
+Duplicate rows are retained: the declared cardinality enters
 log-cardinality bounds, and deduplication is the caller's choice.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
 MAX_CARDINALITY = 2 ** 22
 MAX_DIM = 2 ** 20
+# bytes of a built point matrix (8 * cardinality * dim)
+MAX_POINT_BYTES = 2 ** 31
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IndexSet:
     """A finite set of points in R^n, one point per row of ``points``.
 
+    ``cardinality`` and ``dim`` are the declared shape; ``build`` returns
+    the point matrix, and ``points`` calls it once, on first read.
     ``kind`` tags structured constructions so estimators can use exact
     fast paths; ``explicit`` means no structure is assumed.  ``param``
     carries the structured construction's scalar parameter (theta for
-    negative-scaled basis families), else 0.0.
+    negative-scaled basis families), else 0.0.  ``distinct`` is true when
+    the construction guarantees distinct rows, so ``dedupe`` has nothing
+    to remove.
     """
 
-    points: np.ndarray
+    cardinality: int
+    dim: int
+    build: Callable[[], np.ndarray] = field(repr=False)
     kind: str = "explicit"
     descriptor: str = "explicit"
     param: float = 0.0
+    distinct: bool = False
 
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
-
-    @property
-    def cardinality(self) -> int:
-        return self.points.shape[0]
+    @cached_property
+    def points(self) -> np.ndarray:
+        """The point matrix, built on first read and cached read-only;
+        one over MAX_POINT_BYTES is refused before it is built."""
+        nbytes = 8 * self.cardinality * self.dim
+        if nbytes > MAX_POINT_BYTES:
+            raise ValueError(f"{self.cardinality} x {self.dim} points take "
+                             f"{nbytes} bytes, over the budget of {MAX_POINT_BYTES}")
+        pts = self.build()
+        pts.setflags(write=False)
+        return pts
 
     @property
     def log_cardinality(self) -> float:
         return math.log(self.cardinality)
 
 
+def _declare(cardinality: int, dim: int, build, kind: str, descriptor: str,
+             param: float = 0.0, distinct: bool = False,
+             lazy: bool = False) -> IndexSet:
+    """The one constructor: caps are checked on the declared shape before
+    anything is built.  The points are built and checked finite now,
+    unless ``lazy`` leaves them to the first read."""
+    if cardinality < 1:
+        raise ValueError("index set must contain at least one point")
+    if cardinality > MAX_CARDINALITY:
+        raise ValueError(f"cardinality {cardinality} exceeds cap {MAX_CARDINALITY}")
+    if dim < 1 or dim > MAX_DIM:
+        raise ValueError(f"dimension {dim} outside [1, {MAX_DIM}]")
+    T = IndexSet(cardinality, dim, build, kind, descriptor, param, distinct)
+    if not lazy and not np.all(np.isfinite(T.points)):
+        raise ValueError("points must be finite")
+    return T
+
+
 def _finalize(points: np.ndarray, kind: str, descriptor: str,
-              param: float = 0.0) -> IndexSet:
+              distinct: bool = False) -> IndexSet:
+    """Declare a set from a point matrix that is already built."""
     points = np.ascontiguousarray(points, dtype=np.float64)
     if points.ndim != 2:
         raise ValueError("points must be a 2d array, one point per row")
-    if points.shape[0] < 1:
-        raise ValueError("index set must contain at least one point")
-    if points.shape[0] > MAX_CARDINALITY:
-        raise ValueError(f"cardinality {points.shape[0]} exceeds cap {MAX_CARDINALITY}")
-    if points.shape[1] < 1 or points.shape[1] > MAX_DIM:
-        raise ValueError(f"dimension {points.shape[1]} outside [1, {MAX_DIM}]")
-    if not np.all(np.isfinite(points)):
-        raise ValueError("points must be finite")
-    points.setflags(write=False)
-    return IndexSet(points, kind, descriptor, param)
+    return _declare(*points.shape, lambda: points, kind, descriptor,
+                    distinct=distinct)
 
 
 def build_explicit(points) -> IndexSet:
@@ -85,16 +115,21 @@ def make_basis_family(n: int, mode: str = "canonical",
         raise ValueError("n must be >= 1")
     if mode not in BASIS_MODES:
         raise ValueError(f"unknown basis mode {mode!r}; choose from {BASIS_MODES}")
-    eye = np.eye(n)
     if mode == "canonical":
-        return _finalize(eye, "basis-canonical", f"basis:n={n}")
+        return _declare(n, n, lambda: np.eye(n), "basis-canonical",
+                        f"basis:n={n}", distinct=True, lazy=True)
     if mode == "signed":
-        pts = np.vstack([eye, -eye])
-        return _finalize(pts, "basis-signed", f"basis:n={n},mode=signed")
-    if theta is None or theta <= 0:
-        raise ValueError("negative-scaled mode requires theta > 0")
-    return _finalize(-theta * eye, "basis-negative-scaled",
-                     f"basis:n={n},mode=negative-scaled,theta={theta:g}", float(theta))
+        def signed():
+            eye = np.eye(n)
+            return np.vstack([eye, -eye])
+        return _declare(2 * n, n, signed, "basis-signed",
+                        f"basis:n={n},mode=signed", distinct=True, lazy=True)
+    # checked here: a lazy set's points are not scanned for NaN or inf
+    if theta is None or not 0 < theta < math.inf:
+        raise ValueError("negative-scaled mode requires a finite theta > 0")
+    return _declare(n, n, lambda: -theta * np.eye(n), "basis-negative-scaled",
+                    f"basis:n={n},mode=negative-scaled,theta={theta:g}",
+                    float(theta), distinct=True, lazy=True)
 
 
 def sign_patterns(n: int, count: int | None = None,
@@ -143,16 +178,16 @@ def make_diagonal_cube(diag, signs=None, k: int | None = None) -> IndexSet:
             raise ValueError("signs must have one column per diag entry")
         if not np.all(np.abs(s) == 1.0):
             raise ValueError("signs entries must be +-1")
-        desc = f"diagcube:n={n},signs=explicit"
-    else:
-        if n > 22 and k is None:
-            raise ValueError("full cube beyond n=22 exceeds the cardinality cap; pass k")
-        count = None if k is None else 1 << k
-        if k is not None and (k < 0 or k > n):
-            raise ValueError("k must be in [0, n]")
-        s = sign_patterns(n, count)
-        desc = f"diagcube:n={n}" + ("" if k is None else f",k={k}")
-    return _finalize(s * d[None, :], "diagonal-cube", desc)
+        return _declare(s.shape[0], n, lambda: s * d[None, :], "diagonal-cube",
+                        f"diagcube:n={n},signs=explicit")
+    if n > 22 and k is None:
+        raise ValueError("full cube beyond n=22 exceeds the cardinality cap; pass k")
+    if k is not None and (k < 0 or k > n):
+        raise ValueError("k must be in [0, n]")
+    count = 1 << (n if k is None else k)
+    desc = f"diagcube:n={n}" + ("" if k is None else f",k={k}")
+    return _declare(count, n, lambda: sign_patterns(n, count) * d[None, :],
+                    "diagonal-cube", desc, distinct=True)
 
 
 def make_spin_quadratic(N: int, normalized: bool = False) -> IndexSet:
@@ -183,21 +218,26 @@ def make_spin_tensor(N: int, m: int, normalized: bool = False) -> IndexSet:
     dim = math.comb(N, m)
     if dim > MAX_DIM:
         raise ValueError("binom(N, m) exceeds the dimension cap")
-    S = sign_patterns(N)
-    pts = np.empty(((1 << N), dim))
-    for c, combo in enumerate(itertools.combinations(range(N), m)):
-        pts[:, c] = S[:, combo].prod(axis=1)
     if normalized:
         scale = 1.0 / (math.sqrt(dim) * math.sqrt(N))
         tag = ",normalized=1"
     else:
         scale = N ** (-(m + 1) / 2.0)
         tag = ""
-    pts *= scale
+
+    # a builder, so the byte budget is checked before np.empty allocates
+    def build():
+        S = sign_patterns(N)
+        pts = np.empty(((1 << N), dim))
+        for c, combo in enumerate(itertools.combinations(range(N), m)):
+            pts[:, c] = S[:, combo].prod(axis=1)
+        pts *= scale
+        return pts
+
     kind = "spin-quadratic" if m == 2 else "spin-tensor"
     desc = (f"spin-quadratic:N={N}{tag}" if m == 2
             else f"spin-tensor:N={N},m={m}{tag}")
-    return _finalize(pts, kind, desc, scale)
+    return _declare(1 << N, dim, build, kind, desc, scale)
 
 
 @dataclass(frozen=True)
@@ -268,11 +308,14 @@ def load_csv(path) -> IndexSet:
 
 
 def dedupe(T: IndexSet) -> IndexSet:
-    """Distinct points of T (sup-invariant reduction)."""
+    """Distinct points of T (sup-invariant reduction); T itself when its
+    rows are distinct by construction or turn out distinct."""
+    if T.distinct:
+        return T
     uniq = np.unique(T.points, axis=0)
     if uniq.shape[0] == T.cardinality:
         return T
-    return _finalize(uniq, "explicit", T.descriptor + ",deduped")
+    return _finalize(uniq, "explicit", T.descriptor + ",deduped", distinct=True)
 
 
 def scale(T: IndexSet, c: float) -> IndexSet:

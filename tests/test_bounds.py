@@ -142,8 +142,12 @@ def test_sudakov_validation():
         bmod.sudakov_check(big)
 
 
-def test_sudakov_dedupes_before_distances():
+def test_sudakov_dedupes_before_distances(monkeypatch):
     pts = [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]
+    unique, calls = np.unique, []
+    monkeypatch.setattr(isets.np, "unique",
+                        lambda *a, **k: calls.append(1) or unique(*a, **k))
     rep = bmod.sudakov_check(isets.build_explicit(pts))
+    assert len(calls) == 1  # the deduped set is not deduped again
     assert rep.cardinality == 2
     assert rep.separation == pytest.approx(math.sqrt(2.0))

@@ -72,6 +72,19 @@ def test_parse_set_errors():
                 "basis:mode=signed"):
         with pytest.raises(cli.ConfigError):
             cli.parse_set(bad)
+    for theta in ("nan", "inf", "-inf", "0", "-2"):
+        with pytest.raises(cli.ConfigError):
+            cli.parse_set(f"basis:n=4,mode=negative-scaled,theta={theta}")
+
+
+def test_parse_set_refuses_over_budget_before_allocating(monkeypatch):
+    def allocates(*args, **kwargs):
+        raise AssertionError("built points past the byte budget")
+    monkeypatch.setattr(isets, "sign_patterns", allocates)
+    # 2^22 rows x 231 columns of float64 is 7.7 GB
+    for bad in ("spin-tensor:N=22,m=2", "diagcube:n=30,k=30"):
+        with pytest.raises(cli.ConfigError):
+            cli.parse_set(bad)
 
 
 def test_parse_set_explicit_round_trip(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -54,6 +55,22 @@ def test_estimate_is_deterministic():
     c = est.estimate_complexity(T, dists.gaussian(), 3000,
                                 dists.RandomStream(78).substream("run"))
     assert a.mean != c.mean
+
+
+def test_basis_estimate_builds_no_points():
+    # the 1024 x 16384 sample block alone is 128 MiB; an identity of
+    # either size would add 2 GiB or 8 TiB
+    tracemalloc.start()
+    try:
+        isets.make_basis_family(2 ** 20)
+        T = isets.make_basis_family(16384)
+        est.estimate_complexity(T, dists.gaussian(), 100,
+                                dists.RandomStream(4).substream("lazy"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200 * 2 ** 20
+    assert "points" not in vars(T)
 
 
 def test_replicate_underflow():

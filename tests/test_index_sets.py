@@ -30,10 +30,73 @@ def test_basis_negative_scaled():
     assert T.param == 2.5
     with pytest.raises(ValueError):
         isets.make_basis_family(4, "negative-scaled")
-    with pytest.raises(ValueError):
-        isets.make_basis_family(4, "negative-scaled", theta=-1.0)
+    for theta in (-1.0, 0.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            isets.make_basis_family(4, "negative-scaled", theta=theta)
     with pytest.raises(ValueError):
         isets.make_basis_family(4, "spiral")
+
+
+EAGER_BASIS = {
+    "canonical": lambda n: np.eye(n),
+    "signed": lambda n: np.vstack([np.eye(n), -np.eye(n)]),
+    "negative-scaled": lambda n: -2.5 * np.eye(n),
+}
+
+
+@pytest.mark.parametrize("mode", isets.BASIS_MODES)
+def test_basis_points_built_on_first_read(mode):
+    for n in (1, 5, 64):
+        T = isets.make_basis_family(n, mode, 2.5 if mode == "negative-scaled"
+                                    else None)
+        assert "points" not in vars(T)  # nothing built until read
+        pts = T.points
+        expect = EAGER_BASIS[mode](n)
+        assert pts.shape == (T.cardinality, T.dim) == expect.shape
+        assert pts.tobytes() == expect.tobytes()  # -0.0 entries included
+        assert not pts.flags.writeable
+        assert T.points is pts
+
+
+def test_point_byte_budget(monkeypatch):
+    assert isets.MAX_POINT_BYTES == 8 * 16384 * 16384  # basis:n=16384 fits
+    T = isets.make_basis_family(2 ** 20)  # declared, never built
+    assert T.cardinality == T.dim == 2 ** 20
+    with pytest.raises(ValueError):
+        T.points
+    monkeypatch.setattr(isets, "MAX_POINT_BYTES", 8 * 6)
+    isets.build_explicit(np.ones((2, 3)))  # exactly the budget
+    with pytest.raises(ValueError):
+        isets.build_explicit(np.ones((2, 4)))
+    with pytest.raises(ValueError):
+        isets.make_spin_tensor(3, 2)  # 8 x 3
+
+
+def test_distinct_flag_skips_unique(monkeypatch, tmp_path):
+    d = [1.0, 0.5, 0.25]
+    dup = isets.build_explicit([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    flagged = [isets.make_basis_family(4),
+               isets.make_basis_family(4, "signed"),
+               isets.make_basis_family(4, "negative-scaled", 0.5),
+               isets.make_basis_family(1, "signed"),
+               isets.make_diagonal_cube(d),
+               isets.make_diagonal_cube(d, k=2),
+               isets.dedupe(dup)]
+    isets.save_csv(flagged[0], tmp_path / "set.csv")
+    unflagged = [dup, isets.make_diagonal_cube(d, signs=[[1, -1, 1]]),
+                 isets.load_csv(tmp_path / "set.csv"),
+                 isets.make_spin_quadratic(3), isets.make_spin_tensor(4, 3),
+                 isets.scale(flagged[0], 2.0)]
+    for T in flagged:
+        assert T.distinct
+        assert np.unique(T.points, axis=0).shape[0] == T.cardinality
+    assert not any(T.distinct for T in unflagged)
+
+    def unique(*args, **kwargs):
+        raise AssertionError("np.unique reached for a distinct set")
+    monkeypatch.setattr(isets.np, "unique", unique)
+    for T in flagged:
+        assert isets.dedupe(T) is T
 
 
 def test_sign_patterns_lexicographic():
