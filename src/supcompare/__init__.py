@@ -26,7 +26,7 @@ from .softmax import (WeightedMeasure, GibbsMeasure, log_partition,
 from .ou_stein import (Polynomial, PolynomialFunction, SoftmaxFunction,
                        OperatorEstimate, PoissonReport, SteinReport,
                        HypothesisViolation, ou_apply, ou_apply_exact,
-                       generator_apply, ou_potential, potential_partial,
+                       ou_potential, potential_partial,
                        poisson_identity_check, stein_representation_check,
                        semigroup_check, ergodic_check)
 from .estimator import (SupremumEstimate, exact_sup, estimate_complexity,

@@ -18,6 +18,7 @@ particular universal constant.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -43,19 +44,6 @@ class BoundProfile:
     bounded_max_r3: float | None
     l3_column: float | None
     l4_column: float | None
-
-    def as_dict(self) -> dict:
-        return {
-            "u": self.u,
-            "trivial": self.trivial,
-            "mixed": self.mixed,
-            "fourth_moment": self.fourth_moment,
-            "sup_norm": self.sup_norm,
-            "bounded_max": self.bounded_max,
-            "bounded_max_r3": self.bounded_max_r3,
-            "l3_column": self.l3_column,
-            "l4_column": self.l4_column,
-        }
 
 
 def bound_profile(profile: GeometricProfile, u: float,
@@ -181,7 +169,7 @@ def error_report(T: IndexSet, dist: CoordinateDistribution, replicates: int,
         gap_se = math.hypot(xi_est.std_error, g_est.std_error)
     bp = bound_profile(profile, u, dist.sigma3, dist.sigma4, dist.bound)
     ratios = {}
-    for name, val in bp.as_dict().items():
+    for name, val in dataclasses.asdict(bp).items():
         if name == "u" or val is None:
             continue
         ratios[name] = gap / val if val > 0 else math.inf if gap > 0 else 0.0

@@ -12,13 +12,14 @@ Subcommands:
     verify        softmax | stein | gibbs identity batteries
 
 Config keys are flat `key=value` tokens; `--config FILE` loads the same
-syntax from a file (CLI tokens override).  Unknown keys are errors.  With a
-fixed seed, reruns write byte-identical CSV; JSON additionally carries the
-elapsed wall time.
+syntax from a file (CLI tokens override).  A key the subcommand does not
+read is an error.  With a fixed seed, reruns write byte-identical CSV; JSON
+additionally carries the elapsed wall time.
 """
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -31,23 +32,26 @@ import numpy as np
 
 from . import __version__
 from . import bounds as bounds_mod
+from . import checks
 from . import experiments
 from . import index_sets as isets
-from . import ou_stein as ou
-from . import softmax as sm
 from .distributions import (DEFAULT_SEED, CoordinateDistribution,
-                            RandomStream, from_name, gaussian, rademacher)
+                            RandomStream, from_name)
 from .estimator import BRACKET_TOL, estimate_complexity, softmax_complexity
 
-SUBCOMMANDS = ("estimate", "bounds", "sudakov", "laplace", "sk", "tensor",
-               "verify", "phase-curves")
-VERIFY_TARGETS = ("softmax", "stein", "gibbs")
-
-_KNOWN_KEYS = {
-    "subcommand", "target", "set", "distribution", "replicates", "seed",
-    "beta", "paired", "n_list", "N_list", "N", "m", "u_grid",
-    "output_dir", "format",
+# the keys each subcommand reads, "*" marking a required one; every
+# subcommand also reads COMMON_KEYS
+SUBCOMMAND_KEYS = {
+    "estimate": ("set*", "distribution", "replicates", "beta"),
+    "bounds": ("set*", "distribution", "replicates", "paired"),
+    "sudakov": ("set*", "replicates"),
+    "laplace": ("n_list", "replicates"),
+    "sk": ("N_list", "distribution", "replicates"),
+    "tensor": ("N*", "m*", "distribution", "replicates"),
+    "phase-curves": ("set*", "distribution", "u_grid"),
+    "verify": ("target*",),
 }
+COMMON_KEYS = ("subcommand", "seed", "output_dir", "format")
 
 _DEFAULTS = {
     "distribution": "rademacher",
@@ -127,8 +131,6 @@ def _parse_pairs(tokens) -> dict:
         if "=" not in tok:
             raise ConfigError(f"expected key=value, got {tok!r}")
         key, val = tok.split("=", 1)
-        if key not in _KNOWN_KEYS:
-            raise ConfigError(f"unknown config key {key!r}")
         pairs[key] = val
     return pairs
 
@@ -142,22 +144,13 @@ def _int(pairs, key, default=None):
         raise ConfigError(f"{key} must be an integer, got {pairs[key]!r}")
 
 
-def _int_list(pairs, key):
+def _list(pairs, key, kind):
     if key not in pairs:
         return None
     try:
-        return tuple(int(v) for v in pairs[key].split(",") if v)
+        return tuple(kind(v) for v in pairs[key].split(",") if v)
     except ValueError:
-        raise ConfigError(f"{key} must be comma-separated integers")
-
-
-def _float_list(pairs, key):
-    if key not in pairs:
-        return None
-    try:
-        return tuple(float(v) for v in pairs[key].split(",") if v)
-    except ValueError:
-        raise ConfigError(f"{key} must be comma-separated numbers")
+        raise ConfigError(f"{key} must be comma-separated {kind.__name__}s")
 
 
 def parse_config(tokens, file_text: str | None = None) -> RunConfig:
@@ -183,15 +176,20 @@ def parse_config(tokens, file_text: str | None = None) -> RunConfig:
     if len(bare) > 2:
         raise ConfigError(f"unexpected positional arguments {bare[2:]}")
     sub = pairs.get("subcommand")
-    if sub not in SUBCOMMANDS:
-        raise ConfigError(f"subcommand must be one of {SUBCOMMANDS}, got {sub!r}")
+    if sub not in SUBCOMMAND_KEYS:
+        raise ConfigError(f"subcommand must be one of "
+                          f"{tuple(SUBCOMMAND_KEYS)}, got {sub!r}")
+    keys = SUBCOMMAND_KEYS[sub]
+    ignored = sorted(set(pairs) - {k.rstrip("*") for k in keys + COMMON_KEYS})
+    if ignored:
+        raise ConfigError(f"subcommand {sub!r} does not read keys {ignored}")
+    missing = [k[:-1] for k in keys if k.endswith("*") and k[:-1] not in pairs]
+    if missing:
+        raise ConfigError(f"subcommand {sub!r} requires keys: {missing}")
     target = pairs.get("target")
-    if sub == "verify":
-        if target not in VERIFY_TARGETS:
-            raise ConfigError(
-                f"verify needs a target in {VERIFY_TARGETS}, got {target!r}")
-    elif target is not None:
-        raise ConfigError("target is only valid for the verify subcommand")
+    if sub == "verify" and target not in checks.TARGETS:
+        raise ConfigError(
+            f"verify needs a target in {checks.TARGETS}, got {target!r}")
     replicates = _int(pairs, "replicates", _DEFAULTS["replicates"])
     if replicates < 1:
         raise ConfigError("replicates must be >= 1")
@@ -221,11 +219,11 @@ def parse_config(tokens, file_text: str | None = None) -> RunConfig:
         seed=seed,
         beta=beta,
         paired=paired,
-        n_list=_int_list(pairs, "n_list"),
-        N_list=_int_list(pairs, "N_list"),
+        n_list=_list(pairs, "n_list", int),
+        N_list=_list(pairs, "N_list", int),
         N=_int(pairs, "N"),
         m=_int(pairs, "m"),
-        u_grid=_float_list(pairs, "u_grid"),
+        u_grid=_list(pairs, "u_grid", float),
         output_dir=pairs.get("output_dir", _DEFAULTS["output_dir"]),
         format=fmt,
     )
@@ -322,14 +320,6 @@ def _table_from_dicts(rows: list) -> tuple:
     return headers, [[row[h] for h in headers] for row in rows]
 
 
-def _require(config: RunConfig, *keys):
-    missing = [k for k in keys
-               if getattr(config, "set_descriptor" if k == "set" else k) is None]
-    if missing:
-        raise ConfigError(
-            f"subcommand {config.subcommand!r} requires keys: {missing}")
-
-
 def run(config: RunConfig) -> ResultRecord:
     """Execute one run; pure given (config), up to wall-time metadata."""
     start = time.monotonic()
@@ -339,29 +329,18 @@ def run(config: RunConfig) -> ResultRecord:
     sub = config.subcommand
 
     if sub == "estimate":
-        _require(config, "set")
         T = parse_set(config.set_descriptor)
         beta = _resolve_beta(config, T, dist)
         est = estimate_complexity(T, dist, config.replicates,
                                   stream.substream("plain"))
-        rows = [{
-            "metric": "complexity", "mean": est.mean,
-            "std_error": est.std_error, "ci_low": est.ci_low,
-            "ci_high": est.ci_high, "replicates": est.replicates,
-            "method": est.method, "seed": est.seed, "beta": None,
-            "offset": None,
-        }]
+        rows = [{"metric": "complexity", **dataclasses.asdict(est),
+                 "beta": None, "offset": None}]
         record.assertions["estimate_finite"] = math.isfinite(est.mean)
         if beta is not None:
             soft, offset, slack = softmax_complexity(
                 T, dist, beta, config.replicates, stream.substream("soft"))
-            rows.append({
-                "metric": "softmax", "mean": soft.mean,
-                "std_error": soft.std_error, "ci_low": soft.ci_low,
-                "ci_high": soft.ci_high, "replicates": soft.replicates,
-                "method": soft.method, "seed": soft.seed, "beta": beta,
-                "offset": offset,
-            })
+            rows.append({"metric": "softmax", **dataclasses.asdict(soft),
+                         "beta": beta, "offset": offset})
             record.summary["beta"] = beta
             record.summary["offset"] = offset
             record.summary["softmax_bracket_slack"] = slack
@@ -371,7 +350,6 @@ def run(config: RunConfig) -> ResultRecord:
         record.summary["std_error"] = est.std_error
 
     elif sub == "bounds":
-        _require(config, "set")
         T = parse_set(config.set_descriptor)
         rep = bounds_mod.error_report(T, dist, config.replicates, stream,
                                       config.paired)
@@ -380,7 +358,7 @@ def run(config: RunConfig) -> ResultRecord:
             "u": rep.u, "gap": rep.gap, "gap_std_error": rep.gap_std_error,
             "paired": rep.paired,
         }
-        for name, val in rep.bounds.as_dict().items():
+        for name, val in dataclasses.asdict(rep.bounds).items():
             if name != "u":
                 row["bound_" + name] = val
         for name, val in rep.ratios.items():
@@ -394,7 +372,6 @@ def run(config: RunConfig) -> ResultRecord:
             math.isfinite(v) for v in rep.ratios.values())
 
     elif sub == "sudakov":
-        _require(config, "set")
         T = parse_set(config.set_descriptor)
         rep = bounds_mod.sudakov_check(T, config.replicates, stream)
         row = {
@@ -435,7 +412,6 @@ def run(config: RunConfig) -> ResultRecord:
             res.summary["scaled_max_over_min"] <= 3.0)
 
     elif sub == "tensor":
-        _require(config, "N", "m")
         res = experiments.tensor_universality(config.N, config.m, dist,
                                               config.replicates, stream)
         record.tables["main"] = _table_from_dicts(res.rows)
@@ -446,7 +422,6 @@ def run(config: RunConfig) -> ResultRecord:
             record.assertions["gauss_in_band"] = res.summary["gauss_in_band"]
 
     elif sub == "phase-curves":
-        _require(config, "set")
         T = parse_set(config.set_descriptor)
         profile = isets.geometric_profile(T)
         u1, u2 = bounds_mod.crossover_points(profile)
@@ -472,256 +447,14 @@ def run(config: RunConfig) -> ResultRecord:
             res1 <= 1e-12 * scale1 and res2 <= 1e-12 * scale2)
 
     else:  # verify
-        rows, passed = _run_verify(config.target, RandomStream(config.seed))
+        rows = checks.run_battery(config.target, config.seed)
+        failed = sum(not r["passed"] for r in rows)
         record.tables["main"] = _table_from_dicts(rows)
-        record.summary = {"checks": len(rows),
-                          "failed": sum(1 for r in rows if not r["passed"])}
-        record.assertions["all_checks_pass"] = passed
+        record.summary = {"checks": len(rows), "failed": failed}
+        record.assertions["all_checks_pass"] = failed == 0
 
     record.elapsed_seconds = time.monotonic() - start
     return record
-
-
-# ---------------------------------------------------------------------------
-# verify batteries (fixed internal budgets; deterministic given the seed)
-
-def _check_row(name, passed, observed, threshold) -> dict:
-    return {"check": name, "passed": bool(passed),
-            "observed": float(observed), "threshold": float(threshold)}
-
-
-def _random_instance(rng, n_max=8, card_max=12):
-    n = int(rng.integers(2, n_max + 1))
-    card = int(rng.integers(2, card_max + 1))
-    pts = rng.standard_normal((card, n))
-    T = isets.build_explicit(pts)
-    x = rng.standard_normal(n)
-    beta = float(rng.uniform(0.3, 3.0))
-    return T, x, beta
-
-
-def _verify_softmax(stream: RandomStream) -> list:
-    rows = []
-    rng = stream.substream("softmax-battery").generator()
-
-    worst = 0.0
-    ok = True
-    for _ in range(200):
-        T, x, beta = _random_instance(rng)
-        gap, bound = sm.sandwich_gap(T, beta, x)
-        ok &= -1e-12 <= gap <= bound + 1e-12
-        worst = max(worst, gap - bound, -gap)
-    rows.append(_check_row("sandwich_bracket", ok, worst, 0.0))
-
-    worst = 0.0
-    for _ in range(100):
-        T, x, beta = _random_instance(rng)
-        f1 = sm.log_partition(T, beta, x)
-        f2 = sm.log_partition(T, beta * 2.0, x)
-        worst = max(worst, f2 - f1)
-    rows.append(_check_row("monotone_in_beta", worst <= 1e-12, worst, 1e-12))
-
-    worst = 0.0
-    for _ in range(200):
-        T, x, beta = _random_instance(rng)
-        y = rng.standard_normal(T.dim)
-        mid = sm.log_partition(T, beta, 0.5 * (x + y))
-        avg = 0.5 * (sm.log_partition(T, beta, x) + sm.log_partition(T, beta, y))
-        slack = 1e-12 * max(1.0, abs(avg))
-        worst = max(worst, mid - avg - slack)
-    rows.append(_check_row("midpoint_convexity", worst <= 0.0, worst, 0.0))
-
-    worst = 0.0
-    for _ in range(50):
-        T, x, beta = _random_instance(rng, n_max=5, card_max=8)
-        i = int(rng.integers(T.dim))
-        for order in (2, 3, 4):
-            analytic, fd = sm.grad_fd_report(T, beta, x, i, order)
-            floor = (abs(analytic)
-                     + beta ** (order - 1) * float(np.abs(T.points[:, i]).max()) ** order
-                     + 1e-12)
-            worst = max(worst, abs(analytic - fd) / floor)
-    rows.append(_check_row("derivative_fd_agreement", worst <= 1e-4, worst, 1e-4))
-
-    allok = True
-    for _ in range(200):
-        T, x, beta = _random_instance(rng)
-        i = int(rng.integers(T.dim))
-        allok &= sm.derivative_bound_check(T, beta, x, i).ok
-    rows.append(_check_row("derivative_moment_bounds", allok, 0.0 if allok else 1.0, 0.0))
-
-    worst = 0.0
-    for _ in range(100):
-        T, x, beta = _random_instance(rng)
-        worst = max(worst, sm.uniform_identity_gap(T, beta, x))
-    rows.append(_check_row("uniform_measure_identity", worst <= 1e-10, worst, 1e-10))
-
-    worst = 1.0
-    for _ in range(50):
-        T, x, _ = _random_instance(rng)
-        try:
-            worst = min(worst, sm.collapse_weight(T, x))
-        except ValueError:
-            continue
-    rows.append(_check_row("weight_collapse", worst >= 1.0 - 1e-6, worst, 1.0 - 1e-6))
-    return rows
-
-
-def _verify_gibbs(stream: RandomStream) -> list:
-    rows = []
-    rng = stream.substream("gibbs-battery").generator()
-
-    worst = 0.0
-    ok = True
-    for _ in range(200):
-        T, x, beta = _random_instance(rng)
-        mu = sm.gibbs_measure(T, beta, x)
-        ok &= bool(np.all(mu.weights >= 0.0))
-        worst = max(worst, abs(float(mu.weights.sum()) - 1.0))
-    rows.append(_check_row("weights_normalized", ok and worst <= 1e-12, worst, 1e-12))
-
-    worst = 0.0
-    for _ in range(100):
-        T, x, beta = _random_instance(rng)
-        mu = sm.gibbs_measure(T, beta, x)
-        z = beta * (T.points @ x)
-        live = np.nonzero(mu.weights)[0]
-        for a in range(min(4, live.size)):
-            for b in range(a + 1, min(4, live.size)):
-                ia, ib = live[a], live[b]
-                lhs = math.log(mu.weights[ia]) - math.log(mu.weights[ib])
-                worst = max(worst, abs(lhs - (z[ia] - z[ib])))
-    rows.append(_check_row("log_ratio_identity", worst <= 1e-10, worst, 1e-10))
-
-    worst = 0.0
-    for _ in range(100):
-        T, x, beta = _random_instance(rng)
-        w1 = sm.gibbs_measure(T, beta, x).weights
-        w2 = sm.tilted_measure(sm.uniform_measure(T), beta * x).weights
-        worst = max(worst, float(np.abs(w1 - w2).max()))
-    rows.append(_check_row("gibbs_is_tilted_uniform", worst <= 1e-12, worst, 1e-12))
-
-    worst = 0.0
-    for _ in range(100):
-        T, x, beta = _random_instance(rng)
-        mu = sm.gibbs_measure(T, beta, x)
-        grad = sm.log_partition_grad(T, beta, x)
-        moments = np.array([sm.gibbs_moment(mu, i, 1) for i in range(T.dim)])
-        worst = max(worst, float(np.abs(grad - moments).max()))
-    rows.append(_check_row("gradient_is_mean", worst <= 1e-12, worst, 1e-12))
-
-    allok = True
-    for _ in range(100):
-        T, x, beta = _random_instance(rng)
-        i = int(rng.integers(T.dim))
-        y = x.copy()
-        y[i] += float(rng.uniform(-0.5, 0.5))
-        allok &= sm.lipschitz_log_moment_check(T, beta, x, y, i).ok
-    rows.append(_check_row("lipschitz_log_moment", allok, 0.0 if allok else 1.0, 0.0))
-
-    # concentrated fourth moment of the negative-scaled basis family:
-    # at location (s, 1, ..., 1) the moment E[l_i^4] has the closed form
-    # theta^4 e^{-s theta} / (e^{-s theta} + (n-1) e^{-theta})
-    n, theta, s = 6, 12.0, 0.5
-    T = isets.make_basis_family(n, "negative-scaled", theta)
-    x = np.ones(n)
-    x[0] = s
-    mu = sm.gibbs_measure(T, 1.0, x)
-    got = sm.gibbs_moment(mu, 0, 4)
-    expect = theta ** 4 * math.exp(-s * theta) / (
-        math.exp(-s * theta) + (n - 1) * math.exp(-theta))
-    rel = abs(got - expect) / expect
-    rows.append(_check_row("concentrated_fourth_moment", rel <= 1e-10, rel, 1e-10))
-
-    # summing over the n interpolation locations approaches n * theta^4,
-    # the growth that rules out a single dominating measure
-    theta = 40.0
-    T = isets.make_basis_family(n, "negative-scaled", theta)
-    total = 0.0
-    for i in range(n):
-        x = np.ones(n)
-        x[i] = 0.5
-        total += sm.gibbs_moment(sm.gibbs_measure(T, 1.0, x), i, 4)
-    ratio = total / (n * theta ** 4)
-    rows.append(_check_row("fourth_moment_growth", ratio >= 0.9, ratio, 0.9))
-    return rows
-
-
-def _verify_stein(stream: RandomStream) -> list:
-    rows = []
-    rng = stream.substream("stein-battery").generator()
-
-    # smoothed maximum, exhaustive rademacher, both variants
-    pts = rng.standard_normal((6, 5))
-    T = isets.build_explicit(pts)
-    f = ou.SoftmaxFunction(T, 0.7)
-    for variant in ("third", "fourth"):
-        rep = ou.stein_representation_check(f, rademacher(), variant)
-        rows.append(_check_row(f"softmax_{variant}_exhaustive", rep.ok,
-                               rep.diff, rep.tolerance))
-
-    # univariate x^4 against the fourth-order representation
-    f4 = ou.PolynomialFunction(ou.Polynomial.coordinate_power(1, 0, 4))
-    rep = ou.stein_representation_check(f4, rademacher(), "fourth")
-    rows.append(_check_row("quartic_exhaustive", rep.ok, rep.diff, rep.tolerance))
-    rows.append(_check_row("quartic_lhs_value", abs(rep.lhs - 8.0) <= 1e-10,
-                           abs(rep.lhs - 8.0), 1e-10))
-
-    # Monte-Carlo path for a continuous law
-    from .distributions import uniform_symmetric
-    rep = ou.stein_representation_check(f, uniform_symmetric(), "fourth",
-                                        stream.substream("stein-mc"),
-                                        replicates=4000)
-    rows.append(_check_row("softmax_fourth_mc", rep.ok, rep.diff, rep.tolerance))
-
-    # hypothesis refusal: variance 2 and skewed laws must be rejected by name
-    from .distributions import CoordinateDistribution, laplace
-    refused = False
-    try:
-        ou.stein_representation_check(f, laplace(False), "third")
-    except ou.HypothesisViolation as exc:
-        refused = exc.moment == "second moment"
-    rows.append(_check_row("refuses_variance_2", refused, float(refused), 1.0))
-    skewed = CoordinateDistribution("skewed-test", 1.0, 0.5, 1.5, 3.0, None)
-    refused = False
-    try:
-        ou.stein_representation_check(f, skewed, "fourth")
-    except ou.HypothesisViolation as exc:
-        refused = exc.moment == "third moment"
-    rows.append(_check_row("refuses_skewed_fourth", refused, float(refused), 1.0))
-
-    # operator identities on a polynomial
-    poly = ou.Polynomial(3, {(2, 0, 0): 1.0, (0, 1, 2): 0.5, (1, 1, 0): -2.0,
-                             (0, 0, 4): 0.25, (0, 0, 0): 1.5})
-    fp = ou.PolynomialFunction(poly)
-    x = np.array([0.3, -1.1, 0.7])
-    rep = ou.poisson_identity_check(fp, x)
-    rows.append(_check_row("poisson_identity_poly",
-                           rep.ok, abs(rep.lhs - rep.rhs_generator_of_potential),
-                           rep.tolerance))
-    lhs, rhs, tol, ok = ou.semigroup_check(fp, 0.4, 0.9, x)
-    rows.append(_check_row("semigroup_poly", ok, abs(lhs - rhs), tol))
-    dev, bound, ok = ou.ergodic_check(fp, 3.0, x)
-    rows.append(_check_row("ergodic_poly", ok, dev, max(bound, 1e-12)))
-
-    sf = ou.SoftmaxFunction(T, 0.7)
-    x5 = rng.standard_normal(5) * 0.5
-    lhs, rhs, tol, ok = ou.semigroup_check(sf, 0.5, 0.8, x5,
-                                           stream=stream.substream("semigroup"))
-    rows.append(_check_row("semigroup_softmax_mc", ok, abs(lhs - rhs), tol))
-    rep = ou.poisson_identity_check(sf, x5, samples=2048,
-                                    stream=stream.substream("poisson"))
-    rows.append(_check_row("poisson_identity_softmax_mc", rep.ok,
-                           abs(rep.lhs - rep.rhs_generator_of_potential),
-                           rep.tolerance))
-    return rows
-
-
-def _run_verify(target: str, stream: RandomStream):
-    battery = {"softmax": _verify_softmax, "gibbs": _verify_gibbs,
-               "stein": _verify_stein}[target]
-    rows = battery(stream.substream(f"verify-{target}"))
-    return rows, all(r["passed"] for r in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -779,14 +512,13 @@ def emit(record: ResultRecord, output_dir: str, fmt: str) -> list:
     return paths
 
 
-USAGE = """usage: supcompare SUBCOMMAND [TARGET] [key=value ...] [--config FILE]
-
-subcommands: estimate bounds sudakov laplace sk tensor phase-curves
-             verify {softmax|stein|gibbs}
-
-common keys: set=... distribution=... replicates=... seed=... beta=...
-             output_dir=... format={csv|json|both}
-"""
+USAGE = (
+    "usage: supcompare SUBCOMMAND [key=value ...] [--config FILE]\n"
+    f"       supcompare verify {{{'|'.join(checks.TARGETS)}}} [key=value ...]\n"
+    "\nkeys each subcommand reads (* required):\n"
+    + "".join(f"  {sub:13s} {' '.join(keys)}\n"
+              for sub, keys in SUBCOMMAND_KEYS.items())
+    + "  every one     seed output_dir format={csv|json|both}\n")
 
 
 def main(argv=None) -> int:
@@ -812,7 +544,7 @@ def main(argv=None) -> int:
     try:
         config = parse_config(argv, file_text)
         record = run(config)
-    except (ConfigError, ou.HypothesisViolation, ValueError) as exc:
+    except ValueError as exc:  # a ConfigError or a refused hypothesis too
         print(f"error: {exc}", file=sys.stderr)
         return 1
     paths = emit(record, config.output_dir, config.format)

@@ -61,9 +61,6 @@ class RandomStream:
                             derive_substream(self.substream_id, tag, index))
 
 
-KINDS = ("rademacher", "gaussian", "uniform", "laplace",
-         "laplace-normalized", "scaled-rademacher", "two-point")
-
 _SQRT3 = math.sqrt(3.0)
 _SQRT2 = math.sqrt(2.0)
 

@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .distributions import (CoordinateDistribution, RandomStream, gaussian,
                             laplace)
@@ -64,6 +63,7 @@ def heavy_tail_growth(n_list, replicates: int,
     r_log = [r["ratio_log"] for r in rows]
     r_34 = [r["ratio_log34"] for r in rows]
     if len(rows) >= 3:
+        from scipy import stats  # ~0.6 s to import; only this rank test needs it
         rho = float(stats.spearmanr(np.log([r["n"] for r in rows]), r_34).statistic)
     else:
         rho = float("nan")

@@ -115,6 +115,8 @@ def make_basis_family(n: int, mode: str = "canonical",
         raise ValueError("n must be >= 1")
     if mode not in BASIS_MODES:
         raise ValueError(f"unknown basis mode {mode!r}; choose from {BASIS_MODES}")
+    if theta is not None and mode != "negative-scaled":
+        raise ValueError(f"theta is read only by mode=negative-scaled, not {mode}")
     if mode == "canonical":
         return _declare(n, n, lambda: np.eye(n), "basis-canonical",
                         f"basis:n={n}", distinct=True, lazy=True)

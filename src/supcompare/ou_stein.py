@@ -217,9 +217,6 @@ class PolynomialFunction:
     def partial_rows(self, X, i: int, order: int) -> np.ndarray:
         return np.asarray(self.poly.partial(i, order)(np.asarray(X, dtype=np.float64)))
 
-    def generator_value(self, x) -> float:
-        return float(self.poly.generator()(np.asarray(x, dtype=np.float64)))
-
     def generator_rows(self, X) -> np.ndarray:
         return np.asarray(self.poly.generator()(np.asarray(X, dtype=np.float64)))
 
@@ -259,9 +256,6 @@ class SoftmaxFunction:
             W = sm.gibbs_weight_rows(self.T, self.beta, X)
             return W @ self.T.points[:, i]
         return sm.log_partition_partials_rows(self.T, self.beta, X, i, order)
-
-    def generator_value(self, x) -> float:
-        return float(self.generator_rows(np.asarray(x, float)[None, :])[0])
 
     def generator_rows(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
@@ -324,11 +318,6 @@ def ou_apply_exact(f: PolynomialFunction, t: float, x) -> float:
     if not isinstance(f, PolynomialFunction):
         raise TypeError("exact smoothing requires a polynomial test function")
     return f.smoothed_value(t, x)
-
-
-def generator_apply(f, x) -> float:
-    """L f(x) = Laplacian f(x) - <x, grad f(x)>."""
-    return f.generator_value(x)
 
 
 def _gauss_legendre(nodes: int, lo: float, hi: float):

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from supcompare import bounds as bnd
+from supcompare import checks
 from supcompare import cli
 from supcompare import distributions as dists
 from supcompare import estimator as est
@@ -71,11 +72,7 @@ def test_derivative_formulas_bulk():
         beta = float(rng.uniform(0.3, 3.0))
         i = int(rng.integers(T.dim))
         for order in (2, 3, 4):
-            analytic, fd = sm.grad_fd_report(T, beta, x, i, order)
-            floor = (abs(analytic)
-                     + beta ** (order - 1)
-                     * float(np.abs(T.points[:, i]).max()) ** order + 1e-12)
-            rel = abs(analytic - fd) / floor
+            rel = checks.fd_error(T, beta, x, i, order)
             worst = max(worst, rel)
             assert rel <= 1e-4
         assert sm.derivative_bound_check(T, beta, x, i).ok

@@ -42,6 +42,40 @@ def test_parse_config_errors():
     with pytest.raises(cli.ConfigError):
         # normalization is a set-descriptor argument, not a config key
         cli.parse_config(["tensor", "N=6", "m=2", "normalized=0"])
+    # keys the subcommand would ignore
+    for argv in (["sudakov", "set=basis:n=4", "distribution=gaussian"],
+                 ["verify", "softmax", "replicates=10"],
+                 ["laplace", "distribution=rademacher"],
+                 ["laplace", "beta=3"], ["laplace", "paired=1"],
+                 ["laplace", "set=basis:n=3"], ["laplace", "u_grid=1"],
+                 ["phase-curves", "set=basis:n=4", "replicates=10"],
+                 ["sk", "N=4"]):
+        with pytest.raises(cli.ConfigError, match="does not read"):
+            cli.parse_config(argv)
+    with pytest.raises(cli.ConfigError, match="requires"):
+        cli.parse_config(["tensor", "N=6"])
+
+
+# a valid value for every config key a subcommand may read
+KEY_VALUES = {"set": "basis:n=2", "distribution": "gaussian",
+              "replicates": "10", "beta": "1", "paired": "1", "n_list": "4,8",
+              "N_list": "4", "N": "4", "m": "2", "u_grid": "1,2",
+              "target": "softmax", "seed": "3", "output_dir": "out",
+              "format": "csv"}
+
+
+def test_each_subcommand_takes_exactly_its_keys():
+    common = [k for k in cli.COMMON_KEYS if k != "subcommand"]
+    for sub, keys in cli.SUBCOMMAND_KEYS.items():
+        names = [k.rstrip("*") for k in keys] + common
+        required = [f"{k}={KEY_VALUES[k]}" for k in names if k + "*" in keys]
+        cli.parse_config([sub] + [f"{k}={KEY_VALUES[k]}" for k in names])
+        for key in sorted(set(KEY_VALUES) - set(names)):
+            with pytest.raises(cli.ConfigError, match="does not read"):
+                cli.parse_config([sub, *required, f"{key}={KEY_VALUES[key]}"])
+        for token in required:
+            with pytest.raises(cli.ConfigError, match="requires"):
+                cli.parse_config([sub] + [t for t in required if t != token])
 
 
 def test_parse_config_file_merging():
@@ -69,7 +103,8 @@ def test_parse_set_families():
 def test_parse_set_errors():
     for bad in ("basis", "basis:n=0", "mystery:n=2", "basis:n=2,weird=1",
                 "diagcube:n=2,alpha=0.5,k=9", "explicit:path=/nope.csv",
-                "basis:mode=signed"):
+                "basis:mode=signed", "basis:n=4,theta=-1",
+                "basis:n=4,mode=signed,theta=nan"):
         with pytest.raises(cli.ConfigError):
             cli.parse_set(bad)
     for theta in ("nan", "inf", "-inf", "0", "-2"):

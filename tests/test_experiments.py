@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import supcompare
 from supcompare import distributions as dists
 from supcompare import estimator as est
 from supcompare import experiments as xp
@@ -73,3 +77,13 @@ def test_tensor_bound_scale_shrinks_with_order():
     s4 = xp.tensor_universality(8, 4, dists.rademacher(), 200,
                                 dists.RandomStream(5)).rows[0]["bound_scale"]
     assert s4 < s2
+
+
+def test_package_import_leaves_scipy_stats_out():
+    # scipy.stats takes ~0.6 s to import; only heavy_tail_growth needs it
+    src = os.path.dirname(os.path.dirname(supcompare.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, supcompare; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

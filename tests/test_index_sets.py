@@ -35,6 +35,11 @@ def test_basis_negative_scaled():
             isets.make_basis_family(4, "negative-scaled", theta=theta)
     with pytest.raises(ValueError):
         isets.make_basis_family(4, "spiral")
+    # only the negative-scaled mode reads theta
+    for mode, theta in (("canonical", -1.0), ("signed", math.nan),
+                        ("canonical", 2.0)):
+        with pytest.raises(ValueError):
+            isets.make_basis_family(4, mode, theta=theta)
 
 
 EAGER_BASIS = {
