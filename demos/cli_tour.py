@@ -3,8 +3,10 @@
 Each run takes flat key=value settings (or --config FILE), writes CSV/JSON
 into output_dir, and is a pure function of its config: same settings, same
 bytes.  Exit code 0 = all checks passed, 2 = a check failed, 1 = bad usage.
+The tour itself exits nonzero if any run does, or if the rerun differs.
 """
 import pathlib
+import sys
 import tempfile
 
 from supcompare import cli
@@ -23,11 +25,14 @@ runs = [
     ["verify", "softmax", "seed=1"],
 ]
 
+failed = []
 for argv in runs:
     print(f"$ supcompare {' '.join(argv)}")
     code = cli.main(argv + [f"output_dir={out}", "format=csv"])
     print(f"  -> exit {code}")
     print()
+    if code != 0:
+        failed.append(argv[0])
 
 print("artifacts written:")
 for p in sorted(out.glob("*")):
@@ -38,6 +43,10 @@ print()
 print("rerunning the first command reproduces the file byte for byte:")
 body_a = (out / "estimate.csv").read_bytes()
 rerun = pathlib.Path(tempfile.mkdtemp(prefix="supcompare-demo-"))
-cli.main(runs[0] + [f"output_dir={rerun}", "format=csv"])
+code = cli.main(runs[0] + [f"output_dir={rerun}", "format=csv"])
 body_b = (rerun / "estimate.csv").read_bytes()
 print(f"  identical: {body_a == body_b}")
+if code != 0 or body_a != body_b:
+    failed.append("rerun")
+if failed:
+    sys.exit(f"failed: {', '.join(failed)}")

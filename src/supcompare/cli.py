@@ -87,24 +87,14 @@ class RunConfig:
     format: str
 
     def as_dict(self) -> dict:
-        out = {
-            "subcommand": self.subcommand,
-            "distribution": self.distribution,
-            "replicates": self.replicates,
-            "seed": self.seed,
-            "output_dir": self.output_dir,
-            "format": self.format,
-        }
-        if self.target is not None:
-            out["target"] = self.target
-        if self.set_descriptor is not None:
-            out["set"] = self.set_descriptor
-        if self.beta is not None:
-            out["beta"] = self.beta
-        if self.paired:
-            out["paired"] = 1
-        for key, val in (("n_list", self.n_list), ("N_list", self.N_list),
-                         ("N", self.N), ("m", self.m), ("u_grid", self.u_grid)):
+        """The settings the subcommand reads (COMMON_KEYS and its
+        SUBCOMMAND_KEYS), each echoed when set."""
+        out = {}
+        for key in COMMON_KEYS + tuple(
+                k.rstrip("*") for k in SUBCOMMAND_KEYS[self.subcommand]):
+            val = self.set_descriptor if key == "set" else getattr(self, key)
+            if key == "paired":
+                val = 1 if val else None
             if val is not None:
                 out[key] = list(val) if isinstance(val, tuple) else val
         return out

@@ -9,11 +9,14 @@ blocks through the one driver ``_blocked``.
 
 Sup kernels: ``_sup_kernel(T)`` is the single dispatch point that maps a
 block X of draws to sup_t <x, t> per row.  Structured sets whose kind is a
-key of ``SUP_KERNELS`` use that entry and never touch ``T.points``; every
-other set runs the chunked matmul over its distinct points.  A new fast
-path joins as one more entry ``kind: (T, X) -> sups``, plus a case in
-``KERNEL_CASES`` of tests/test_estimator.py, whose differential tests run
-every entry against the matmul path on an untagged copy of the points.
+key of ``SUP_KERNELS`` use that entry: basis families never touch
+``T.points``, a diagonal cube reads its diagonal from them, and a
+two-spin set runs the matmul over its distinct half.  Every other set
+runs the chunked matmul over its distinct points.  A new fast path joins
+as one more entry ``kind: (T, X) -> sups``, plus a case in
+``KERNEL_CASES`` (bitwise kernels) or ``CLOSED_FORM_CASES`` of
+tests/test_estimator.py, whose differential tests run every entry against
+the matmul path on an untagged copy of the points.
 """
 from __future__ import annotations
 
@@ -84,11 +87,23 @@ def exact_sup(T: IndexSet, x) -> float:
     return float(_chunked_sup(T.points, x[None, :])[0])
 
 
+def _diagonal_cube_sup(T: IndexSet, X: np.ndarray) -> np.ndarray:
+    """sum_{free} d_i |x_i| - sum_{fixed} d_i x_i: a cube from k fixes its
+    leading n - k signs at -1, so row 0 is -d."""
+    d, lo = -T.points[0], T.dim - int(T.param)
+    return np.abs(X[:, lo:]) @ d[lo:] - X[:, :lo] @ d[:lo]
+
+
 # exact sup kernels of structured sets, keyed by IndexSet.kind
 SUP_KERNELS = {
     "basis-canonical": lambda T, X: X.max(axis=1),
     "basis-signed": lambda T, X: np.abs(X).max(axis=1),
     "basis-negative-scaled": lambda T, X: (X * -T.param).max(axis=1),
+    "diagonal-cube": _diagonal_cube_sup,
+    # rows sigma and -sigma coincide, and the first half (sigma_1 = -1)
+    # holds every distinct row
+    "spin-quadratic": lambda T, X: _chunked_sup(
+        T.points[:T.cardinality // 2], X),
 }
 
 

@@ -34,7 +34,8 @@ class IndexSet:
     ``kind`` tags structured constructions so estimators can use exact
     fast paths; ``explicit`` means no structure is assumed.  ``param``
     carries the structured construction's scalar parameter (theta for
-    negative-scaled basis families), else 0.0.  ``distinct`` is true when
+    negative-scaled basis families, the free sign count k of a diagonal
+    cube, the row scale of a spin set), else 0.0.  ``distinct`` is true when
     the construction guarantees distinct rows, so ``dedupe`` has nothing
     to remove.
     """
@@ -163,6 +164,9 @@ def make_diagonal_cube(diag, signs=None, k: int | None = None) -> IndexSet:
     ``diag`` is a strictly decreasing positive sequence d_1 > ... > d_n > 0.
     Sign vectors come from ``signs`` (explicit {-1,+1} matrix), or the first
     2^k in lexicographic order, or the full cube when both are omitted.
+    Only the last two are ``diagonal-cube`` sets, whose sup kernel relies
+    on their leading n - k signs being -1; a set from ``signs`` is
+    ``explicit``.
     """
     d = np.asarray(diag, dtype=np.float64)
     if d.ndim != 1 or d.size < 1:
@@ -180,16 +184,17 @@ def make_diagonal_cube(diag, signs=None, k: int | None = None) -> IndexSet:
             raise ValueError("signs must have one column per diag entry")
         if not np.all(np.abs(s) == 1.0):
             raise ValueError("signs entries must be +-1")
-        return _declare(s.shape[0], n, lambda: s * d[None, :], "diagonal-cube",
+        return _declare(s.shape[0], n, lambda: s * d[None, :], "explicit",
                         f"diagcube:n={n},signs=explicit")
     if n > 22 and k is None:
         raise ValueError("full cube beyond n=22 exceeds the cardinality cap; pass k")
     if k is not None and (k < 0 or k > n):
         raise ValueError("k must be in [0, n]")
-    count = 1 << (n if k is None else k)
+    free = n if k is None else k
+    count = 1 << free
     desc = f"diagcube:n={n}" + ("" if k is None else f",k={k}")
     return _declare(count, n, lambda: sign_patterns(n, count) * d[None, :],
-                    "diagonal-cube", desc, distinct=True)
+                    "diagonal-cube", desc, float(free), distinct=True)
 
 
 def make_spin_quadratic(N: int, normalized: bool = False) -> IndexSet:

@@ -250,6 +250,23 @@ def test_verify_batteries_exit_0(tmp_path):
         assert doc["summary"]["failed"] == 0
 
 
+def test_json_config_echoes_only_keys_read(tmp_path):
+    runs = {
+        "verify-gibbs": (["verify", "gibbs", "seed=2"],
+                         {"subcommand": "verify", "target": "gibbs",
+                          "seed": 2, "format": "json"}),
+        "sudakov": (["sudakov", "set=basis:n=4", "replicates=300"],
+                    {"subcommand": "sudakov", "set": "basis:n=4",
+                     "replicates": 300, "seed": cli.DEFAULT_SEED,
+                     "format": "json"}),
+    }
+    for stem, (argv, expected) in runs.items():
+        out = tmp_path / stem
+        assert run_main(argv + [f"output_dir={out}", "format=json"]) == 0
+        config = json.loads((out / f"{stem}.json").read_text())["config"]
+        assert config == {**expected, "output_dir": str(out)}
+
+
 def test_json_has_stable_key_order(tmp_path):
     out = tmp_path / "stable"
     run_main(["sudakov", "set=basis:n=4", f"output_dir={out}"])

@@ -79,9 +79,19 @@ def test_replicate_underflow():
         est.estimate_complexity(T, dists.gaussian(), 99, dists.RandomStream(0))
 
 
-# one case per entry of est.SUP_KERNELS: (constructor of a set of that kind
-# from n, its exact Rademacher complexity); the differential tests iterate
-# the table, so a kernel added without a case here fails them
+def _two_spin_within(n):
+    """The largest two-spin set whose dimension binom(N, 2) is <= n."""
+    return isets.make_spin_quadratic((1 + math.isqrt(1 + 8 * n)) // 2)
+
+
+def _cube_diag(n):
+    return np.arange(1, n + 1.0) ** -0.25
+
+
+# one case per entry of est.SUP_KERNELS, in exactly one of two tables.
+# KERNEL_CASES holds kernels bitwise equal to the matmul path:
+# (constructor of a set of that kind in dimension <= n, its exact
+# Rademacher complexity at n, or None when it has no closed form)
 KERNEL_CASES = {
     "basis-canonical": (lambda n: isets.make_basis_family(n),
                         lambda n: 1.0 - 2.0 ** (1 - n)),
@@ -90,12 +100,27 @@ KERNEL_CASES = {
     "basis-negative-scaled": (
         lambda n: isets.make_basis_family(n, "negative-scaled", 1.7),
         lambda n: 1.7 * (1.0 - 2.0 ** (1 - n))),
+    "spin-quadratic": (_two_spin_within, None),
 }
+
+# CLOSED_FORM_CASES holds closed forms, equal to the matmul path up to
+# rounding: (constructor of a set of that kind from n and k, its exact
+# Rademacher complexity at n and k)
+CLOSED_FORM_CASES = {
+    "diagonal-cube": (
+        lambda n, k: isets.make_diagonal_cube(_cube_diag(n), k=k),
+        lambda n, k: float(_cube_diag(n)[n - k:].sum())),
+}
+
+
+def test_every_kernel_has_exactly_one_case():
+    assert not set(KERNEL_CASES) & set(CLOSED_FORM_CASES)
+    assert set(KERNEL_CASES) | set(CLOSED_FORM_CASES) == set(est.SUP_KERNELS)
 
 
 def test_fast_paths_match_generic_bitwise():
     stream = dists.RandomStream(5).substream("fast")
-    for kind in est.SUP_KERNELS:
+    for kind in KERNEL_CASES:
         T = KERNEL_CASES[kind][0](7)
         assert T.kind == kind
         G = isets.build_explicit(T.points)  # same points, no structure tag
@@ -109,17 +134,93 @@ def test_fast_paths_match_generic_bitwise():
         assert a == b
 
 
-@pytest.mark.parametrize("kind", sorted(est.SUP_KERNELS))
+@pytest.mark.parametrize("kind", sorted(KERNEL_CASES))
 def test_exact_rademacher_over_chunks_matches_matmul_path(kind):
     n = 16
-    assert 1 << n == 4 * est.POINT_CHUNK  # the enumeration spans 4 chunks
     build, exact = KERNEL_CASES[kind]
     T = build(n)
+    # the enumeration spans several chunks: 4 for basis sets, 2 for the
+    # two-spin set of dimension 15
+    assert 1 << T.dim >= 2 * est.POINT_CHUNK
     r = est.exact_rademacher_complexity(T)
     assert r == est.exact_rademacher_complexity(isets.build_explicit(T.points))
-    assert r.mean == pytest.approx(exact(n), rel=1e-15)
+    if exact is not None:
+        assert r.mean == pytest.approx(exact(n), rel=1e-15)
     if kind == "basis-canonical":
         assert r.mean == exact(n)
+
+
+@pytest.mark.parametrize("kind", sorted(CLOSED_FORM_CASES))
+@pytest.mark.parametrize("n,k", [(7, 0), (7, 3), (7, 7), (20, 14),
+                                 (est.BIG_DIM + 1, 3)])
+def test_closed_form_kernels_match_matmul_path(kind, n, k):
+    T = CLOSED_FORM_CASES[kind][0](n, k)
+    assert T.kind == kind
+    G = isets.build_explicit(T.points)
+    colmax = np.abs(T.points).max(axis=0)
+    eps = np.finfo(np.float64).eps
+    rng = np.random.default_rng(n + k)
+    for X in (rng.standard_normal((300, n)),
+              rng.choice([-1.0, 1.0], size=(300, n))):
+        a, b = est._sup_kernel(T)(X), est._sup_kernel(G)(X)
+        # rounding of two length-n sums of terms |x_i| max_t |t_i|
+        assert np.all(np.abs(a - b) <= 8 * n * eps * (np.abs(X) @ colmax))
+    stream = dists.RandomStream(5).substream("closed")
+    a = est.estimate_complexity(T, dists.uniform_symmetric(), 1100, stream)
+    b = est.estimate_complexity(G, dists.uniform_symmetric(), 1100, stream)
+    assert a.mean == pytest.approx(b.mean, rel=1e-12)
+    assert a.std_error == pytest.approx(b.std_error, rel=1e-9)
+    a = est.paired_gap_estimate(T, dists.laplace(True), 1100, stream)
+    b = est.paired_gap_estimate(G, dists.laplace(True), 1100, stream)
+    assert a.mean == pytest.approx(b.mean, rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("kind", sorted(CLOSED_FORM_CASES))
+@pytest.mark.parametrize("k", [0, 3, 16])
+def test_closed_form_exact_rademacher_over_chunks(kind, k):
+    n = 16
+    assert 1 << n == 4 * est.POINT_CHUNK  # the enumeration spans 4 chunks
+    build, exact = CLOSED_FORM_CASES[kind]
+    r = est.exact_rademacher_complexity(build(n, k))
+    assert r.mean == pytest.approx(exact(n, k), rel=1e-14)
+
+
+def test_diagonal_cube_gaussian_value():
+    # E sup = sum_{free} d_i E|g_i| - sum_{fixed} d_i E g_i
+    n, k = 20, 14
+    T = CLOSED_FORM_CASES["diagonal-cube"][0](n, k)
+    mc = est.estimate_complexity(T, dists.gaussian(), 20000,
+                                 dists.RandomStream(125).substream("cube"))
+    expected = SQRT_2_OVER_PI * float(_cube_diag(n)[n - k:].sum())
+    assert abs(mc.mean - expected) <= 5.0 * mc.std_error
+
+
+def test_explicit_sign_cube_takes_matmul_path():
+    n = 6
+    d = _cube_diag(n)
+    # the last four sign vectors: not the prefix the closed form assumes
+    T = isets.make_diagonal_cube(d, signs=isets.sign_patterns(n)[-4:])
+    assert T.kind == "explicit"
+    X = np.random.default_rng(8).standard_normal((300, n))
+    sups = est._sup_kernel(T)(X)
+    assert np.array_equal(sups, (X @ T.points.T).max(axis=1))
+    prefix = np.abs(X[:, n - 2:]) @ d[n - 2:] - X[:, :n - 2] @ d[:n - 2]
+    assert not np.allclose(sups, prefix)
+
+
+@pytest.mark.parametrize("N", [2, 3, 7, 12])
+@pytest.mark.parametrize("normalized", [False, True])
+def test_two_spin_half_orbit(N, normalized):
+    T = isets.make_spin_quadratic(N, normalized)
+    # row sigma equals row -sigma, the complement of its index
+    assert np.array_equal(T.points, T.points[::-1])
+    half = T.points[:T.cardinality // 2]
+    assert np.unique(half, axis=0).shape[0] == half.shape[0]
+    rng = np.random.default_rng(N)
+    for X in (rng.standard_normal((500, T.dim)),
+              rng.choice([-1.0, 1.0], size=(500, T.dim))):
+        assert np.array_equal(est._sup_kernel(T)(X),
+                              est._chunked_sup(T.points, X))
 
 
 def test_duplicates_do_not_change_estimates():

@@ -101,17 +101,17 @@ DIGESTS = {
     "estimate-spin-tensor":
         "aec584ef7bece7531e0a81e47414f56aa800bd2991e332e9f13e577d9242aa8c",
     "estimate-big-dim":
-        "57ad387bf75d2e924e9c08b5d31e3fcb0cc0b741f055be1c63ec093bc49452b4",
+        "d52e3d8220702e46c42c9168967e06e4f141a8f2b500ca43937c2d14334f8ddb",
     "estimate-explicit-duplicates":
         "cc2146da4cd086ab15d837af89b99103dbe73421ab643a9df1b2f2a137837554",
     "bounds-diagcube":
-        "045142507d1fcd91c756de903b7493d367b3e631651168261c9c278b76f594e4",
+        "fcd136207b9ed2dc050472bd89943033437c19d7d9346b5c0d57f753e696d05f",
     "bounds-diagcube-paired":
         "c9adab8f66a053442b7d81173ff7e423daa1b65fc04885ef3227841c0d3af4ee",
     "bounds-basis-signed-paired":
         "bbf3d4cfbca8578b9c16c9a8e7d7492e6b86c0d903c6521650bc389407b7d771",
     "bounds-big-dim-paired":
-        "8f353568a766ea6620a2096b02d5c38388bf5964dce37dfddd179fde3e862bcd",
+        "084e07ec9c8fe26d65c25926fc1efe5abe176b8dc8b79d90f72a6c1a0c3c8bfb",
     "sudakov-basis":
         "6ad7aa9e64900b0a934a60ba8d097b750d62de310ca779aff202738190e6ec70",
     "sudakov-diagcube":
