@@ -4,8 +4,10 @@ laws xi, by Monte-Carlo or exact enumeration.
 Determinism contract: for a fixed (master seed, substream) the estimate is
 a pure function of the inputs.  Samples are drawn in fixed blocks with one
 substream per block index, so the draw for block b never depends on how
-many blocks run or in which order.  Every Monte-Carlo estimator runs its
-blocks through the one driver ``_blocked``.
+many blocks run or in which order.  Every Monte-Carlo estimate of the
+package, the Ornstein-Uhlenbeck and Stein ones of ``ou_stein`` included,
+runs its blocks through the one driver ``_blocked`` and reports its mean
+and standard error through ``mean_se``.
 
 Sup kernels: ``_sup_kernel(T)`` is the single dispatch point that maps a
 block X of draws to sup_t <x, t> per row.  Structured sets whose kind is a
@@ -53,10 +55,15 @@ class SupremumEstimate:
     @classmethod
     def from_samples(cls, sups: np.ndarray, method: str,
                      seed: int) -> "SupremumEstimate":
-        r = sups.size
-        mean = float(np.mean(sups))
-        se = float(np.std(sups, ddof=1)) / math.sqrt(r)
-        return cls(mean, se, mean - 1.96 * se, mean + 1.96 * se, r, method, seed)
+        mean, se = mean_se(sups)
+        return cls(mean, se, mean - 1.96 * se, mean + 1.96 * se, sups.size,
+                   method, seed)
+
+
+def mean_se(values: np.ndarray) -> tuple:
+    """Sample mean of per-replicate values and its standard error."""
+    return (float(np.mean(values)),
+            float(np.std(values, ddof=1)) / math.sqrt(values.size))
 
 
 def _chunked_sup(points: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -91,7 +98,10 @@ def _diagonal_cube_sup(T: IndexSet, X: np.ndarray) -> np.ndarray:
     """sum_{free} d_i |x_i| - sum_{fixed} d_i x_i: a cube from k fixes its
     leading n - k signs at -1, so row 0 is -d."""
     d, lo = -T.points[0], T.dim - int(T.param)
-    return np.abs(X[:, lo:]) @ d[lo:] - X[:, :lo] @ d[:lo]
+    # einsum, not a BLAS gemv: its summation order, and so the result, must
+    # not depend on the BLAS thread count
+    return (np.einsum("ij,j->i", np.abs(X[:, lo:]), d[lo:])
+            - np.einsum("ij,j->i", X[:, :lo], d[:lo]))
 
 
 # exact sup kernels of structured sets, keyed by IndexSet.kind
@@ -123,14 +133,19 @@ def _blocked(stream: RandomStream, tag: str, replicates: int, draw,
 
     Block b takes its generator from substream (tag, b); draw returns a
     full block of SAMPLE_BLOCK rows, and the last block keeps its first m.
+    reduce returns one value per row, or one row of columns per row; the
+    result stacks them, shape (replicates,) or (replicates, columns).
     """
     if replicates < MIN_REPLICATES:
         raise ValueError(f"replicates must be >= {MIN_REPLICATES}")
-    out = np.empty(replicates)
+    out = None
     for b, lo in enumerate(range(0, replicates, SAMPLE_BLOCK)):
         m = min(SAMPLE_BLOCK, replicates - lo)
         rng = stream.substream(tag, b).generator()
-        out[lo:lo + m] = reduce(draw(rng)[:m])
+        vals = reduce(draw(rng)[:m])
+        if out is None:
+            out = np.empty((replicates,) + np.shape(vals)[1:])
+        out[lo:lo + m] = vals
     return out
 
 

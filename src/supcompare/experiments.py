@@ -14,7 +14,7 @@ import numpy as np
 from .distributions import (CoordinateDistribution, RandomStream, gaussian,
                             laplace)
 from .estimator import (MAX_ENUM_DIM, estimate_complexity,
-                        exact_rademacher_complexity, SupremumEstimate)
+                        exact_rademacher_complexity)
 from .index_sets import IndexSet, make_basis_family, make_spin_tensor
 
 # Gaussian values of the normalized two-spin sets stay inside this band
@@ -80,12 +80,21 @@ def _universality_exponent(dist: CoordinateDistribution) -> float:
     return 0.25 if dist.third_moment == 0.0 else 1.0 / 6.0
 
 
-def _complexity(T: IndexSet, dist: CoordinateDistribution, replicates: int,
-                stream: RandomStream) -> SupremumEstimate:
+def _gap_fields(T: IndexSet, dist: CoordinateDistribution, replicates: int,
+                stream: RandomStream, k: int = 0) -> dict:
+    """Row fields of the law and Gaussian values on T, their absolute gap
+    and its standard error; substreams ("xi", k) and ("gauss", k)."""
     # rademacher disorder enumerates exactly while the cap allows it
     if dist.name == "rademacher" and T.dim <= MAX_ENUM_DIM:
-        return exact_rademacher_complexity(T)
-    return estimate_complexity(T, dist, replicates, stream)
+        xi = exact_rademacher_complexity(T)
+    else:
+        xi = estimate_complexity(T, dist, replicates, stream.substream("xi", k))
+    g = estimate_complexity(T, gaussian(), replicates,
+                            stream.substream("gauss", k))
+    return {"xi_mean": xi.mean, "xi_se": xi.std_error,
+            "gauss_mean": g.mean, "gauss_se": g.std_error,
+            "gap": abs(xi.mean - g.mean),
+            "gap_se": math.hypot(xi.std_error, g.std_error)}
 
 
 def spin_glass_universality(N_list, dist: CoordinateDistribution,
@@ -102,22 +111,10 @@ def spin_glass_universality(N_list, dist: CoordinateDistribution,
     expo = _universality_exponent(dist)
     rows = []
     for k, N in enumerate(N_list):
-        T = make_spin_tensor(int(N), 2)
-        xi_est = _complexity(T, dist, replicates, stream.substream("xi", k))
-        g_est = estimate_complexity(T, gaussian(), replicates,
-                                    stream.substream("gauss", k))
-        gap = abs(xi_est.mean - g_est.mean)
-        gap_se = math.hypot(xi_est.std_error, g_est.std_error)
-        rows.append({
-            "N": int(N),
-            "xi_mean": xi_est.mean,
-            "xi_se": xi_est.std_error,
-            "gauss_mean": g_est.mean,
-            "gauss_se": g_est.std_error,
-            "gap": gap,
-            "gap_se": gap_se,
-            "scaled_gap": gap * float(N) ** expo,
-        })
+        row = {"N": int(N), **_gap_fields(make_spin_tensor(int(N), 2), dist,
+                                           replicates, stream, k)}
+        row["scaled_gap"] = row["gap"] * float(N) ** expo
+        rows.append(row)
     scaled = [r["scaled_gap"] for r in rows]
     summary = {
         "exponent": expo,
@@ -139,26 +136,13 @@ def tensor_universality(N: int, m: int, dist: CoordinateDistribution,
     m = 2 the Gaussian value is also checked against the recorded band.
     """
     T = make_spin_tensor(int(N), int(m), normalized=True)
-    xi_est = _complexity(T, dist, replicates, stream.substream("xi"))
-    g_est = estimate_complexity(T, gaussian(), replicates,
-                                stream.substream("gauss"))
-    gap = abs(xi_est.mean - g_est.mean)
-    gap_se = math.hypot(xi_est.std_error, g_est.std_error)
-    dim = math.comb(int(N), int(m))
+    row = {"N": int(N), "m": int(m),
+           **_gap_fields(T, dist, replicates, stream)}
     # the comparison bound scale: sigma4 * (N / binom)^{1/4} up to constants
-    bound_scale = dist.sigma4 * (float(N) / dim) ** 0.25
-    row = {
-        "N": int(N),
-        "m": int(m),
-        "xi_mean": xi_est.mean,
-        "xi_se": xi_est.std_error,
-        "gauss_mean": g_est.mean,
-        "gauss_se": g_est.std_error,
-        "gap": gap,
-        "gap_se": gap_se,
-        "bound_scale": bound_scale,
-        "gap_over_bound": gap / bound_scale if bound_scale > 0 else float("inf"),
-    }
+    bound_scale = dist.sigma4 * (float(N) / T.dim) ** 0.25
+    row["bound_scale"] = bound_scale
+    row["gap_over_bound"] = (row["gap"] / bound_scale if bound_scale > 0
+                             else float("inf"))
     summary = {
         "gap_over_bound": row["gap_over_bound"],
     }
@@ -166,5 +150,5 @@ def tensor_universality(N: int, m: int, dist: CoordinateDistribution,
         lo, hi = TENSOR_GAUSS_BAND
         summary["gauss_band_low"] = lo
         summary["gauss_band_high"] = hi
-        summary["gauss_in_band"] = bool(lo <= g_est.mean <= hi)
+        summary["gauss_in_band"] = bool(lo <= row["gauss_mean"] <= hi)
     return ExperimentResult([row], summary)

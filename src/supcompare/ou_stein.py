@@ -9,8 +9,12 @@ f - E f(G) = -L PP f = -PP L f.
 Polynomials get exact closed forms throughout (smoothing is a binomial
 expansion against Gaussian moments, the time integrals become polynomial
 integrals in u = e^{-t}, so Gauss-Legendre quadrature is exact).  Other
-test functions (the smoothed maximum) go through Monte-Carlo with common
-random numbers across quadrature nodes.
+test functions (the smoothed maximum) go through Monte-Carlo in the
+estimators' block driver ``estimator._blocked``: each SAMPLE_BLOCK-replicate
+block draws from its own keyed substream, memory is bounded by one block,
+and every Monte-Carlo entry point needs at least MIN_REPLICATES samples.
+The semigroup, Gaussian mean and potentials share one quadrature reducer,
+``_ou_quadrature``, with common random numbers across its nodes.
 """
 from __future__ import annotations
 
@@ -21,10 +25,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import DEFAULT_SEED, CoordinateDistribution, RandomStream
+from .estimator import SAMPLE_BLOCK, _blocked, mean_se
 from .index_sets import IndexSet, geometric_profile, sign_patterns
 from . import softmax as sm
 
 T_MAX_CAP = 60.0
+DEFAULT_STREAM = RandomStream(DEFAULT_SEED)
 
 
 def _gauss_moment(k: int) -> float:
@@ -288,29 +294,36 @@ class OperatorEstimate:
     method: str
 
 
-def _stream_or_default(stream: RandomStream | None, tag: str) -> RandomStream:
-    base = stream if stream is not None else RandomStream(DEFAULT_SEED)
-    return base.substream(tag)
+def _ou_b(u: float) -> float:
+    """sqrt(1 - u^2), the weight of G in the OU kernel u x + sqrt(1-u^2) G."""
+    return math.sqrt(max(0.0, (1.0 - u) * (1.0 + u)))
+
+
+def _ou_quadrature(g, x: np.ndarray, u, w, samples: int,
+                   stream: RandomStream, tag: str) -> np.ndarray:
+    """sum_j w_j g(u_j x + sqrt(1 - u_j^2) G) per replicate, one Gaussian
+    G per replicate shared by every node (common random numbers)."""
+    def reduce(G):
+        acc = 0.0
+        for uj, wj in zip(u, w):
+            acc = acc + wj * g(uj * x + _ou_b(uj) * G)
+        return acc
+    return _blocked(stream, tag, samples,
+                    lambda rng: rng.standard_normal((SAMPLE_BLOCK, x.size)),
+                    reduce)
 
 
 def ou_apply(f, t: float, x, samples: int = 4096,
-             stream: RandomStream | None = None) -> OperatorEstimate:
+             stream: RandomStream = DEFAULT_STREAM) -> OperatorEstimate:
     """Monte-Carlo P_t f(x); exact (zero-error) at t = 0."""
     if t < 0:
         raise ValueError("t must be >= 0")
     x = np.asarray(x, dtype=np.float64)
     if t == 0.0:
         return OperatorEstimate(f.value(x), 0.0, 0, 0, 0.0, 0.0, "exact-t0")
-    if samples < 2:
-        raise ValueError("samples must be >= 2")
-    rng = _stream_or_default(stream, "ou-apply").generator()
-    a = math.exp(-t)
-    b = math.sqrt(max(0.0, (1.0 - a) * (1.0 + a)))
-    G = rng.standard_normal((samples, x.size))
-    vals = f.value_rows(a * x + b * G)
-    mean = float(np.mean(vals))
-    se = float(np.std(vals, ddof=1)) / math.sqrt(samples)
-    return OperatorEstimate(mean, se, samples, 0, t, 0.0, "mc")
+    vals = _ou_quadrature(f.value_rows, x, (math.exp(-t),), (1.0,), samples,
+                          stream, "ou-apply")
+    return OperatorEstimate(*mean_se(vals), samples, 0, t, 0.0, "mc")
 
 
 def ou_apply_exact(f: PolynomialFunction, t: float, x) -> float:
@@ -353,18 +366,26 @@ def _u_polynomial(poly: Polynomial, x: np.ndarray) -> np.ndarray:
     return total
 
 
-def _gaussian_mean_estimate(f, n: int, samples: int,
-                            stream: RandomStream | None):
+def _closed_form_potential(poly: Polynomial, x: np.ndarray,
+                           k: int) -> OperatorEstimate:
+    """int_0^1 u^{k-1} (q(u) - [k = 0] q(0)) du = sum_m q_m / (m + k), with
+    q from _u_polynomial; at k = 0 the constant term E poly(G) drops out."""
+    q = _u_polynomial(poly, x)
+    value = sum(float(q[m]) / (m + k) for m in range(int(k == 0), q.size))
+    return OperatorEstimate(value, 0.0, 0, 0, math.inf, 0.0, "closed-form")
+
+
+def _gaussian_mean_estimate(f, n: int, samples: int, stream: RandomStream):
     mg = f.gaussian_mean()
     if mg is not None:
         return float(mg), 0.0
-    rng = _stream_or_default(stream, "gaussian-mean").generator()
-    vals = f.value_rows(rng.standard_normal((samples, n)))
-    return float(np.mean(vals)), float(np.std(vals, ddof=1)) / math.sqrt(samples)
+    # one node at u = 0 evaluates f at G itself
+    return mean_se(_ou_quadrature(f.value_rows, np.zeros(n), (0.0,), (1.0,),
+                                  samples, stream, "gaussian-mean"))
 
 
 def ou_potential(f, x, nodes: int = 64, samples: int = 2048,
-                 stream: RandomStream | None = None,
+                 stream: RandomStream = DEFAULT_STREAM,
                  tail_tol: float = 1e-9) -> OperatorEstimate:
     """PP f(x) = int_0^inf (P_t f(x) - E f(G)) dt.
 
@@ -378,26 +399,16 @@ def ou_potential(f, x, nodes: int = 64, samples: int = 2048,
     if isinstance(f, PolynomialFunction):
         # the integrand (q(u) - q(0))/u is a polynomial in u; integrate it
         # term by term over [0, 1], with no truncation at all
-        q = _u_polynomial(f.poly, x)
-        value = sum(float(q[m]) / m for m in range(1, q.size))
-        return OperatorEstimate(value, 0.0, 0, 0, math.inf, 0.0, "closed-form")
+        return _closed_form_potential(f.poly, x, 0)
     mg, mg_se = _gaussian_mean_estimate(f, n, max(samples, 4096), stream)
     scale = f.lipschitz_bound(float(np.linalg.norm(x)) + math.sqrt(n)) \
         * (float(np.linalg.norm(x)) + math.sqrt(n))
     t_max = min(max(1.0, math.log(max(scale, tail_tol) / tail_tol)), T_MAX_CAP)
     tail = math.exp(-t_max) * scale
     u, w = _gauss_legendre(nodes, math.exp(-t_max), 1.0)
-    if samples < 2:
-        raise ValueError("samples must be >= 2")
-    rng = _stream_or_default(stream, "ou-potential").generator()
-    G = rng.standard_normal((samples, n))
-    acc = np.zeros(samples)
-    for uj, wj in zip(u, w):
-        a = uj
-        b = math.sqrt(max(0.0, (1.0 - a) * (1.0 + a)))
-        acc += (wj / uj) * (f.value_rows(a * x + b * G) - mg)
-    value = float(np.mean(acc))
-    se_mc = float(np.std(acc, ddof=1)) / math.sqrt(samples)
+    vals = _ou_quadrature(lambda Y: f.value_rows(Y) - mg, x, u, w / u,
+                          samples, stream, "ou-potential")
+    value, se_mc = mean_se(vals)
     se = math.hypot(se_mc, t_max * mg_se)
     return OperatorEstimate(value, se, samples, nodes, t_max, tail,
                             "mc-quadrature")
@@ -405,7 +416,7 @@ def ou_potential(f, x, nodes: int = 64, samples: int = 2048,
 
 def potential_partial(f, x, i: int, k: int, nodes: int = 64,
                       samples: int = 2048,
-                      stream: RandomStream | None = None) -> OperatorEstimate:
+                      stream: RandomStream = DEFAULT_STREAM) -> OperatorEstimate:
     """d_i^{(k)} PP f(x) = int_0^inf e^{-kt} P_t(d_i^{(k)} f)(x) dt, k >= 1.
 
     The commutation identity pulls the derivative inside the semigroup at
@@ -419,23 +430,12 @@ def potential_partial(f, x, i: int, k: int, nodes: int = 64,
         raise ValueError("k must be >= 0")
     x = np.asarray(x, dtype=np.float64)
     if isinstance(f, PolynomialFunction):
-        # int_0^1 u^{k-1} q(u) du with q polynomial: sum q_m / (m + k)
-        q = _u_polynomial(f.poly.partial(i, k), x)
-        value = sum(float(q[m]) / (m + k) for m in range(q.size))
-        return OperatorEstimate(value, 0.0, 0, 0, math.inf, 0.0, "closed-form")
-    if samples < 2:
-        raise ValueError("samples must be >= 2")
+        return _closed_form_potential(f.poly.partial(i, k), x, k)
     u, w = _gauss_legendre(nodes, 0.0, 1.0)
-    rng = _stream_or_default(stream, f"potential-partial-{i}-{k}").generator()
-    G = rng.standard_normal((samples, x.size))
-    acc = np.zeros(samples)
-    for uj, wj in zip(u, w):
-        a = uj
-        b = math.sqrt(max(0.0, (1.0 - a) * (1.0 + a)))
-        acc += wj * uj ** (k - 1) * f.partial_rows(a * x + b * G, i, k)
-    value = float(np.mean(acc))
-    se = float(np.std(acc, ddof=1)) / math.sqrt(samples)
-    return OperatorEstimate(value, se, samples, nodes, math.inf, 0.0,
+    vals = _ou_quadrature(lambda Y: f.partial_rows(Y, i, k), x, u,
+                          w * u ** (k - 1), samples, stream,
+                          f"potential-partial-{i}-{k}")
+    return OperatorEstimate(*mean_se(vals), samples, nodes, math.inf, 0.0,
                             "mc-quadrature")
 
 
@@ -453,7 +453,7 @@ class PoissonReport:
 
 
 def poisson_identity_check(f, x, nodes: int = 64, samples: int = 2048,
-                           stream: RandomStream | None = None) -> PoissonReport:
+                           stream: RandomStream = DEFAULT_STREAM) -> PoissonReport:
     """Check f(x) - E f(G) = -L PP f(x); polynomials also check -PP L f(x).
 
     -L PP f = sum_i x_i d_i PP f - sum_i d_i^2 PP f, each partial through
@@ -462,18 +462,17 @@ def poisson_identity_check(f, x, nodes: int = 64, samples: int = 2048,
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.size
-    base = stream if stream is not None else RandomStream(DEFAULT_SEED)
     mg, mg_se = _gaussian_mean_estimate(f, n, max(samples, 4096),
-                                        base.substream("poisson-mean"))
+                                        stream.substream("poisson-mean"))
     lhs = f.value(x) - mg
     rhs = 0.0
     var = mg_se ** 2
     exact = isinstance(f, PolynomialFunction)
     for i in range(n):
         d1 = potential_partial(f, x, i, 1, nodes, samples,
-                               base.substream("poisson-d1", i))
+                               stream.substream("poisson-d1", i))
         d2 = potential_partial(f, x, i, 2, nodes, samples,
-                               base.substream("poisson-d2", i))
+                               stream.substream("poisson-d2", i))
         rhs += float(x[i]) * d1.value - d2.value
         var += (float(x[i]) * d1.std_error) ** 2 + d2.std_error ** 2
     rhs2 = None
@@ -519,37 +518,36 @@ class SteinReport:
 VARIANTS = ("third", "fourth")
 
 
-def _stein_terms(f, X: np.ndarray, variant: str, s_nodes: int) -> np.ndarray:
-    """Per-sample right-hand side of the representation, for sample rows X."""
+def _stein_terms(f, X: np.ndarray, variant: str, s: np.ndarray,
+                 w: np.ndarray) -> np.ndarray:
+    """Per-sample right-hand side of the representation, for sample rows X
+    and Gauss-Legendre nodes s, weights w on [0, 1].
+
+    With p = order - 3 (0 for 'third', 1 for 'fourth') and D(s) the
+    order-th partial in x_i at x_i -> s x_i, coordinate i contributes
+    x_i^{p+1} int (1-s)^p D - x_i^{p+3}/(p+1) int (1-s)^{p+1} D.
+    """
     m, n = X.shape
-    s, w = _gauss_legendre(s_nodes, 0.0, 1.0)
     order = 3 if variant == "third" else 4
+    p = order - 3
     rhs = np.zeros(m)
     for i in range(n):
         xi = X[:, i]
-        plain = np.zeros(m)
-        lin = np.zeros(m)
-        quad = np.zeros(m)
+        lo = np.zeros(m)
+        hi = np.zeros(m)
         base = X.copy()
         for sj, wj in zip(s, w):
             base[:, i] = sj * xi
-            d = f.partial_rows(base, i, order)
-            if variant == "third":
-                plain += wj * d
-                lin += wj * (1.0 - sj) * d
-            else:
-                lin += wj * (1.0 - sj) * d
-                quad += wj * (1.0 - sj) ** 2 * d
-        if variant == "third":
-            rhs += xi * plain - xi ** 3 * lin
-        else:
-            rhs += xi ** 2 * lin - 0.5 * xi ** 4 * quad
+            d = wj * (1.0 - sj) ** p * f.partial_rows(base, i, order)
+            lo += d
+            hi += (1.0 - sj) * d
+        rhs += xi ** (p + 1) * lo - xi ** (p + 3) / (p + 1) * hi
     return rhs
 
 
 def stein_representation_check(f, dist: CoordinateDistribution,
                                variant: str = "fourth",
-                               stream: RandomStream | None = None,
+                               stream: RandomStream = DEFAULT_STREAM,
                                replicates: int = 2000, s_nodes: int = 32,
                                force_mc: bool = False) -> SteinReport:
     """Check E L f(xi) against its integral representation.
@@ -570,33 +568,28 @@ def stein_representation_check(f, dist: CoordinateDistribution,
         raise HypothesisViolation(
             "third moment", f"E xi^3 must vanish, got {dist.third_moment}")
     n = f.n
+    s, w = _gauss_legendre(s_nodes, 0.0, 1.0)
+
+    def sides(X):
+        # per row: the generator side E L f and the representation side
+        return np.stack([f.generator_rows(X),
+                         _stein_terms(f, X, variant, s, w)], axis=1)
+
     exact = dist.name == "rademacher" and n <= 12 and not force_mc
     if exact:
-        X = sign_patterns(n)
-        lhs_vals = f.generator_rows(X)
-        rhs_vals = _stein_terms(f, X, variant, s_nodes)
-        lhs = float(np.mean(lhs_vals))
-        rhs = float(np.mean(rhs_vals))
-        tol = 1e-10
-        return SteinReport(variant, lhs, rhs, 0.0, tol, True, X.shape[0],
-                           s_nodes, abs(lhs - rhs) <= tol)
-    if replicates < 100:
-        raise ValueError("replicates must be >= 100 for the Monte-Carlo path")
-    rng = _stream_or_default(stream, "stein-xi").generator()
-    X = dist.sample(rng, (replicates, n))
-    lhs_vals = f.generator_rows(X)
-    rhs_vals = _stein_terms(f, X, variant, s_nodes)
-    diffs = lhs_vals - rhs_vals
-    mean_diff = float(np.mean(diffs))
-    se = float(np.std(diffs, ddof=1)) / math.sqrt(replicates)
-    tol = 4.0 * se + 1e-9
-    return SteinReport(variant, float(np.mean(lhs_vals)),
-                       float(np.mean(rhs_vals)), se, tol, False, replicates,
-                       s_nodes, abs(mean_diff) <= tol)
+        S, se, tol = sides(sign_patterns(n)), 0.0, 1e-10
+    else:
+        S = _blocked(stream, "stein-xi", replicates,
+                     lambda rng: dist.sample(rng, (SAMPLE_BLOCK, n)), sides)
+        se = mean_se(S[:, 0] - S[:, 1])[1]
+        tol = 4.0 * se + 1e-9
+    lhs, rhs = (float(v) for v in S.mean(axis=0))
+    return SteinReport(variant, lhs, rhs, se, tol, exact, S.shape[0],
+                       s_nodes, abs(lhs - rhs) <= tol)
 
 
 def semigroup_check(f, t1: float, t2: float, x, samples: int = 4096,
-                    stream: RandomStream | None = None):
+                    stream: RandomStream = DEFAULT_STREAM):
     """P_{t1} P_{t2} f(x) vs P_{t1+t2} f(x).
 
     Polynomials compare exactly (<= 1e-10); otherwise the nested average is
@@ -608,24 +601,23 @@ def semigroup_check(f, t1: float, t2: float, x, samples: int = 4096,
         lhs = PolynomialFunction(f.poly.ou_smoothed(t2).ou_smoothed(t1)).value(x)
         rhs = f.smoothed_value(t1 + t2, x)
         return lhs, rhs, 1e-10, abs(lhs - rhs) <= 1e-10
-    base = stream if stream is not None else RandomStream(DEFAULT_SEED)
-    rng = base.substream("semigroup").generator()
+    n = x.size
     a1, a2 = math.exp(-t1), math.exp(-t2)
-    b1 = math.sqrt(max(0.0, 1.0 - a1 * a1))
-    b2 = math.sqrt(max(0.0, 1.0 - a2 * a2))
-    G1 = rng.standard_normal((samples, x.size))
-    G2 = rng.standard_normal((samples, x.size))
-    nested = f.value_rows(a2 * (a1 * x + b1 * G1) + b2 * G2)
-    direct = ou_apply(f, t1 + t2, x, samples, base.substream("semigroup-direct"))
-    lhs = float(np.mean(nested))
-    se = math.hypot(float(np.std(nested, ddof=1)) / math.sqrt(samples),
-                    direct.std_error)
-    tol = 4.0 * se + 1e-9
+    b1, b2 = _ou_b(a1), _ou_b(a2)
+    # both Gaussians of the nested kernel in one draw: G1 | G2
+    nested = _blocked(
+        stream, "semigroup", samples,
+        lambda rng: rng.standard_normal((SAMPLE_BLOCK, 2 * n)),
+        lambda G: f.value_rows(a2 * (a1 * x + b1 * G[:, :n]) + b2 * G[:, n:]))
+    direct = ou_apply(f, t1 + t2, x, samples,
+                      stream.substream("semigroup-direct"))
+    lhs, se = mean_se(nested)
+    tol = 4.0 * math.hypot(se, direct.std_error) + 1e-9
     return lhs, direct.value, tol, abs(lhs - direct.value) <= tol
 
 
 def ergodic_check(f, t: float, x, samples: int = 4096,
-                  stream: RandomStream | None = None):
+                  stream: RandomStream = DEFAULT_STREAM):
     """|P_t f(x) - E f(G)| against e^{-t} Lip(f) (|x| + sqrt(n)) (+ MC noise).
 
     Returns (deviation, bound, ok).
@@ -640,10 +632,9 @@ def ergodic_check(f, t: float, x, samples: int = 4096,
         dev = abs(f.smoothed_value(t, x) - f.poly.gaussian_mean())
         bound = math.exp(-t) * float(np.abs(q[1:]).sum())
         return dev, bound, dev <= bound * (1 + 1e-9) + 1e-12
-    base = stream if stream is not None else RandomStream(DEFAULT_SEED)
     mg, mg_se = _gaussian_mean_estimate(f, n, max(samples, 4096),
-                                        base.substream("ergodic-mean"))
-    est = ou_apply(f, t, x, samples, base.substream("ergodic"))
+                                        stream.substream("ergodic-mean"))
+    est = ou_apply(f, t, x, samples, stream.substream("ergodic"))
     dev = abs(est.value - mg)
     bound = math.exp(-t) * f.lipschitz_bound(0.0) * (norm + math.sqrt(n)) \
         + 4.0 * math.hypot(est.std_error, mg_se)

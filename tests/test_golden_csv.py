@@ -95,23 +95,23 @@ DIGESTS = {
     "estimate-basis-negative-scaled":
         "2cc2e123a1ba6da64dfcbeefa7b261f1556e402cbb88a0a764dc33eaac11921c",
     "estimate-diagcube-beta":
-        "3d522bdea6793a5f72cd904a6ee31b653daf6145775a6321da44e95f097d1a74",
+        "fddf9ab8528200bb3c9f670e8b25f3758b14c6b6c67dd94d2484d371823918a2",
     "estimate-spin-quadratic-auto":
         "77ae506c4965eb9439840961255cb4e76aae68321da21f7dc9c0a5e521909aee",
     "estimate-spin-tensor":
         "aec584ef7bece7531e0a81e47414f56aa800bd2991e332e9f13e577d9242aa8c",
     "estimate-big-dim":
-        "d52e3d8220702e46c42c9168967e06e4f141a8f2b500ca43937c2d14334f8ddb",
+        "1d6e7ba12fd3bcc905172bda318618ecc78d43f59f509a404b364ec64ccac5eb",
     "estimate-explicit-duplicates":
         "cc2146da4cd086ab15d837af89b99103dbe73421ab643a9df1b2f2a137837554",
     "bounds-diagcube":
-        "fcd136207b9ed2dc050472bd89943033437c19d7d9346b5c0d57f753e696d05f",
+        "045142507d1fcd91c756de903b7493d367b3e631651168261c9c278b76f594e4",
     "bounds-diagcube-paired":
         "c9adab8f66a053442b7d81173ff7e423daa1b65fc04885ef3227841c0d3af4ee",
     "bounds-basis-signed-paired":
         "bbf3d4cfbca8578b9c16c9a8e7d7492e6b86c0d903c6521650bc389407b7d771",
     "bounds-big-dim-paired":
-        "084e07ec9c8fe26d65c25926fc1efe5abe176b8dc8b79d90f72a6c1a0c3c8bfb",
+        "2019b10e5c7640ceea37e10126f20a59b08845f48283be2af34a8d5aca4c39e8",
     "sudakov-basis":
         "6ad7aa9e64900b0a934a60ba8d097b750d62de310ca779aff202738190e6ec70",
     "sudakov-diagcube":
@@ -131,7 +131,7 @@ DIGESTS = {
     "verify-softmax":
         "e86aaaf5cdf489fc1aea088d0e5095cf034c067519367c37532d116a05a8da99",
     "verify-stein":
-        "d9646076b5a161120c86bf9e632e23f0137bc16e9d957ad7ea5afd8dcda60f32",
+        "098d7b25f270e94d76090a4627ffa165475d1ec76a84f4bb0da77a7b520354a2",
     "verify-gibbs":
         "b746108a066d0cbd9ba5a68e9b69e25a0539f26bafc66880591189506d343a4c",
 }

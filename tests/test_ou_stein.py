@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from supcompare import distributions as dists
 from supcompare import index_sets as isets
 from supcompare import numdiff
 from supcompare import ou_stein as ou
+from supcompare.estimator import MIN_REPLICATES
 
 # probabilist Hermite polynomials: L h_k = -k h_k and P_t h_k = e^{-kt} h_k
 HERMITE = {
@@ -241,3 +243,78 @@ def test_softmax_function_partials_consistent():
     drift = [float(np.dot(x, [f.partial_value(x, i, 1) for i in range(3)]))
              for x in X]
     assert np.allclose(gen_batch, np.array(lap) - np.array(drift), atol=1e-10)
+
+
+# the polynomial and point of the stein battery's operator rows
+POLY3 = ou.Polynomial(3, {(2, 0, 0): 1.0, (0, 1, 2): 0.5, (1, 1, 0): -2.0,
+                          (0, 0, 4): 0.25, (0, 0, 0): 1.5})
+X3 = np.array([0.3, -1.1, 0.7])
+
+
+class MonteCarloOnly:
+    """Forwards to a PolynomialFunction without being one, so every operator
+    takes its Monte-Carlo path, the Gaussian mean included."""
+
+    def __init__(self, f):
+        self.f, self.n = f, f.n
+
+    def __getattr__(self, name):
+        return getattr(self.f, name)
+
+    def gaussian_mean(self):
+        return None
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_monte_carlo_paths_match_closed_forms(seed):
+    fp = ou.PolynomialFunction(POLY3)
+    f = MonteCarloOnly(fp)
+    stream = dists.RandomStream(seed)
+    # coordinate 2 has a nonzero second partial, x_1 + 3 x_2^2
+    pairs = [(ou.ou_apply(f, 0.7, X3, stream=stream),
+              ou.ou_apply_exact(fp, 0.7, X3)),
+             (ou.ou_potential(f, X3, stream=stream),
+              ou.ou_potential(fp, X3).value)]
+    for k in (1, 2):
+        pairs.append((ou.potential_partial(f, X3, 2, k, stream=stream),
+                      ou.potential_partial(fp, X3, 2, k).value))
+    for est, exact in pairs:
+        assert est.method.startswith("mc") and est.std_error > 0
+        assert abs(est.value - exact) <= 4.0 * est.std_error
+    nested, direct, tol, ok = ou.semigroup_check(f, 0.4, 0.9, X3,
+                                                 stream=stream)
+    exact = fp.smoothed_value(1.3, X3)
+    assert ok and tol > 1e-9
+    assert abs(nested - exact) <= tol and abs(direct - exact) <= tol
+
+
+def test_monte_carlo_entry_points_need_min_replicates():
+    f = MonteCarloOnly(ou.PolynomialFunction(POLY3))
+    few = MIN_REPLICATES - 1
+    calls = (
+        lambda: ou.ou_apply(f, 0.5, X3, samples=few),
+        lambda: ou.ou_potential(f, X3, samples=few),
+        lambda: ou.potential_partial(f, X3, 2, 1, samples=few),
+        lambda: ou.semigroup_check(f, 0.4, 0.9, X3, samples=few),
+        lambda: ou.ergodic_check(f, 1.0, X3, samples=few),
+        lambda: ou.poisson_identity_check(f, X3, samples=few),
+        lambda: ou.stein_representation_check(
+            f, dists.uniform_symmetric(), replicates=few),
+    )
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
+
+
+def test_ou_apply_memory_is_bounded_by_one_block():
+    n = 64
+    f = ou.PolynomialFunction(ou.Polynomial.linear(np.ones(n)))
+    tracemalloc.start()
+    try:
+        est = ou.ou_apply(f, 0.5, np.zeros(n), samples=100_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # an unblocked (samples, n) Gaussian alone would take ~51 MB
+    assert peak < 16 * 2 ** 20
+    assert est.samples == 100_000
