@@ -15,7 +15,7 @@ from .distributions import (CoordinateDistribution, RandomStream,
                             gaussian, uniform_symmetric, laplace,
                             scaled_rademacher, two_point, from_name, moments,
                             sample_vector, empirical_moment_check)
-from .softmax import (WeightedMeasure, GibbsMeasure, log_partition,
+from .softmax import (WeightedMeasure, log_partition,
                       sandwich_gap, gibbs_measure, gibbs_weights,
                       gibbs_moment, log_partition_grad,
                       log_partition_partial, derivative_bound_check,

@@ -122,10 +122,15 @@ def auto_beta(profile: GeometricProfile, u: float,
     """
     if u <= 0:
         raise ValueError("u must be positive")
-    if dist.bound is not None:
-        M = dist.bound
-        return min(1.0 / (M * profile.rinf), u ** 0.25 / (M * profile.r4))
-    return u ** 0.25 / (dist.sigma4 * profile.col4)
+    try:
+        if dist.bound is not None:
+            M = dist.bound
+            return min(1.0 / (M * profile.rinf), u ** 0.25 / (M * profile.r4))
+        return u ** 0.25 / (dist.sigma4 * profile.col4)
+    except ZeroDivisionError:
+        raise ValueError(
+            "beta=auto needs a set with a nonzero profile, got rinf="
+            f"{profile.rinf}, r4={profile.r4}, col4={profile.col4}") from None
 
 
 @dataclass(frozen=True)

@@ -187,9 +187,12 @@ def parse_config(tokens, file_text: str | None = None) -> RunConfig:
     beta = pairs.get("beta")
     if beta is not None and beta != "auto":
         try:
-            float(beta)
+            valid = 0.0 < float(beta) < math.inf
         except ValueError:
-            raise ConfigError(f"beta must be a number or 'auto', got {beta!r}")
+            valid = False
+        if not valid:
+            raise ConfigError("beta must be a positive finite number or "
+                              f"'auto', got {beta!r}")
     paired = bool(_int(pairs, "paired", 0))
     fmt = pairs.get("format", _DEFAULTS["format"])
     if fmt not in ("csv", "json", "both"):

@@ -26,10 +26,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .distributions import CoordinateDistribution, RandomStream, gaussian
 from .index_sets import IndexSet, dedupe, sign_patterns
+from .softmax import _require_beta, _smoothed_max_rows
 
 SAMPLE_BLOCK = 1024
 POINT_CHUNK = 16384
@@ -200,23 +200,17 @@ def softmax_complexity(T: IndexSet, dist: CoordinateDistribution, beta: float,
     -BRACKET_TOL.  Soft-max sums run over all declared rows (duplicates
     included), matching the offset's log-cardinality.
     """
-    beta = float(beta)
-    if not beta > 0:
-        raise ValueError("beta must be positive")
-    offset = T.log_cardinality / beta
-    slack = math.inf
+    offset = T.log_cardinality / _require_beta(beta)
 
     def smoothed(X):
-        nonlocal slack
-        Z = X @ T.points.T
-        sups = Z.max(axis=1)
-        F = logsumexp(beta * Z, axis=1) / beta
-        slack = min(slack, float(np.min(F - sups)),
-                    float(np.min(sups + offset - F)))
-        return F
+        # per row: F_beta and its margin inside the bracket
+        sups, F = _smoothed_max_rows(T, beta, X)
+        return np.stack([F, np.minimum(F - sups, sups + offset - F)], axis=1)
 
     vals = _blocked(stream, "softmax-block", replicates,
                     lambda rng: dist.sample(rng, (SAMPLE_BLOCK, T.dim)),
                     smoothed)
-    est = SupremumEstimate.from_samples(vals, "mc-softmax", stream.master_seed)
-    return est, offset, slack
+    est = SupremumEstimate.from_samples(vals[:, 0], "mc-softmax",
+                                        stream.master_seed)
+    # np.min, unlike the builtin min, carries a NaN margin into the slack
+    return est, offset, float(vals[:, 1].min())

@@ -257,21 +257,12 @@ class SoftmaxFunction:
         return sm.log_partition_partial(self.T, self.beta, x, i, order)
 
     def partial_rows(self, X, i: int, order: int) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        if order == 1:
-            W = sm.gibbs_weight_rows(self.T, self.beta, X)
-            return W @ self.T.points[:, i]
-        return sm.log_partition_partials_rows(self.T, self.beta, X, i, order)
+        return sm.log_partition_partials_rows(
+            self.T, self.beta, np.asarray(X, dtype=np.float64), i, order)
 
     def generator_rows(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        pts = self.T.points
-        W = sm.gibbs_weight_rows(self.T, self.beta, X)
-        M1 = W @ pts
-        M2 = W @ pts ** 2
-        lap = self.beta * (M2 - M1 ** 2).sum(axis=1)
-        drift = (X * M1).sum(axis=1)
-        return lap - drift
+        return sm.log_partition_generator_rows(
+            self.T, self.beta, np.asarray(X, dtype=np.float64))
 
     def gaussian_mean(self):
         return None
@@ -406,10 +397,12 @@ def ou_potential(f, x, nodes: int = 64, samples: int = 2048,
     t_max = min(max(1.0, math.log(max(scale, tail_tol) / tail_tol)), T_MAX_CAP)
     tail = math.exp(-t_max) * scale
     u, w = _gauss_legendre(nodes, math.exp(-t_max), 1.0)
-    vals = _ou_quadrature(lambda Y: f.value_rows(Y) - mg, x, u, w / u,
+    w = w / u
+    vals = _ou_quadrature(lambda Y: f.value_rows(Y) - mg, x, u, w,
                           samples, stream, "ou-potential")
     value, se_mc = mean_se(vals)
-    se = math.hypot(se_mc, t_max * mg_se)
+    # the rule subtracts the estimated mean with total weight sum_j w_j/u_j
+    se = math.hypot(se_mc, float(w.sum()) * mg_se)
     return OperatorEstimate(value, se, samples, nodes, t_max, tail,
                             "mc-quadrature")
 

@@ -8,6 +8,11 @@ which brackets the true maximum:  max <= F_beta <= max + log|T|/beta
 (|T| counts rows, duplicates included).  Its partial derivatives along a
 coordinate are central moments of the coordinate functional l_i(t) = t_i
 under the Gibbs measure with weights proportional to exp(beta <x, t>).
+
+Every evaluation runs in rows form: ``_smoothed_max_rows`` is the one
+kernel for (max, F_beta) at each row of a block X, ``gibbs_weight_rows``
+the one Gibbs normalizer, and ``_partial_rows`` the one Gibbs-moment pass
+behind every partial.  A scalar entry point is its rows form at one row.
 """
 from __future__ import annotations
 
@@ -34,26 +39,32 @@ def _require_beta(beta: float) -> float:
     return beta
 
 
+def _one_row(x) -> np.ndarray:
+    return np.asarray(x, dtype=np.float64)[None, :]
+
+
+def _smoothed_max_rows(T: IndexSet, beta: float, X: np.ndarray):
+    """(max_t <x, t>, F_beta(x)) at each row of X, shape (m, n) -> two (m,);
+    F_beta sums over every declared row of T, duplicates included."""
+    beta = _require_beta(beta)
+    Z = X @ T.points.T
+    return Z.max(axis=1), logsumexp(beta * Z, axis=1) / beta
+
+
 def log_partition(T: IndexSet, beta: float, x) -> float:
     """F_beta(x), evaluated stably (max subtraction via logsumexp)."""
-    x = np.asarray(x, dtype=np.float64)
-    return float(log_partition_rows(T, beta, x[None, :])[0])
+    return float(log_partition_rows(T, beta, _one_row(x))[0])
 
 
 def log_partition_rows(T: IndexSet, beta: float, X: np.ndarray) -> np.ndarray:
     """F_beta at each row of X, shape (m, n) -> (m,)."""
-    beta = _require_beta(beta)
-    Z = beta * (X @ T.points.T)
-    return logsumexp(Z, axis=1) / beta
+    return _smoothed_max_rows(T, beta, X)[1]
 
 
 def sandwich_gap(T: IndexSet, beta: float, x):
     """(F_beta(x) - max_t <x,t>, log|T|/beta); the gap lies in [0, bound]."""
-    beta = _require_beta(beta)
-    z = T.points @ np.asarray(x, dtype=np.float64)
-    top = float(z.max())
-    f = float(logsumexp(beta * z)) / beta
-    return f - top, T.log_cardinality / beta
+    top, f = _smoothed_max_rows(T, beta, _one_row(x))
+    return float(f[0] - top[0]), T.log_cardinality / float(beta)
 
 
 @dataclass(frozen=True)
@@ -62,19 +73,6 @@ class WeightedMeasure:
 
     base: IndexSet
     weights: np.ndarray
-
-    def moment(self, i: int, k: int, absolute: bool = False) -> float:
-        li = self.base.points[:, i]
-        vals = np.abs(li) ** k if absolute else li ** k
-        return float(self.weights @ vals)
-
-
-@dataclass(frozen=True)
-class GibbsMeasure(WeightedMeasure):
-    """Gibbs measure on T at inverse temperature beta and location x."""
-
-    beta: float = 1.0
-    location: np.ndarray | None = None
 
 
 def uniform_measure(T: IndexSet) -> WeightedMeasure:
@@ -111,14 +109,12 @@ def gibbs_weight_rows(T: IndexSet, beta: float, X: np.ndarray) -> np.ndarray:
     return _normalized_exp(beta * (X @ T.points.T))
 
 
-def gibbs_measure(T: IndexSet, beta: float, x) -> GibbsMeasure:
-    """Weights proportional to exp(beta <x, t>), max-subtracted; weights
-    below 1e-300 flush to exact zero."""
-    beta = _require_beta(beta)
-    x = np.asarray(x, dtype=np.float64)
-    w = _normalized_exp(beta * (T.points @ x))
+def gibbs_measure(T: IndexSet, beta: float, x) -> WeightedMeasure:
+    """The Gibbs measure on T at inverse temperature beta and location x:
+    gibbs_weight_rows at one row."""
+    w = gibbs_weight_rows(T, beta, _one_row(x))[0]
     w.setflags(write=False)
-    return GibbsMeasure(T, w, beta, x)
+    return WeightedMeasure(T, w)
 
 
 def gibbs_weights(T: IndexSet, beta: float, x) -> np.ndarray:
@@ -130,29 +126,28 @@ def gibbs_moment(mu: WeightedMeasure, i: int, k: int,
     """E_mu[l_i^k] (or E_mu|l_i|^k), l_i(t) = t_i."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    return mu.moment(i, k, absolute)
+    li = mu.base.points[:, i]
+    return float(mu.weights @ (np.abs(li) ** k if absolute else li ** k))
 
 
 def log_partition_grad(T: IndexSet, beta: float, x) -> np.ndarray:
     """grad F_beta(x) = E_mu[t]; lies in the convex hull of T."""
-    mu = gibbs_measure(T, beta, x)
-    return mu.weights @ T.points
+    return gibbs_weights(T, beta, x) @ T.points
 
 
-def _central_moments(w: np.ndarray, li: np.ndarray, up_to: int):
-    m1 = float(w @ li)
-    c = li - m1
-    out = {1: m1}
-    for k in range(2, up_to + 1):
-        out[k] = float(w @ c ** k)
-    return out
-
-
-def _partial_from_moments(beta: float, order: int, cm: dict):
-    """Order-k coordinate partial of F_beta from the Gibbs central moments
-    cm[1..4]: beta^(k-1) times the k-th cumulant of l_i."""
+def _partial_rows(W: np.ndarray, li: np.ndarray, beta: float,
+                  order: int) -> np.ndarray:
+    """Order-k coordinate partial of F_beta under each row of the Gibbs
+    weights W, shape (m, |T|) -> (m,): the mean of l_i at k = 1, else
+    beta^(k-1) times the k-th cumulant of l_i."""
+    if order not in (1, 2, 3, 4):
+        raise ValueError("order must be in 1..4")
+    m1 = W @ li
     if order == 1:
-        return cm[1]
+        return m1
+    C = li[None, :] - m1[:, None]
+    cm = {k: np.einsum("bt,bt->b", W, C ** k)
+          for k in ((2, 4) if order == 4 else (order,))}
     cumulant = cm[4] - 3.0 * cm[2] ** 2 if order == 4 else cm[order]
     return beta ** (order - 1) * cumulant
 
@@ -165,27 +160,26 @@ def log_partition_partial(T: IndexSet, beta: float, x, i: int,
     d4 = beta^3 (E[(l_i - E l_i)^4] - 3 Var^2).  All moments under the
     Gibbs measure at (beta, x).
     """
-    if order not in (1, 2, 3, 4):
-        raise ValueError("order must be in 1..4")
-    beta = _require_beta(beta)
-    mu = gibbs_measure(T, beta, x)
-    li = T.points[:, i]
-    cm = _central_moments(mu.weights, li, max(order, 2))
-    return _partial_from_moments(beta, order, cm)
+    return float(log_partition_partials_rows(T, beta, _one_row(x), i,
+                                             order)[0])
 
 
 def log_partition_partials_rows(T: IndexSet, beta: float, X: np.ndarray,
                                 i: int, order: int) -> np.ndarray:
     """log_partition_partial at each row of X in one vectorized pass."""
-    if order not in (2, 3, 4):
-        raise ValueError("order must be in 2..4")
-    beta = _require_beta(beta)
     W = gibbs_weight_rows(T, beta, X)
-    li = T.points[:, i]
-    C = li[None, :] - (W @ li)[:, None]
-    cm = {k: np.einsum("bt,bt->b", W, C ** k)
-          for k in ((2, 4) if order == 4 else (order,))}
-    return _partial_from_moments(beta, order, cm)
+    return _partial_rows(W, T.points[:, i], float(beta), order)
+
+
+def log_partition_generator_rows(T: IndexSet, beta: float,
+                                 X: np.ndarray) -> np.ndarray:
+    """L F_beta = Laplacian F_beta - <x, grad F_beta> at each row of X, the
+    Ornstein-Uhlenbeck generator: beta times the summed Gibbs coordinate
+    variances, minus <x, E_mu t>."""
+    W = gibbs_weight_rows(T, beta, X)
+    M1 = W @ T.points
+    lap = float(beta) * (W @ T.points ** 2 - M1 ** 2).sum(axis=1)
+    return lap - (X * M1).sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -207,9 +201,8 @@ def derivative_bound_check(T: IndexSet, beta: float, x, i: int,
     |d4| <= 26 beta^3 E[l_i^4], moments under the Gibbs measure."""
     beta = _require_beta(beta)
     mu = gibbs_measure(T, beta, x)
-    li = T.points[:, i]
-    cm = _central_moments(mu.weights, li, 4)
-    d2, d3, d4 = (_partial_from_moments(beta, k, cm) for k in (2, 3, 4))
+    W, li = mu.weights[None, :], T.points[:, i]
+    d2, d3, d4 = (float(_partial_rows(W, li, beta, k)[0]) for k in (2, 3, 4))
     b2 = beta * gibbs_moment(mu, i, 2, absolute=True)
     b3 = THIRD_DERIV_CONST * beta ** 2 * gibbs_moment(mu, i, 3, absolute=True)
     b4 = FOURTH_DERIV_CONST * beta ** 3 * gibbs_moment(mu, i, 4)
@@ -240,12 +233,9 @@ def tilted_measure(mu: WeightedMeasure, x) -> WeightedMeasure:
 def log_laplace_partial(mu: WeightedMeasure, x, i: int, order: int) -> float:
     """Coordinate partials of Lambda_mu at x: central moments of l_i under
     the tilted measure (the beta = 1 case of log_partition_partial)."""
-    if order not in (1, 2, 3, 4):
-        raise ValueError("order must be in 1..4")
     nu = tilted_measure(mu, x)
-    li = mu.base.points[:, i]
-    cm = _central_moments(nu.weights, li, max(order, 2))
-    return _partial_from_moments(1.0, order, cm)
+    return float(_partial_rows(nu.weights[None, :], mu.base.points[:, i],
+                               1.0, order)[0])
 
 
 def uniform_identity_gap(T: IndexSet, beta: float, x) -> float:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import supcompare
-from supcompare import cli, estimator
+from supcompare import cli, softmax
 from supcompare import index_sets as isets
 
 
@@ -30,8 +30,9 @@ def test_parse_config_errors():
         cli.parse_config(["verify"])
     with pytest.raises(cli.ConfigError):
         cli.parse_config(["verify", "everything"])
-    with pytest.raises(cli.ConfigError):
-        cli.parse_config(["estimate", "set=basis:n=2", "beta=warm"])
+    for beta in ("warm", "inf", "nan", "0", "-1"):
+        with pytest.raises(cli.ConfigError, match="positive finite"):
+            cli.parse_config(["estimate", "set=basis:n=2", f"beta={beta}"])
     with pytest.raises(cli.ConfigError):
         cli.parse_config(["estimate", "set=basis:n=2",
                           "distribution=unknown-law"])
@@ -204,9 +205,9 @@ def test_failed_assertion_exits_2(tmp_path):
 
 
 def test_softmax_bracket_violation_exits_2(tmp_path, monkeypatch, capsys):
-    lse = estimator.logsumexp
+    lse = softmax.logsumexp
     # a soft-max far above the upper end sup + log|T|/beta of its bracket
-    monkeypatch.setattr(estimator, "logsumexp",
+    monkeypatch.setattr(softmax, "logsumexp",
                         lambda Z, axis: lse(Z, axis=axis) + 100.0)
     out = tmp_path / "bracket"
     code = run_main(["estimate", "set=basis:n=4", "distribution=gaussian",
@@ -218,6 +219,26 @@ def test_softmax_bracket_violation_exits_2(tmp_path, monkeypatch, capsys):
     # slack = log|T|/beta - 100 - max(F - sup), and 0 <= F - sup <= log|T|/beta
     slack = doc["summary"]["softmax_bracket_slack"]
     assert -100.0 <= slack <= math.log(4) - 100.0
+
+
+def test_nan_bracket_slack_exits_2(tmp_path, capsys):
+    # beta is finite but F_beta overflows to inf, so the upper margin
+    # sup + offset - F is inf - inf = NaN, and NaN must fail the bracket
+    out = tmp_path / "tiny-beta"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = run_main(["estimate", "set=basis:n=4", "distribution=gaussian",
+                         "replicates=200", "beta=1e-320", f"output_dir={out}"])
+    assert code == 2
+    assert "FAIL softmax_bracket" in capsys.readouterr().out
+
+
+def test_beta_auto_on_a_zero_set_exits_1(tmp_path, capsys):
+    path = tmp_path / "zeros.csv"
+    isets.save_csv(isets.build_explicit(np.zeros((3, 2))), path)
+    code = run_main(["estimate", f"set=explicit:path={path}", "beta=auto",
+                     "replicates=200", f"output_dir={tmp_path / 'out'}"])
+    assert code == 1
+    assert "nonzero profile" in capsys.readouterr().err
 
 
 def test_version_has_one_source(tmp_path):

@@ -129,7 +129,7 @@ DIGESTS = {
     "phase-curves":
         "c6ecf69e0f1b348b0eff5a8c7c05a14140e51c908945b025d084aec915c6cc26",
     "verify-softmax":
-        "e86aaaf5cdf489fc1aea088d0e5095cf034c067519367c37532d116a05a8da99",
+        "87397a8298875d083d698a535cda20540bcc888e46ed9b1b82cb2bc58c9f5837",
     "verify-stein":
         "098d7b25f270e94d76090a4627ffa165475d1ec76a84f4bb0da77a7b520354a2",
     "verify-gibbs":

@@ -288,6 +288,33 @@ def test_monte_carlo_paths_match_closed_forms(seed):
     assert abs(nested - exact) <= tol and abs(direct - exact) <= tol
 
 
+class ZeroSamples:
+    """Zero everywhere, and no polynomial: the potential's Monte-Carlo
+    samples are all exactly 0."""
+
+    n = 3
+
+    def value_rows(self, X):
+        return np.zeros(X.shape[0])
+
+    def lipschitz_bound(self, radius):
+        return 1.0
+
+
+def test_ou_potential_charges_gaussian_mean_error_by_its_weight(monkeypatch):
+    # the rule subtracts the estimated Gaussian mean at every node, with
+    # total weight sum_j w_j / u_j; the sampling error here is 0
+    mg_se = 0.01
+    monkeypatch.setattr(ou, "_gaussian_mean_estimate",
+                        lambda f, n, samples, stream: (0.0, mg_se))
+    est = ou.ou_potential(ZeroSamples(), X3)
+    assert est.method == "mc-quadrature" and est.value == 0.0
+    u, w = ou._gauss_legendre(est.nodes, math.exp(-est.t_max), 1.0)
+    assert est.std_error == pytest.approx(float((w / u).sum()) * mg_se,
+                                          rel=1e-14)
+    assert est.std_error < est.t_max * mg_se
+
+
 def test_monte_carlo_entry_points_need_min_replicates():
     f = MonteCarloOnly(ou.PolynomialFunction(POLY3))
     few = MIN_REPLICATES - 1
