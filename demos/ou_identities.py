@@ -11,13 +11,12 @@ from supcompare import distributions as dists
 from supcompare import index_sets as isets
 from supcompare import ou_stein as ou
 
-poly = ou.PolynomialFunction(ou.Polynomial(2, {(2, 0): 1.0, (1, 1): -0.5,
-                                               (0, 0): 0.3}))
+poly = ou.Polynomial(2, {(2, 0): 1.0, (1, 1): -0.5, (0, 0): 0.3})
 x = np.array([0.8, -0.4])
 
 print("=== semigroup interpolation (closed form for polynomials) ===")
 for t in (0.0, 0.25, 1.0, 4.0, 16.0):
-    val = ou.ou_apply_exact(poly, t, x)
+    val = poly.ou_smoothed(t)(x)
     print(f"P_t f(x) at t={t:5.2f}: {val:+.8f}")
 print(f"E f(G) (t -> inf limit):  {poly.gaussian_mean():+.8f}")
 
@@ -44,7 +43,7 @@ print(f"smoothed max: |lhs - rhs| = "
 print()
 print("=== discrete Stein representations of E L f(xi) ===")
 rad = dists.rademacher()
-quartic = ou.PolynomialFunction(ou.Polynomial.coordinate_power(1, 0, 4))
+quartic = ou.Polynomial.coordinate_power(1, 0, 4)
 for variant in ("third", "fourth"):
     r = ou.stein_representation_check(quartic, rad, variant)
     print(f"f=x^4, {variant:6s} form: lhs={r.lhs:.10f} rhs={r.rhs:.10f} "

@@ -23,10 +23,9 @@ from .softmax import (WeightedMeasure, log_partition,
                       uniform_measure, weighted_measure,
                       lipschitz_log_moment_check, uniform_identity_gap,
                       collapse_weight, gibbs_weight_rows)
-from .ou_stein import (Polynomial, PolynomialFunction, SoftmaxFunction,
-                       OperatorEstimate, PoissonReport, SteinReport,
-                       HypothesisViolation, ou_apply, ou_apply_exact,
-                       ou_potential, potential_partial,
+from .ou_stein import (Polynomial, SoftmaxFunction, OperatorEstimate,
+                       PoissonReport, SteinReport, HypothesisViolation,
+                       ou_apply, ou_potential, potential_partial,
                        poisson_identity_check, stein_representation_check,
                        semigroup_check, ergodic_check)
 from .estimator import (SupremumEstimate, exact_sup, estimate_complexity,

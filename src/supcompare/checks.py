@@ -230,7 +230,7 @@ def _stein_rows(stream: RandomStream) -> list:
                          rep.diff, rep.tolerance))
 
     # univariate x^4 against the fourth-order representation
-    f4 = ou.PolynomialFunction(ou.Polynomial.coordinate_power(1, 0, 4))
+    f4 = ou.Polynomial.coordinate_power(1, 0, 4)
     rep = ou.stein_representation_check(f4, rademacher(), "fourth")
     rows.append(_row("quartic_exhaustive", rep.ok, rep.diff, rep.tolerance))
     rows.append(_row("quartic_lhs_value", abs(rep.lhs - 8.0) <= 1e-10,
@@ -250,9 +250,8 @@ def _stein_rows(stream: RandomStream) -> list:
     rows.append(_row("refuses_skewed_fourth", refused, float(refused), 1.0))
 
     # operator identities on a polynomial
-    poly = ou.Polynomial(3, {(2, 0, 0): 1.0, (0, 1, 2): 0.5, (1, 1, 0): -2.0,
-                             (0, 0, 4): 0.25, (0, 0, 0): 1.5})
-    fp = ou.PolynomialFunction(poly)
+    fp = ou.Polynomial(3, {(2, 0, 0): 1.0, (0, 1, 2): 0.5, (1, 1, 0): -2.0,
+                           (0, 0, 4): 0.25, (0, 0, 0): 1.5})
     x = np.array([0.3, -1.1, 0.7])
     rep = ou.poisson_identity_check(fp, x)
     rows.append(_row("poisson_identity_poly", rep.ok,

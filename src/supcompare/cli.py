@@ -134,6 +134,12 @@ def _int(pairs, key, default=None):
         raise ConfigError(f"{key} must be an integer, got {pairs[key]!r}")
 
 
+def _flag(value: str, key: str) -> bool:
+    if value not in ("0", "1"):
+        raise ConfigError(f"{key} must be 0 or 1, got {value!r}")
+    return value == "1"
+
+
 def _list(pairs, key, kind):
     if key not in pairs:
         return None
@@ -193,7 +199,7 @@ def parse_config(tokens, file_text: str | None = None) -> RunConfig:
         if not valid:
             raise ConfigError("beta must be a positive finite number or "
                               f"'auto', got {beta!r}")
-    paired = bool(_int(pairs, "paired", 0))
+    paired = _flag(pairs.get("paired", "0"), "paired")
     fmt = pairs.get("format", _DEFAULTS["format"])
     if fmt not in ("csv", "json", "both"):
         raise ConfigError("format must be csv, json, or both")
@@ -261,13 +267,13 @@ def parse_set(descriptor: str) -> isets.IndexSet:
             return isets.make_diagonal_cube(d, k=k)
         if family == "spin-quadratic":
             N = int(args.pop("N"))
-            normalized = args.pop("normalized", "0") == "1"
+            normalized = _flag(args.pop("normalized", "0"), "normalized")
             _no_extras(args, descriptor)
             return isets.make_spin_quadratic(N, normalized)
         if family == "spin-tensor":
             N = int(args.pop("N"))
             m = int(args.pop("m"))
-            normalized = args.pop("normalized", "0") == "1"
+            normalized = _flag(args.pop("normalized", "0"), "normalized")
             _no_extras(args, descriptor)
             return isets.make_spin_tensor(N, m, normalized)
         if family == "explicit":

@@ -29,35 +29,14 @@ def default_step(order: int, xi: float) -> float:
     return _EPS ** (1.0 / (order + 4)) * (1.0 + abs(xi))
 
 
-def central_partial(f, x, i: int, order: int, h: float | None = None) -> float:
+def central_partial(f_rows, x, i: int, order: int,
+                    h: float | None = None) -> float:
     """k-th central finite-difference partial of f at x along coordinate i.
 
-    f maps a 1d array to a scalar.  Orders 1..4 are supported with O(h^4)
-    stencils; h defaults to default_step.
-    """
-    if order not in _STENCILS:
-        raise ValueError("order must be in 1..4")
-    x = np.asarray(x, dtype=np.float64)
-    if h is None:
-        h = default_step(order, float(x[i]))
-    offsets, weights, power = _STENCILS[order]
-    acc = 0.0
-    for off, w in zip(offsets, weights):
-        if off == 0:
-            acc += w * float(f(x))
-            continue
-        xp = x.copy()
-        xp[i] += off * h
-        acc += w * float(f(xp))
-    return acc / h ** power
-
-
-def central_partial_batched(f_batch, x, i: int, order: int,
-                            h: float | None = None) -> float:
-    """Same as central_partial but with one vectorized call.
-
-    f_batch maps an (m, n) array of locations to an (m,) array of values;
+    f_rows maps an (m, n) array of locations to an (m,) array of values;
     the stencil's shifted locations are evaluated in a single call.
+    Orders 1..4 are supported with O(h^4) stencils; h defaults to
+    default_step.
     """
     if order not in _STENCILS:
         raise ValueError("order must be in 1..4")
@@ -67,5 +46,5 @@ def central_partial_batched(f_batch, x, i: int, order: int,
     offsets, weights, power = _STENCILS[order]
     locs = np.repeat(x[None, :], len(offsets), axis=0)
     locs[:, i] += h * np.asarray(offsets, dtype=np.float64)
-    vals = np.asarray(f_batch(locs), dtype=np.float64)
+    vals = np.asarray(f_rows(locs), dtype=np.float64)
     return float(np.dot(weights, vals)) / h ** power

@@ -6,13 +6,19 @@ standard Gaussian; its generator is L f = Laplacian f - <x, grad f>, and
 the potential is PP f(x) = int_0^inf (P_t f(x) - E f(G)) dt, satisfying
 f - E f(G) = -L PP f = -PP L f.
 
-Polynomials get exact closed forms throughout (smoothing is a binomial
-expansion against Gaussian moments, the time integrals become polynomial
-integrals in u = e^{-t}, so Gauss-Legendre quadrature is exact).  Other
-test functions (the smoothed maximum) go through Monte-Carlo in the
-estimators' block driver ``estimator._blocked``: each SAMPLE_BLOCK-replicate
-block draws from its own keyed substream, memory is bounded by one block,
-and every Monte-Carlo entry point needs at least MIN_REPLICATES samples.
+A test function f is anything with ``n``, ``value_rows(X)``,
+``partial_rows(X, i, order)``, ``generator_rows(X)`` and
+``lipschitz_bound(radius)``, each rows method mapping an (m, n) array to
+(m,) values; a value at one point is the rows form at one row.
+``Polynomial`` and ``SoftmaxFunction`` (the smoothed maximum) are the two.
+One check, ``isinstance(f, Polynomial)``, selects every closed form:
+smoothing is a binomial expansion against Gaussian moments, and the time
+integrals become polynomial integrals in u = e^{-t}, so Gauss-Legendre
+quadrature is exact.  Every other test function goes through Monte-Carlo
+in the estimators' block driver ``estimator._blocked``: each
+SAMPLE_BLOCK-replicate block draws from its own keyed substream, memory is
+bounded by one block, and every Monte-Carlo entry point needs at least
+MIN_REPLICATES samples.
 The semigroup, Gaussian mean and potentials share one quadrature reducer,
 ``_ou_quadrature``, with common random numbers across its nodes.
 """
@@ -44,7 +50,12 @@ def _gauss_moment(k: int) -> float:
 
 
 class Polynomial:
-    """Multivariate polynomial as a dict {exponent tuple: coefficient}."""
+    """Multivariate polynomial as a dict {exponent tuple: coefficient}; a
+    test function whose every operator has a closed form.
+
+    The constructor takes a dict or an iterable of (exponent, coefficient)
+    pairs; repeated exponents add up and zero sums are dropped.
+    """
 
     __slots__ = ("n", "terms")
 
@@ -53,8 +64,10 @@ class Polynomial:
             raise ValueError("n must be >= 1")
         self.n = n
         self.terms = {}
+        if isinstance(terms, dict):
+            terms = terms.items()
         if terms:
-            for expo, coeff in terms.items():
+            for expo, coeff in terms:
                 expo = tuple(int(e) for e in expo)
                 if len(expo) != n or any(e < 0 for e in expo):
                     raise ValueError(f"bad exponent tuple {expo}")
@@ -63,10 +76,6 @@ class Polynomial:
                     self.terms.pop(expo, None)
                 else:
                     self.terms[expo] = c
-
-    @classmethod
-    def constant(cls, n: int, c: float) -> "Polynomial":
-        return cls(n, {(0,) * n: c})
 
     @classmethod
     def linear(cls, a) -> "Polynomial":
@@ -89,15 +98,9 @@ class Polynomial:
     def __add__(self, other: "Polynomial") -> "Polynomial":
         if other.n != self.n:
             raise ValueError("dimension mismatch")
-        terms = dict(self.terms)
-        out = Polynomial(self.n, terms)
-        for expo, c in other.terms.items():
-            nc = out.terms.get(expo, 0.0) + c
-            if nc == 0.0:
-                out.terms.pop(expo, None)
-            else:
-                out.terms[expo] = nc
-        return out
+        # the constructor merges repeated exponents and drops zero sums
+        return Polynomial(self.n, itertools.chain(self.terms.items(),
+                                                  other.terms.items()))
 
     def __mul__(self, c: float) -> "Polynomial":
         return Polynomial(self.n, {e: v * c for e, v in self.terms.items()})
@@ -118,6 +121,14 @@ class Polynomial:
                     term = term * (x[:, i] ** e if batched else x[i] ** e)
             acc = acc + term
         return acc
+
+    value_rows = __call__
+
+    def partial_rows(self, X, i: int, order: int) -> np.ndarray:
+        return self.partial(i, order)(X)
+
+    def generator_rows(self, X) -> np.ndarray:
+        return self.generator()(X)
 
     def degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
@@ -192,7 +203,7 @@ class Polynomial:
             out = out + self.partial(i, 2) - self.partial(i, 1).multiply_coordinate(i)
         return out
 
-    def gradient_norm_bound(self, radius: float) -> float:
+    def lipschitz_bound(self, radius: float) -> float:
         """Upper bound on |grad f| over the ball of the given radius."""
         r = max(1.0, float(radius))
         sq = 0.0
@@ -202,44 +213,8 @@ class Polynomial:
         return math.sqrt(sq)
 
 
-class PolynomialFunction:
-    """Polynomial test function with every operator in closed form."""
-
-    kind = "polynomial"
-
-    def __init__(self, poly: Polynomial):
-        self.poly = poly
-        self.n = poly.n
-
-    def value(self, x) -> float:
-        return float(self.poly(np.asarray(x, dtype=np.float64)))
-
-    def value_rows(self, X) -> np.ndarray:
-        return np.asarray(self.poly(np.asarray(X, dtype=np.float64)))
-
-    def partial_value(self, x, i: int, order: int = 1) -> float:
-        return float(self.poly.partial(i, order)(np.asarray(x, dtype=np.float64)))
-
-    def partial_rows(self, X, i: int, order: int) -> np.ndarray:
-        return np.asarray(self.poly.partial(i, order)(np.asarray(X, dtype=np.float64)))
-
-    def generator_rows(self, X) -> np.ndarray:
-        return np.asarray(self.poly.generator()(np.asarray(X, dtype=np.float64)))
-
-    def gaussian_mean(self):
-        return self.poly.gaussian_mean()
-
-    def lipschitz_bound(self, radius: float) -> float:
-        return self.poly.gradient_norm_bound(radius)
-
-    def smoothed_value(self, t: float, x) -> float:
-        return float(self.poly.ou_smoothed(t)(np.asarray(x, dtype=np.float64)))
-
-
 class SoftmaxFunction:
     """F_beta for an index set; globally Lipschitz with constant R2."""
-
-    kind = "softmax"
 
     def __init__(self, T: IndexSet, beta: float):
         self.T = T
@@ -247,14 +222,8 @@ class SoftmaxFunction:
         self.n = T.dim
         self._r2 = geometric_profile(T).r2
 
-    def value(self, x) -> float:
-        return sm.log_partition(self.T, self.beta, x)
-
     def value_rows(self, X) -> np.ndarray:
         return sm.log_partition_rows(self.T, self.beta, np.asarray(X, float))
-
-    def partial_value(self, x, i: int, order: int = 1) -> float:
-        return sm.log_partition_partial(self.T, self.beta, x, i, order)
 
     def partial_rows(self, X, i: int, order: int) -> np.ndarray:
         return sm.log_partition_partials_rows(
@@ -263,9 +232,6 @@ class SoftmaxFunction:
     def generator_rows(self, X) -> np.ndarray:
         return sm.log_partition_generator_rows(
             self.T, self.beta, np.asarray(X, dtype=np.float64))
-
-    def gaussian_mean(self):
-        return None
 
     def lipschitz_bound(self, radius: float = 0.0) -> float:
         # grad F is a convex combination of the points
@@ -311,17 +277,11 @@ def ou_apply(f, t: float, x, samples: int = 4096,
         raise ValueError("t must be >= 0")
     x = np.asarray(x, dtype=np.float64)
     if t == 0.0:
-        return OperatorEstimate(f.value(x), 0.0, 0, 0, 0.0, 0.0, "exact-t0")
+        return OperatorEstimate(float(f.value_rows(x[None, :])[0]), 0.0, 0, 0,
+                                0.0, 0.0, "exact-t0")
     vals = _ou_quadrature(f.value_rows, x, (math.exp(-t),), (1.0,), samples,
                           stream, "ou-apply")
     return OperatorEstimate(*mean_se(vals), samples, 0, t, 0.0, "mc")
-
-
-def ou_apply_exact(f: PolynomialFunction, t: float, x) -> float:
-    """Closed-form P_t f(x) for polynomial f."""
-    if not isinstance(f, PolynomialFunction):
-        raise TypeError("exact smoothing requires a polynomial test function")
-    return f.smoothed_value(t, x)
 
 
 def _gauss_legendre(nodes: int, lo: float, hi: float):
@@ -367,9 +327,8 @@ def _closed_form_potential(poly: Polynomial, x: np.ndarray,
 
 
 def _gaussian_mean_estimate(f, n: int, samples: int, stream: RandomStream):
-    mg = f.gaussian_mean()
-    if mg is not None:
-        return float(mg), 0.0
+    if isinstance(f, Polynomial):
+        return f.gaussian_mean(), 0.0
     # one node at u = 0 evaluates f at G itself
     return mean_se(_ou_quadrature(f.value_rows, np.zeros(n), (0.0,), (1.0,),
                                   samples, stream, "gaussian-mean"))
@@ -387,10 +346,10 @@ def ou_potential(f, x, nodes: int = 64, samples: int = 2048,
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.size
-    if isinstance(f, PolynomialFunction):
+    if isinstance(f, Polynomial):
         # the integrand (q(u) - q(0))/u is a polynomial in u; integrate it
         # term by term over [0, 1], with no truncation at all
-        return _closed_form_potential(f.poly, x, 0)
+        return _closed_form_potential(f, x, 0)
     mg, mg_se = _gaussian_mean_estimate(f, n, max(samples, 4096), stream)
     scale = f.lipschitz_bound(float(np.linalg.norm(x)) + math.sqrt(n)) \
         * (float(np.linalg.norm(x)) + math.sqrt(n))
@@ -422,8 +381,8 @@ def potential_partial(f, x, i: int, k: int, nodes: int = 64,
     if k < 0:
         raise ValueError("k must be >= 0")
     x = np.asarray(x, dtype=np.float64)
-    if isinstance(f, PolynomialFunction):
-        return _closed_form_potential(f.poly.partial(i, k), x, k)
+    if isinstance(f, Polynomial):
+        return _closed_form_potential(f.partial(i, k), x, k)
     u, w = _gauss_legendre(nodes, 0.0, 1.0)
     vals = _ou_quadrature(lambda Y: f.partial_rows(Y, i, k), x, u,
                           w * u ** (k - 1), samples, stream,
@@ -457,10 +416,10 @@ def poisson_identity_check(f, x, nodes: int = 64, samples: int = 2048,
     n = x.size
     mg, mg_se = _gaussian_mean_estimate(f, n, max(samples, 4096),
                                         stream.substream("poisson-mean"))
-    lhs = f.value(x) - mg
+    lhs = float(f.value_rows(x[None, :])[0]) - mg
     rhs = 0.0
     var = mg_se ** 2
-    exact = isinstance(f, PolynomialFunction)
+    exact = isinstance(f, Polynomial)
     for i in range(n):
         d1 = potential_partial(f, x, i, 1, nodes, samples,
                                stream.substream("poisson-d1", i))
@@ -470,8 +429,7 @@ def poisson_identity_check(f, x, nodes: int = 64, samples: int = 2048,
         var += (float(x[i]) * d1.std_error) ** 2 + d2.std_error ** 2
     rhs2 = None
     if exact:
-        gen = PolynomialFunction(f.poly.generator())
-        rhs2 = -ou_potential(gen, x, nodes).value
+        rhs2 = -ou_potential(f.generator(), x, nodes).value
     se = math.sqrt(var)
     tolerance = 1e-10 if exact else 4.0 * se + 1e-9
     ok = abs(lhs - rhs) <= tolerance
@@ -589,10 +547,12 @@ def semigroup_check(f, t1: float, t2: float, x, samples: int = 4096,
     compared to the direct one at 4 combined standard errors.  Returns
     (lhs, rhs, tolerance, ok).
     """
+    if t1 < 0 or t2 < 0:
+        raise ValueError("t1 and t2 must be >= 0")
     x = np.asarray(x, dtype=np.float64)
-    if isinstance(f, PolynomialFunction):
-        lhs = PolynomialFunction(f.poly.ou_smoothed(t2).ou_smoothed(t1)).value(x)
-        rhs = f.smoothed_value(t1 + t2, x)
+    if isinstance(f, Polynomial):
+        lhs = float(f.ou_smoothed(t2).ou_smoothed(t1)(x))
+        rhs = float(f.ou_smoothed(t1 + t2)(x))
         return lhs, rhs, 1e-10, abs(lhs - rhs) <= 1e-10
     n = x.size
     a1, a2 = math.exp(-t1), math.exp(-t2)
@@ -618,11 +578,11 @@ def ergodic_check(f, t: float, x, samples: int = 4096,
     x = np.asarray(x, dtype=np.float64)
     n = x.size
     norm = float(np.linalg.norm(x))
-    if isinstance(f, PolynomialFunction):
+    if isinstance(f, Polynomial):
         # P_t f(x) - E f(G) = sum_{m>=1} q_m u^m with u = e^{-t}, so the
         # deviation decays at least like e^{-t} sum |q_m|
-        q = _u_polynomial(f.poly, x)
-        dev = abs(f.smoothed_value(t, x) - f.poly.gaussian_mean())
+        q = _u_polynomial(f, x)
+        dev = abs(float(f.ou_smoothed(t)(x)) - f.gaussian_mean())
         bound = math.exp(-t) * float(np.abs(q[1:]).sum())
         return dev, bound, dev <= bound * (1 + 1e-9) + 1e-12
     mg, mg_se = _gaussian_mean_estimate(f, n, max(samples, 4096),

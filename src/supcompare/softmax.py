@@ -307,7 +307,7 @@ def grad_fd_report(T: IndexSet, beta: float, x, i: int, order: int):
     # step shrinks by that factor; a zero column makes the partial exactly 0
     scale = beta * float(np.abs(T.points[:, i]).max())
     h = numdiff.default_step(order, 0.0) / scale if scale > 0 else None
-    fd = numdiff.central_partial_batched(
+    fd = numdiff.central_partial(
         lambda locs: log_partition_rows(T, beta, locs), x, i, order, h)
     return analytic, fd
 

@@ -123,7 +123,7 @@ def test_stein_exact_small_instances():
     rad = dists.rademacher()
     for _ in range(30):
         n = int(rng.integers(1, 9))
-        f = ou.PolynomialFunction(_random_polynomial(rng, n))
+        f = _random_polynomial(rng, n)
         for variant in ("third", "fourth"):
             rep = ou.stein_representation_check(f, rad, variant)
             assert rep.exact and rep.ok and rep.diff <= 1e-10
@@ -133,7 +133,7 @@ def test_stein_exact_small_instances():
         for variant in ("third", "fourth"):
             rep = ou.stein_representation_check(f, rad, variant)
             assert rep.exact and rep.ok and rep.diff <= 1e-10
-    quartic = ou.PolynomialFunction(ou.Polynomial.coordinate_power(1, 0, 4))
+    quartic = ou.Polynomial.coordinate_power(1, 0, 4)
     for variant in ("third", "fourth"):
         rep = ou.stein_representation_check(quartic, rad, variant)
         assert abs(rep.lhs - 8.0) <= 1e-10
@@ -150,24 +150,24 @@ def test_ou_poisson_identities():
     start = time.perf_counter()
 
     # linear: PP f = f, gaussian mean 0
-    lin = ou.PolynomialFunction(ou.Polynomial.linear([2.0, -0.5]))
+    lin = ou.Polynomial.linear([2.0, -0.5])
     x2 = np.array([0.3, -1.2])
     pot = ou.ou_potential(lin, x2)
     assert pot.method == "closed-form" and pot.std_error == 0.0
-    assert abs(pot.value - lin.value(x2)) <= 1e-12
+    assert abs(pot.value - lin(x2)) <= 1e-12
     rep = ou.poisson_identity_check(lin, x2)
     assert rep.exact and rep.ok and rep.tolerance == 1e-10
     assert abs(rep.lhs - rep.rhs_potential_of_generator) <= 1e-10
 
     # x_1^2: PP f = (x_1^2 - 1)/2
-    sq = ou.PolynomialFunction(ou.Polynomial.coordinate_power(2, 0, 2))
+    sq = ou.Polynomial.coordinate_power(2, 0, 2)
     pot = ou.ou_potential(sq, x2)
     assert abs(pot.value - (x2[0] ** 2 - 1.0) / 2.0) <= 1e-12
     rep = ou.poisson_identity_check(sq, x2)
     assert rep.exact and rep.ok
 
     rng = np.random.default_rng(505)
-    poly = ou.PolynomialFunction(_random_polynomial(rng, 3))
+    poly = _random_polynomial(rng, 3)
     x3 = np.array([0.4, -0.2, 0.9])
     rep = ou.poisson_identity_check(poly, x3)
     assert rep.exact and rep.ok

@@ -113,6 +113,25 @@ def test_parse_set_errors():
             cli.parse_set(f"basis:n=4,mode=negative-scaled,theta={theta}")
 
 
+def test_flags_accept_only_0_or_1(tmp_path, capsys):
+    for desc in ("spin-quadratic:N=4,normalized=true",
+                 "spin-quadratic:N=4,normalized=01",
+                 "spin-tensor:N=4,m=3,normalized=2"):
+        with pytest.raises(cli.ConfigError, match="normalized must be 0 or 1"):
+            cli.parse_set(desc)
+    for flag in ("7", "-1", "yes", ""):
+        with pytest.raises(cli.ConfigError, match="paired must be 0 or 1"):
+            cli.parse_config(["bounds", "set=basis:n=4", f"paired={flag}"])
+    assert not cli.parse_config(["bounds", "set=basis:n=4",
+                                 "paired=0"]).paired
+    out = str(tmp_path)
+    assert run_main(["estimate", "set=spin-quadratic:N=4,normalized=true",
+                     "replicates=10", f"output_dir={out}"]) == 1
+    assert run_main(["bounds", "set=basis:n=4", "paired=7",
+                     "replicates=10", f"output_dir={out}"]) == 1
+    assert "must be 0 or 1" in capsys.readouterr().err
+
+
 def test_parse_set_refuses_over_budget_before_allocating(monkeypatch):
     def allocates(*args, **kwargs):
         raise AssertionError("built points past the byte budget")

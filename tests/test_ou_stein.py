@@ -8,6 +8,7 @@ from supcompare import distributions as dists
 from supcompare import index_sets as isets
 from supcompare import numdiff
 from supcompare import ou_stein as ou
+from supcompare import softmax as sm
 from supcompare.estimator import MIN_REPLICATES
 
 # probabilist Hermite polynomials: L h_k = -k h_k and P_t h_k = e^{-kt} h_k
@@ -83,7 +84,7 @@ def test_generator_has_zero_gaussian_mean():
 
 
 def test_numdiff_matches_analytic():
-    f = lambda x: math.sin(x[0]) * math.exp(0.5 * x[1])
+    f = lambda X: np.sin(X[:, 0]) * np.exp(0.5 * X[:, 1])
     x = np.array([0.7, -0.3])
     d1 = numdiff.central_partial(f, x, 0, 1)
     assert d1 == pytest.approx(math.cos(0.7) * math.exp(-0.15), rel=1e-7)
@@ -96,13 +97,12 @@ def test_numdiff_matches_analytic():
 
 
 def test_ou_apply_exact_at_zero_and_mc():
-    p = ou.Polynomial(2, {(2, 1): 1.0, (0, 1): -1.0})
-    f = ou.PolynomialFunction(p)
+    f = ou.Polynomial(2, {(2, 1): 1.0, (0, 1): -1.0})
     x = np.array([0.5, -1.0])
     at0 = ou.ou_apply(f, 0.0, x)
-    assert at0.value == f.value(x) and at0.std_error == 0.0
+    assert at0.value == f(x) and at0.std_error == 0.0
     t = 0.8
-    exact = ou.ou_apply_exact(f, t, x)
+    exact = f.ou_smoothed(t)(x)
     est = ou.ou_apply(f, t, x, samples=20000,
                       stream=dists.RandomStream(4))
     assert abs(est.value - exact) <= 4.0 * est.std_error + 1e-12
@@ -113,17 +113,16 @@ def test_ou_apply_exact_at_zero_and_mc():
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_potential_of_eigenfunction(k):
     # L h_k = -k h_k so PP h_k = h_k / k, exactly
-    f = ou.PolynomialFunction(ou.Polynomial(1, HERMITE[k]))
+    f = ou.Polynomial(1, HERMITE[k])
     x = np.array([0.9])
     est = ou.ou_potential(f, x)
     assert est.method == "closed-form"
     assert est.std_error == 0.0 and est.tail_bound == 0.0
-    assert est.value == pytest.approx(f.value(x) / k, rel=1e-12)
+    assert est.value == pytest.approx(f(x) / k, rel=1e-12)
 
 
 def test_potential_partial_matches_difference_quotient():
-    p = ou.Polynomial(2, {(3, 1): 0.5, (1, 2): -1.0, (2, 0): 2.0})
-    f = ou.PolynomialFunction(p)
+    f = ou.Polynomial(2, {(3, 1): 0.5, (1, 2): -1.0, (2, 0): 2.0})
     x = np.array([0.4, -0.6])
     h = 1e-5
     for i in (0, 1):
@@ -146,7 +145,7 @@ def test_poisson_identity_polynomial_exact():
             terms[expo] = float(rng.standard_normal())
         if not terms:
             continue
-        f = ou.PolynomialFunction(ou.Polynomial(3, terms))
+        f = ou.Polynomial(3, terms)
         x = rng.standard_normal(3)
         rep = ou.poisson_identity_check(f, x)
         assert rep.exact and rep.ok
@@ -176,7 +175,7 @@ def test_stein_exhaustive_softmax_both_variants():
 
 
 def test_stein_exhaustive_polynomial():
-    f = ou.PolynomialFunction(ou.Polynomial.coordinate_power(1, 0, 4))
+    f = ou.Polynomial.coordinate_power(1, 0, 4)
     rep = ou.stein_representation_check(f, dists.rademacher(), "fourth")
     # E L(x^4) under rademacher: E[12 xi^2 - 4 xi^4] = 8
     assert rep.lhs == pytest.approx(8.0, abs=1e-12)
@@ -212,8 +211,7 @@ def test_stein_refuses_bad_hypotheses():
 
 
 def test_semigroup_and_ergodic_checks():
-    p = ou.Polynomial(2, {(2, 1): 1.0, (0, 3): -0.2})
-    fp = ou.PolynomialFunction(p)
+    fp = ou.Polynomial(2, {(2, 1): 1.0, (0, 3): -0.2})
     x = np.array([0.5, 0.7])
     lhs, rhs, tol, ok = ou.semigroup_check(fp, 0.3, 1.1, x)
     assert ok and abs(lhs - rhs) <= 1e-10
@@ -230,17 +228,56 @@ def test_semigroup_and_ergodic_checks():
     assert ok
 
 
+def test_semigroup_check_refuses_negative_times():
+    # e^{-t} > 1 is no OU kernel; both paths refuse it before any work
+    T = isets.build_explicit(np.random.default_rng(11).standard_normal((5, 2)))
+    x = np.array([0.5, 0.7])
+    for f in (ou.Polynomial(2, {(2, 1): 1.0}), ou.SoftmaxFunction(T, 0.8)):
+        for t1, t2 in ((-0.3, 0.9), (0.9, -0.3)):
+            with pytest.raises(ValueError, match="must be >= 0"):
+                ou.semigroup_check(f, t1, t2, x)
+
+
+def test_bare_polynomial_is_a_test_function():
+    # f = h_2(x_1) + 3 h_1(x_2), so PP f = h_2(x_1) / 2 + 3 x_2 and E f(G) = 0
+    f = ou.Polynomial(2, {(2, 0): 1.0, (0, 0): -1.0, (0, 1): 3.0})
+    x = np.array([0.6, -0.4])
+    assert ou.ou_apply(f, 0.0, x).value == f(x)
+    est = ou.ou_apply(f, 0.5, x, samples=8192, stream=dists.RandomStream(16))
+    assert abs(est.value - f.ou_smoothed(0.5)(x)) <= 4.0 * est.std_error
+    pot = ou.ou_potential(f, x)
+    assert pot.method == "closed-form"
+    assert pot.value == pytest.approx((x[0] ** 2 - 1.0) / 2 + 3.0 * x[1],
+                                      abs=1e-12)
+    for i, k, want in ((0, 1, x[0]), (0, 2, 1.0), (1, 1, 3.0), (1, 2, 0.0)):
+        d = ou.potential_partial(f, x, i, k)
+        assert d.method == "closed-form"
+        assert d.value == pytest.approx(want, abs=1e-12)
+    rep = ou.poisson_identity_check(f, x)
+    assert rep.exact and rep.ok
+    assert rep.lhs == pytest.approx(f(x), abs=1e-12)
+    for variant in ("third", "fourth"):
+        rep = ou.stein_representation_check(f, dists.rademacher(), variant)
+        assert rep.exact and rep.diff <= 1e-10
+        # E L f(xi) = E[2 - 2 xi_1^2 - 3 xi_2] = 0 under sign enumeration
+        assert rep.lhs == pytest.approx(0.0, abs=1e-12)
+
+
 def test_softmax_function_partials_consistent():
     T = isets.build_explicit(np.random.default_rng(14).standard_normal((6, 3)))
     f = ou.SoftmaxFunction(T, 0.9)
     X = np.random.default_rng(15).standard_normal((4, 3))
+
+    def partial(x, i, order):
+        return sm.log_partition_partial(T, 0.9, x, i, order)
+
     for order in (1, 2, 3, 4):
         batch = f.partial_rows(X, 1, order)
-        single = [f.partial_value(x, 1, order) for x in X]
+        single = [partial(x, 1, order) for x in X]
         assert np.allclose(batch, single, atol=1e-12)
     gen_batch = f.generator_rows(X)
-    lap = [sum(f.partial_value(x, i, 2) for i in range(3)) for x in X]
-    drift = [float(np.dot(x, [f.partial_value(x, i, 1) for i in range(3)]))
+    lap = [sum(partial(x, i, 2) for i in range(3)) for x in X]
+    drift = [float(np.dot(x, [partial(x, i, 1) for i in range(3)]))
              for x in X]
     assert np.allclose(gen_batch, np.array(lap) - np.array(drift), atol=1e-10)
 
@@ -252,8 +289,8 @@ X3 = np.array([0.3, -1.1, 0.7])
 
 
 class MonteCarloOnly:
-    """Forwards to a PolynomialFunction without being one, so every operator
-    takes its Monte-Carlo path, the Gaussian mean included."""
+    """Forwards to a Polynomial without being one, so every operator takes
+    its Monte-Carlo path, the Gaussian mean included."""
 
     def __init__(self, f):
         self.f, self.n = f, f.n
@@ -261,29 +298,25 @@ class MonteCarloOnly:
     def __getattr__(self, name):
         return getattr(self.f, name)
 
-    def gaussian_mean(self):
-        return None
-
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_monte_carlo_paths_match_closed_forms(seed):
-    fp = ou.PolynomialFunction(POLY3)
-    f = MonteCarloOnly(fp)
+    f = MonteCarloOnly(POLY3)
     stream = dists.RandomStream(seed)
     # coordinate 2 has a nonzero second partial, x_1 + 3 x_2^2
     pairs = [(ou.ou_apply(f, 0.7, X3, stream=stream),
-              ou.ou_apply_exact(fp, 0.7, X3)),
+              POLY3.ou_smoothed(0.7)(X3)),
              (ou.ou_potential(f, X3, stream=stream),
-              ou.ou_potential(fp, X3).value)]
+              ou.ou_potential(POLY3, X3).value)]
     for k in (1, 2):
         pairs.append((ou.potential_partial(f, X3, 2, k, stream=stream),
-                      ou.potential_partial(fp, X3, 2, k).value))
+                      ou.potential_partial(POLY3, X3, 2, k).value))
     for est, exact in pairs:
         assert est.method.startswith("mc") and est.std_error > 0
         assert abs(est.value - exact) <= 4.0 * est.std_error
     nested, direct, tol, ok = ou.semigroup_check(f, 0.4, 0.9, X3,
                                                  stream=stream)
-    exact = fp.smoothed_value(1.3, X3)
+    exact = POLY3.ou_smoothed(1.3)(X3)
     assert ok and tol > 1e-9
     assert abs(nested - exact) <= tol and abs(direct - exact) <= tol
 
@@ -316,7 +349,7 @@ def test_ou_potential_charges_gaussian_mean_error_by_its_weight(monkeypatch):
 
 
 def test_monte_carlo_entry_points_need_min_replicates():
-    f = MonteCarloOnly(ou.PolynomialFunction(POLY3))
+    f = MonteCarloOnly(POLY3)
     few = MIN_REPLICATES - 1
     calls = (
         lambda: ou.ou_apply(f, 0.5, X3, samples=few),
@@ -335,7 +368,7 @@ def test_monte_carlo_entry_points_need_min_replicates():
 
 def test_ou_apply_memory_is_bounded_by_one_block():
     n = 64
-    f = ou.PolynomialFunction(ou.Polynomial.linear(np.ones(n)))
+    f = ou.Polynomial.linear(np.ones(n))
     tracemalloc.start()
     try:
         est = ou.ou_apply(f, 0.5, np.zeros(n), samples=100_000)
