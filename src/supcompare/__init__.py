@@ -13,8 +13,8 @@ from .index_sets import (IndexSet, GeometricProfile, build_explicit,
 from .distributions import (CoordinateDistribution, RandomStream,
                             MomentCheckReport, DEFAULT_SEED, rademacher,
                             gaussian, uniform_symmetric, laplace,
-                            scaled_rademacher, two_point, from_name, moments,
-                            sample_vector, empirical_moment_check)
+                            scaled_rademacher, two_point, from_name,
+                            empirical_moment_check)
 from .softmax import (WeightedMeasure, log_partition,
                       sandwich_gap, gibbs_measure, gibbs_weights,
                       gibbs_moment, log_partition_grad,

@@ -16,8 +16,8 @@ import numpy as np
 from . import index_sets as isets
 from . import ou_stein as ou
 from . import softmax as sm
-from .distributions import (CoordinateDistribution, RandomStream, laplace,
-                            rademacher, uniform_symmetric)
+from .distributions import (RandomStream, laplace, rademacher, two_point,
+                            uniform_symmetric)
 
 TARGETS = ("softmax", "stein", "gibbs")
 
@@ -245,8 +245,7 @@ def _stein_rows(stream: RandomStream) -> list:
     # hypothesis refusal: variance 2 and skewed laws must be rejected by name
     refused = _refuses(f, laplace(False), "third", "second moment")
     rows.append(_row("refuses_variance_2", refused, float(refused), 1.0))
-    skewed = CoordinateDistribution("skewed-test", 1.0, 0.5, 1.5, 3.0, None)
-    refused = _refuses(f, skewed, "fourth", "third moment")
+    refused = _refuses(f, two_point(2.0), "fourth", "third moment")
     rows.append(_row("refuses_skewed_fourth", refused, float(refused), 1.0))
 
     # operator identities on a polynomial

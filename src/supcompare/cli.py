@@ -144,9 +144,13 @@ def _list(pairs, key, kind):
     if key not in pairs:
         return None
     try:
-        return tuple(kind(v) for v in pairs[key].split(",") if v)
+        values = tuple(kind(v) for v in pairs[key].split(",") if v)
     except ValueError:
-        raise ConfigError(f"{key} must be comma-separated {kind.__name__}s")
+        values = ()
+    if not values or (kind is float and not all(map(math.isfinite, values))):
+        raise ConfigError(f"{key} must be comma-separated finite "
+                          f"{kind.__name__}s, at least one")
+    return values
 
 
 def parse_config(tokens, file_text: str | None = None) -> RunConfig:

@@ -1,6 +1,9 @@
 """Coordinate distributions (mean zero, independent coordinates) and
 reproducible random streams.
 
+A law is declared once, in its constructor: its moments, bound, quantile
+and sampler, and its name, which is its CLI spelling for `from_name`.
+
 Stream scheme: a master seed plus a substream id key a Philox counter
 generator.  Substream ids are derived statelessly from (parent id, tag,
 index) with FNV-1a over the tag followed by two splitmix64 rounds, so any
@@ -10,7 +13,8 @@ order never matters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 from scipy import special
@@ -67,13 +71,16 @@ _SQRT2 = math.sqrt(2.0)
 
 @dataclass(frozen=True)
 class CoordinateDistribution:
-    """A coordinate law with its exact moments.
+    """A coordinate law with its exact moments, quantile and sampler.
 
+    name           the CLI spelling, parameter included ('two-point:2.0')
     variance       E xi^2
     third_moment   E xi^3 (zero for the symmetric kinds)
     abs_third      E |xi|^3 = sigma3^3
     fourth         E xi^4 = sigma4^4
     bound          M with |xi| <= M a.s., or None (unbounded law)
+    quantile       inverse CDF on a float64 array, or None
+    draw           sampler draw(rng, size), or None to invert uniforms
     """
 
     name: str
@@ -82,7 +89,8 @@ class CoordinateDistribution:
     abs_third: float
     fourth: float
     bound: float | None
-    param: float = 0.0
+    quantile: Callable | None = field(default=None, compare=False, repr=False)
+    draw: Callable | None = field(default=None, compare=False, repr=False)
 
     @property
     def sigma3(self) -> float:
@@ -93,77 +101,66 @@ class CoordinateDistribution:
         return self.fourth ** 0.25
 
     def sample(self, rng: np.random.Generator, size) -> np.ndarray:
-        if self.name == "rademacher":
-            return rng.integers(0, 2, size=size).astype(np.float64) * 2.0 - 1.0
-        if self.name == "gaussian":
-            return rng.standard_normal(size)
-        if self.name == "uniform":
-            return rng.uniform(-_SQRT3, _SQRT3, size=size)
-        if self.name == "laplace":
-            return rng.laplace(0.0, 1.0, size=size)
-        if self.name == "laplace-normalized":
-            return rng.laplace(0.0, 1.0 / _SQRT2, size=size)
-        if self.name in ("scaled-rademacher", "two-point"):
-            return self.ppf(rng.random(size))
-        raise ValueError(f"no sampler for distribution {self.name!r}")
+        if self.draw is not None:
+            return self.draw(rng, size)
+        return self.ppf(rng.random(size))
 
     def ppf(self, u: np.ndarray) -> np.ndarray:
         """Inverse CDF, monotone in u (for common-random-number pairing)."""
-        u = np.asarray(u, dtype=np.float64)
-        if self.name == "rademacher":
-            return np.where(u < 0.5, -1.0, 1.0)
-        if self.name == "gaussian":
-            return special.ndtri(u)
-        if self.name == "uniform":
-            return _SQRT3 * (2.0 * u - 1.0)
-        if self.name in ("laplace", "laplace-normalized"):
-            b = 1.0 if self.name == "laplace" else 1.0 / _SQRT2
-            half = u - 0.5
-            return -b * np.sign(half) * np.log1p(-2.0 * np.abs(half))
-        if self.name == "scaled-rademacher":
-            # +-M with prob 1/(2 M^2) each, else 0
-            p = 1.0 / (2.0 * self.param ** 2)
-            return np.where(u < p, -self.param,
-                            np.where(u >= 1.0 - p, self.param, 0.0))
-        if self.name == "two-point":
-            a = self.param
-            q = a ** 2 / (1.0 + a ** 2)
-            return np.where(u < q, -1.0 / a, a)
-        raise ValueError(f"no quantile function for distribution {self.name!r}")
+        if self.quantile is None:
+            raise ValueError(f"law {self.name!r} declares no quantile")
+        return self.quantile(np.asarray(u, dtype=np.float64))
 
 
 def rademacher() -> CoordinateDistribution:
-    return CoordinateDistribution("rademacher", 1.0, 0.0, 1.0, 1.0, 1.0)
+    return CoordinateDistribution(
+        "rademacher", 1.0, 0.0, 1.0, 1.0, 1.0,
+        quantile=lambda u: np.where(u < 0.5, -1.0, 1.0),
+        draw=lambda rng, size:
+            rng.integers(0, 2, size=size).astype(np.float64) * 2.0 - 1.0)
 
 
 def gaussian() -> CoordinateDistribution:
     # E|g|^3 = 2 sqrt(2/pi)
-    return CoordinateDistribution("gaussian", 1.0, 0.0,
-                                  2.0 * math.sqrt(2.0 / math.pi), 3.0, None)
+    return CoordinateDistribution(
+        "gaussian", 1.0, 0.0, 2.0 * math.sqrt(2.0 / math.pi), 3.0, None,
+        quantile=special.ndtri,
+        draw=lambda rng, size: rng.standard_normal(size))
 
 
 def uniform_symmetric() -> CoordinateDistribution:
     # uniform on [-sqrt(3), sqrt(3)]: variance 1, E|x|^3 = 3 sqrt(3)/4, Ex^4 = 9/5
-    return CoordinateDistribution("uniform", 1.0, 0.0,
-                                  3.0 * _SQRT3 / 4.0, 1.8, _SQRT3)
+    return CoordinateDistribution(
+        "uniform", 1.0, 0.0, 3.0 * _SQRT3 / 4.0, 1.8, _SQRT3,
+        quantile=lambda u: _SQRT3 * (2.0 * u - 1.0),
+        draw=lambda rng, size: rng.uniform(-_SQRT3, _SQRT3, size=size))
 
 
 def laplace(normalized: bool = False) -> CoordinateDistribution:
-    if normalized:
-        # scale 1/sqrt(2): variance 1, E|x|^3 = 3/sqrt(2), Ex^4 = 6
-        return CoordinateDistribution("laplace-normalized", 1.0, 0.0,
-                                      3.0 / _SQRT2, 6.0, None)
-    # literal scale 1: variance 2, E|x|^3 = 6, Ex^4 = 24
-    return CoordinateDistribution("laplace", 2.0, 0.0, 6.0, 24.0, None)
+    # literal scale 1: variance 2, E|x|^3 = 6, Ex^4 = 24; normalized to
+    # scale 1/sqrt(2): variance 1, E|x|^3 = 3/sqrt(2), Ex^4 = 6
+    b = 1.0 / _SQRT2 if normalized else 1.0
+
+    def quantile(u):
+        half = u - 0.5
+        return -b * np.sign(half) * np.log1p(-2.0 * np.abs(half))
+
+    return CoordinateDistribution(
+        *(("laplace-normalized", 1.0, 0.0, 3.0 / _SQRT2, 6.0) if normalized
+          else ("laplace", 2.0, 0.0, 6.0, 24.0)), None, quantile=quantile,
+        draw=lambda rng, size: rng.laplace(0.0, b, size=size))
 
 
 def scaled_rademacher(M: float) -> CoordinateDistribution:
     """Three-point law on {-M, 0, +M} with P(+-M) = 1/(2 M^2): variance 1,
-    bound M, E|x|^3 = M, Ex^4 = M^2.  Requires M >= 1."""
-    if M < 1.0:
-        raise ValueError("scaled-rademacher requires M >= 1")
-    return CoordinateDistribution("scaled-rademacher", 1.0, 0.0,
-                                  float(M), float(M) ** 2, float(M), float(M))
+    bound M, E|x|^3 = M, Ex^4 = M^2.  Requires a finite M >= 1."""
+    M = float(M)
+    if not (M >= 1.0 and M * M < math.inf):
+        raise ValueError(f"scaled-rademacher needs a finite M >= 1, got {M}")
+    p = 1.0 / (2.0 * M ** 2)
+    return CoordinateDistribution(
+        f"scaled-rademacher:{M!r}", 1.0, 0.0, M, M ** 2, M,
+        quantile=lambda u: np.where(u < p, -M, np.where(u >= 1 - p, M, 0.0)))
 
 
 def two_point(a: float) -> CoordinateDistribution:
@@ -171,52 +168,44 @@ def two_point(a: float) -> CoordinateDistribution:
 
     Mean zero, variance one, E xi^3 = a - 1/a (nonzero unless a = 1), so it
     exercises every path that only assumes a normalized second moment.
+    Requires a > 0 with every moment finite in floating point.
     """
-    if a <= 0.0:
-        raise ValueError("two-point requires a > 0")
     a = float(a)
-    p = 1.0 / (1.0 + a ** 2)
-    q = 1.0 - p
+    try:
+        p = 1.0 / (1.0 + a ** 2)
+        moments = (a - 1.0 / a, a ** 3 * p + (1.0 - p) / a ** 3,
+                   a ** 4 * p + (1.0 - p) / a ** 4)
+    except ArithmeticError:  # a power of a overflows or underflows to zero
+        moments = (math.nan,)
+    if not (a > 0.0 and all(map(math.isfinite, moments))):
+        raise ValueError(f"two-point needs a > 0 and finite moments, got {a}")
+    low = a ** 2 / (1.0 + a ** 2)
     return CoordinateDistribution(
-        "two-point", 1.0, a - 1.0 / a,
-        a ** 3 * p + q / a ** 3,
-        a ** 4 * p + q / a ** 4,
-        max(a, 1.0 / a), a)
+        f"two-point:{a!r}", 1.0, *moments, max(a, 1.0 / a),
+        quantile=lambda u: np.where(u < low, -1.0 / a, a))
+
+
+# every law by its CLI kind; a kind ending in ':' takes its parameter there,
+# and each constructor names its law in exactly that spelling
+LAWS = {
+    "rademacher": rademacher,
+    "gaussian": gaussian,
+    "uniform": uniform_symmetric,
+    "laplace": lambda: laplace(False),
+    "laplace-normalized": lambda: laplace(True),
+    "scaled-rademacher:": scaled_rademacher,
+    "two-point:": two_point,
+}
 
 
 def from_name(name: str) -> CoordinateDistribution:
-    """Parse a CLI distribution name, e.g. 'gaussian' or 'scaled-rademacher:2'."""
-    if name == "rademacher":
-        return rademacher()
-    if name == "gaussian":
-        return gaussian()
-    if name == "uniform":
-        return uniform_symmetric()
-    if name == "laplace":
-        return laplace(False)
-    if name == "laplace-normalized":
-        return laplace(True)
-    if name.startswith("scaled-rademacher:"):
-        return scaled_rademacher(float(name.split(":", 1)[1]))
-    if name.startswith("two-point:"):
-        return two_point(float(name.split(":", 1)[1]))
-    raise ValueError(f"unknown distribution {name!r}; known kinds: "
-                     "rademacher, gaussian, uniform, laplace, "
-                     "laplace-normalized, scaled-rademacher:M, two-point:a")
-
-
-def moments(dist: CoordinateDistribution):
-    """(variance, third moment, E|xi|^3, E xi^4, bound-or-None)."""
-    return (dist.variance, dist.third_moment, dist.abs_third,
-            dist.fourth, dist.bound)
-
-
-def sample_vector(dist: CoordinateDistribution, n: int,
-                  stream: RandomStream) -> np.ndarray:
-    """One vector with n iid coordinates from dist."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return dist.sample(stream.generator(), n)
+    """The law a CLI name spells, e.g. 'gaussian' or 'scaled-rademacher:2'."""
+    kind, colon, param = name.partition(":")
+    make = LAWS.get(kind + colon)
+    if make is None:
+        raise ValueError(f"unknown distribution {name!r}; known kinds: "
+                         f"{', '.join(LAWS)} (a number after each ':')")
+    return make(float(param)) if colon else make()
 
 
 @dataclass(frozen=True)
@@ -256,11 +245,8 @@ def empirical_moment_check(dist: CoordinateDistribution, sample_count: int,
     x = dist.sample(stream.generator(), sample_count)
     nobs = float(sample_count)
 
-    def raw(k):
-        return float(np.mean(x ** k))
-
-    m1, m2, m3, m4 = raw(1), raw(2), raw(3), raw(4)
-    m6, m8 = raw(6), raw(8)
+    m1, m2, m3, m4, m6, m8 = (float(np.mean(x ** k))
+                              for k in (1, 2, 3, 4, 6, 8))
     mean_se = math.sqrt(max(m2 - m1 ** 2, 0.0) / nobs)
     var_se = math.sqrt(max(m4 - m2 ** 2, 0.0) / nobs)
     third_se = math.sqrt(max(m6 - m3 ** 2, 0.0) / nobs)
@@ -273,10 +259,7 @@ def empirical_moment_check(dist: CoordinateDistribution, sample_count: int,
             ("third", m3, dist.third_moment, third_se),
             ("fourth", m4, dist.fourth, fourth_se)):
         diff = abs(emp - decl)
-        if se == 0.0:
-            if diff != 0.0:
-                violations.append(label)
-        elif diff > z_threshold * se:
+        if diff > z_threshold * se or (se == 0.0 and diff != 0.0):
             violations.append(label)
     if dist.bound is not None and float(np.max(np.abs(x))) > dist.bound * (1 + 1e-12):
         violations.append("bound")

@@ -571,13 +571,13 @@ def semigroup_check(f, t1: float, t2: float, x, samples: int = 4096,
 
 def ergodic_check(f, t: float, x, samples: int = 4096,
                   stream: RandomStream = DEFAULT_STREAM):
-    """|P_t f(x) - E f(G)| against e^{-t} Lip(f) (|x| + sqrt(n)) (+ MC noise).
+    """|P_t f(x) - E f(G)| against e^{-t} L r (+ MC noise), with r = |x| +
+    sqrt(n) and L the Lipschitz bound of f on the ball of radius r.
 
     Returns (deviation, bound, ok).
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.size
-    norm = float(np.linalg.norm(x))
     if isinstance(f, Polynomial):
         # P_t f(x) - E f(G) = sum_{m>=1} q_m u^m with u = e^{-t}, so the
         # deviation decays at least like e^{-t} sum |q_m|
@@ -589,6 +589,7 @@ def ergodic_check(f, t: float, x, samples: int = 4096,
                                         stream.substream("ergodic-mean"))
     est = ou_apply(f, t, x, samples, stream.substream("ergodic"))
     dev = abs(est.value - mg)
-    bound = math.exp(-t) * f.lipschitz_bound(0.0) * (norm + math.sqrt(n)) \
+    radius = float(np.linalg.norm(x)) + math.sqrt(n)
+    bound = math.exp(-t) * f.lipschitz_bound(radius) * radius \
         + 4.0 * math.hypot(est.std_error, mg_se)
     return dev, bound, dev <= bound

@@ -57,6 +57,41 @@ def test_parse_config_errors():
         cli.parse_config(["tensor", "N=6"])
 
 
+def test_parse_config_refuses_degenerate_law_parameters():
+    for name in ("scaled-rademacher:inf", "scaled-rademacher:nan",
+                 "two-point:nan", "two-point:inf", "two-point:1e-300"):
+        with pytest.raises(cli.ConfigError):
+            cli.parse_config(["bounds", "set=basis:n=4",
+                              f"distribution={name}"])
+
+
+def test_degenerate_law_parameter_exits_1(tmp_path, capsys):
+    for name in ("scaled-rademacher:inf", "two-point:1e-300"):
+        assert run_main(["bounds", "set=basis:n=4", f"distribution={name}",
+                         "replicates=10", f"output_dir={tmp_path}"]) == 1
+    assert not list(tmp_path.iterdir())
+
+
+def test_parse_config_refuses_empty_and_non_finite_lists():
+    for argv in (["phase-curves", "set=basis:n=4", "u_grid="],
+                 ["phase-curves", "set=basis:n=4", "u_grid=nan,1"],
+                 ["phase-curves", "set=basis:n=4", "u_grid=inf"],
+                 ["laplace", "n_list="], ["sk", "N_list=,"],
+                 ["sk", "N_list=x"]):
+        with pytest.raises(cli.ConfigError, match="at least one"):
+            cli.parse_config(argv)
+    cfg = cli.parse_config(["phase-curves", "set=basis:n=4", "u_grid=0.5,2"])
+    assert cfg.u_grid == (0.5, 2.0)
+
+
+def test_bounds_csv_names_the_law_parameter(tmp_path):
+    assert run_main(["bounds", "set=basis:n=4", "replicates=200",
+                     "distribution=scaled-rademacher:2", "format=csv",
+                     f"output_dir={tmp_path}"]) == 0
+    text = (tmp_path / "bounds.csv").read_text()
+    assert "scaled-rademacher:2.0" in text
+
+
 # a valid value for every config key a subcommand may read
 KEY_VALUES = {"set": "basis:n=2", "distribution": "gaussian",
               "replicates": "10", "beta": "1", "paired": "1", "n_list": "4,8",

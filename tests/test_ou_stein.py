@@ -321,6 +321,20 @@ def test_monte_carlo_paths_match_closed_forms(seed):
     assert abs(nested - exact) <= tol and abs(direct - exact) <= tol
 
 
+def test_ergodic_monte_carlo_bound_uses_the_radius():
+    # x^3 at x = 5: P_t f(x) - E f(G) is ~33.6 at t = 0.5, and the gradient
+    # on the ball of radius |x| + 1 reaches 3 * 6^2, far above its value 3
+    # on the unit ball
+    cubic = ou.Polynomial.coordinate_power(1, 0, 3)
+    x = np.array([5.0])
+    closed = ou.ergodic_check(cubic, 0.5, x)
+    dev, bound, ok = ou.ergodic_check(MonteCarloOnly(cubic), 0.5, x,
+                                      stream=dists.RandomStream(4))
+    assert closed[2] and ok
+    assert abs(dev - closed[0]) <= 0.05 * closed[0]
+    assert bound >= math.exp(-0.5) * cubic.lipschitz_bound(6.0) * 6.0
+
+
 class ZeroSamples:
     """Zero everywhere, and no polynomial: the potential's Monte-Carlo
     samples are all exactly 0."""
