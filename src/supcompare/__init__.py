@@ -2,7 +2,7 @@
 sets, smoothed-max and Gibbs-measure machinery, Ornstein-Uhlenbeck operator
 identities, and empirical checks of dimension-free comparison bounds."""
 
-# the one version string; pyproject.toml repeats it (a test keeps them equal)
+# the one version string; pyproject.toml reads it from here
 __version__ = "0.1.0"
 
 from .index_sets import (IndexSet, GeometricProfile, build_explicit,

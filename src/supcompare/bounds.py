@@ -137,7 +137,6 @@ def auto_beta(profile: GeometricProfile, u: float,
 class ComparisonReport:
     """Empirical gap vs every applicable bound for one (set, law) pair."""
 
-    set_descriptor: str
     dist_name: str
     u: float
     xi_estimate: SupremumEstimate
@@ -178,9 +177,8 @@ def error_report(T: IndexSet, dist: CoordinateDistribution, replicates: int,
         if name == "u" or val is None:
             continue
         ratios[name] = gap / val if val > 0 else math.inf if gap > 0 else 0.0
-    return ComparisonReport(T.descriptor, dist.name, u, xi_est, g_est, gap,
-                            gap_se, bp, ratios, regime_flags(profile, u),
-                            paired)
+    return ComparisonReport(dist.name, u, xi_est, g_est, gap, gap_se, bp,
+                            ratios, regime_flags(profile, u), paired)
 
 
 @dataclass(frozen=True)

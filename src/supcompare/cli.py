@@ -35,7 +35,7 @@ from . import bounds as bounds_mod
 from . import checks
 from . import experiments
 from . import index_sets as isets
-from .distributions import (DEFAULT_SEED, CoordinateDistribution,
+from .distributions import (DEFAULT_SEED, SEED_LIMIT, CoordinateDistribution,
                             RandomStream, from_name)
 from .estimator import BRACKET_TOL, estimate_complexity, softmax_complexity
 
@@ -194,6 +194,8 @@ def parse_config(tokens, file_text: str | None = None) -> RunConfig:
     if replicates < 1:
         raise ConfigError("replicates must be >= 1")
     seed = _int(pairs, "seed", _DEFAULTS["seed"])
+    if not 0 <= seed < SEED_LIMIT:
+        raise ConfigError(f"seed must be in [0, 2^64), got {seed}")
     beta = pairs.get("beta")
     if beta is not None and beta != "auto":
         try:
@@ -357,7 +359,7 @@ def run(config: RunConfig) -> ResultRecord:
         rep = bounds_mod.error_report(T, dist, config.replicates, stream,
                                       config.paired)
         row = {
-            "set": rep.set_descriptor, "distribution": rep.dist_name,
+            "set": config.set_descriptor, "distribution": rep.dist_name,
             "u": rep.u, "gap": rep.gap, "gap_std_error": rep.gap_std_error,
             "paired": rep.paired,
         }
@@ -546,11 +548,14 @@ def main(argv=None) -> int:
             return 1
     try:
         config = parse_config(argv, file_text)
+        # an output_dir that cannot be made fails now, not after the run
+        os.makedirs(config.output_dir, exist_ok=True)
         record = run(config)
-    except ValueError as exc:  # a ConfigError or a refused hypothesis too
+        paths = emit(record, config.output_dir, config.format)
+    except (ValueError, OSError) as exc:
+        # a ConfigError, a refused hypothesis or an unwritable output_dir
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    paths = emit(record, config.output_dir, config.format)
     for name, passed in record.assertions.items():
         print(f"{'PASS' if passed else 'FAIL'} {name}")
     for path in paths:

@@ -19,12 +19,16 @@ from typing import Callable
 import numpy as np
 from scipy import special
 
-_MASK64 = (1 << 64) - 1
+# seeds and substream ids are 64-bit: each fills one half of a Philox key
+SEED_LIMIT = 1 << 64
+_MASK64 = SEED_LIMIT - 1
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 
 # master seed used everywhere a stream is not supplied explicitly
 DEFAULT_SEED = 202608
+# empirical_moment_check flags a moment this many standard errors off
+MOMENT_Z = 5.0
 
 
 def splitmix64(z: int) -> int:
@@ -56,8 +60,14 @@ class RandomStream:
     master_seed: int
     substream_id: int = 0
 
+    def __post_init__(self):
+        for name in ("master_seed", "substream_id"):
+            if not 0 <= getattr(self, name) < SEED_LIMIT:
+                raise ValueError(f"{name} must be in [0, 2^64), got "
+                                 f"{getattr(self, name)}")
+
     def generator(self) -> np.random.Generator:
-        key = (self.master_seed & _MASK64) | ((self.substream_id & _MASK64) << 64)
+        key = self.master_seed | (self.substream_id << 64)
         return np.random.Generator(np.random.Philox(key=key))
 
     def substream(self, tag: str, index: int = 0) -> "RandomStream":
@@ -225,7 +235,6 @@ class MomentCheckReport:
     declared_variance: float
     declared_third: float
     declared_fourth: float
-    z_threshold: float
     violations: tuple
 
     @property
@@ -234,10 +243,9 @@ class MomentCheckReport:
 
 
 def empirical_moment_check(dist: CoordinateDistribution, sample_count: int,
-                           stream: RandomStream,
-                           z_threshold: float = 5.0) -> MomentCheckReport:
+                           stream: RandomStream) -> MomentCheckReport:
     """Draw a sample and compare mean/variance/third/fourth raw moments to the
-    declared values at z_threshold standard errors.  A moment whose sampling
+    declared values at MOMENT_Z standard errors.  A moment whose sampling
     variance is exactly zero (lattice laws) is flagged only on exact mismatch.
     """
     if sample_count < 2:
@@ -259,11 +267,10 @@ def empirical_moment_check(dist: CoordinateDistribution, sample_count: int,
             ("third", m3, dist.third_moment, third_se),
             ("fourth", m4, dist.fourth, fourth_se)):
         diff = abs(emp - decl)
-        if diff > z_threshold * se or (se == 0.0 and diff != 0.0):
+        if diff > MOMENT_Z * se or (se == 0.0 and diff != 0.0):
             violations.append(label)
     if dist.bound is not None and float(np.max(np.abs(x))) > dist.bound * (1 + 1e-12):
         violations.append("bound")
     return MomentCheckReport(dist.name, sample_count, m1, mean_se, m2, var_se,
                              m3, third_se, m4, fourth_se, dist.variance,
-                             dist.third_moment, dist.fourth, z_threshold,
-                             tuple(violations))
+                             dist.third_moment, dist.fourth, tuple(violations))

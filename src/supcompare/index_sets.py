@@ -33,18 +33,16 @@ class IndexSet:
     the point matrix, and ``points`` calls it once, on first read.
     ``kind`` tags structured constructions so estimators can use exact
     fast paths; ``explicit`` means no structure is assumed.  ``param``
-    carries the structured construction's scalar parameter (theta for
-    negative-scaled basis families, the free sign count k of a diagonal
-    cube, the row scale of a spin set), else 0.0.  ``distinct`` is true when
-    the construction guarantees distinct rows, so ``dedupe`` has nothing
-    to remove.
+    carries the scalar a sup kernel reads (theta of a negative-scaled basis
+    family, the free sign count k of a diagonal cube), else 0.0.
+    ``distinct`` is true when the construction guarantees distinct rows, so
+    ``dedupe`` has nothing to remove.
     """
 
     cardinality: int
     dim: int
     build: Callable[[], np.ndarray] = field(repr=False)
     kind: str = "explicit"
-    descriptor: str = "explicit"
     param: float = 0.0
     distinct: bool = False
 
@@ -65,7 +63,7 @@ class IndexSet:
         return math.log(self.cardinality)
 
 
-def _declare(cardinality: int, dim: int, build, kind: str, descriptor: str,
+def _declare(cardinality: int, dim: int, build, kind: str,
              param: float = 0.0, distinct: bool = False,
              lazy: bool = False) -> IndexSet:
     """The one constructor: caps are checked on the declared shape before
@@ -77,19 +75,18 @@ def _declare(cardinality: int, dim: int, build, kind: str, descriptor: str,
         raise ValueError(f"cardinality {cardinality} exceeds cap {MAX_CARDINALITY}")
     if dim < 1 or dim > MAX_DIM:
         raise ValueError(f"dimension {dim} outside [1, {MAX_DIM}]")
-    T = IndexSet(cardinality, dim, build, kind, descriptor, param, distinct)
+    T = IndexSet(cardinality, dim, build, kind, param, distinct)
     if not lazy and not np.all(np.isfinite(T.points)):
         raise ValueError("points must be finite")
     return T
 
 
-def _finalize(points: np.ndarray, kind: str, descriptor: str,
-              distinct: bool = False) -> IndexSet:
-    """Declare a set from a point matrix that is already built."""
+def _finalize(points: np.ndarray, distinct: bool = False) -> IndexSet:
+    """Declare an ``explicit`` set from an already built point matrix."""
     points = np.ascontiguousarray(points, dtype=np.float64)
     if points.ndim != 2:
         raise ValueError("points must be a 2d array, one point per row")
-    return _declare(*points.shape, lambda: points, kind, descriptor,
+    return _declare(*points.shape, lambda: points, "explicit",
                     distinct=distinct)
 
 
@@ -98,7 +95,7 @@ def build_explicit(points) -> IndexSet:
     arr = np.array(points, dtype=np.float64)
     if arr.ndim == 1:
         raise ValueError("points must be a 2d array, one point per row")
-    return _finalize(arr, "explicit", "explicit")
+    return _finalize(arr)
 
 
 BASIS_MODES = ("canonical", "signed", "negative-scaled")
@@ -120,18 +117,17 @@ def make_basis_family(n: int, mode: str = "canonical",
         raise ValueError(f"theta is read only by mode=negative-scaled, not {mode}")
     if mode == "canonical":
         return _declare(n, n, lambda: np.eye(n), "basis-canonical",
-                        f"basis:n={n}", distinct=True, lazy=True)
+                        distinct=True, lazy=True)
     if mode == "signed":
         def signed():
             eye = np.eye(n)
             return np.vstack([eye, -eye])
-        return _declare(2 * n, n, signed, "basis-signed",
-                        f"basis:n={n},mode=signed", distinct=True, lazy=True)
+        return _declare(2 * n, n, signed, "basis-signed", distinct=True,
+                        lazy=True)
     # checked here: a lazy set's points are not scanned for NaN or inf
     if theta is None or not 0 < theta < math.inf:
         raise ValueError("negative-scaled mode requires a finite theta > 0")
     return _declare(n, n, lambda: -theta * np.eye(n), "basis-negative-scaled",
-                    f"basis:n={n},mode=negative-scaled,theta={theta:g}",
                     float(theta), distinct=True, lazy=True)
 
 
@@ -158,15 +154,14 @@ def sign_patterns(n: int, count: int | None = None,
     return bits.astype(np.float64) * 2.0 - 1.0
 
 
-def make_diagonal_cube(diag, signs=None, k: int | None = None) -> IndexSet:
+def make_diagonal_cube(diag, k: int | None = None) -> IndexSet:
     """Points {(s_1 d_1, ..., s_n d_n)} for sign vectors s.
 
     ``diag`` is a strictly decreasing positive sequence d_1 > ... > d_n > 0.
-    Sign vectors come from ``signs`` (explicit {-1,+1} matrix), or the first
-    2^k in lexicographic order, or the full cube when both are omitted.
-    Only the last two are ``diagonal-cube`` sets, whose sup kernel relies
-    on their leading n - k signs being -1; a set from ``signs`` is
-    ``explicit``.
+    The sign vectors are the first 2^k in lexicographic order, or the full
+    cube when k is omitted; the set's sup kernel relies on their leading
+    n - k signs being -1.  Other sign vectors make an ``explicit`` set:
+    ``build_explicit(signs * d)``.
     """
     d = np.asarray(diag, dtype=np.float64)
     if d.ndim != 1 or d.size < 1:
@@ -176,25 +171,14 @@ def make_diagonal_cube(diag, signs=None, k: int | None = None) -> IndexSet:
     if np.any(np.diff(d) >= 0):
         raise ValueError("diag must be strictly decreasing")
     n = d.size
-    if signs is not None and k is not None:
-        raise ValueError("give either signs or k, not both")
-    if signs is not None:
-        s = np.asarray(signs, dtype=np.float64)
-        if s.ndim != 2 or s.shape[1] != n:
-            raise ValueError("signs must have one column per diag entry")
-        if not np.all(np.abs(s) == 1.0):
-            raise ValueError("signs entries must be +-1")
-        return _declare(s.shape[0], n, lambda: s * d[None, :], "explicit",
-                        f"diagcube:n={n},signs=explicit")
     if n > 22 and k is None:
         raise ValueError("full cube beyond n=22 exceeds the cardinality cap; pass k")
     if k is not None and (k < 0 or k > n):
         raise ValueError("k must be in [0, n]")
     free = n if k is None else k
     count = 1 << free
-    desc = f"diagcube:n={n}" + ("" if k is None else f",k={k}")
     return _declare(count, n, lambda: sign_patterns(n, count) * d[None, :],
-                    "diagonal-cube", desc, float(free), distinct=True)
+                    "diagonal-cube", float(free), distinct=True)
 
 
 def make_spin_quadratic(N: int, normalized: bool = False) -> IndexSet:
@@ -227,10 +211,8 @@ def make_spin_tensor(N: int, m: int, normalized: bool = False) -> IndexSet:
         raise ValueError("binom(N, m) exceeds the dimension cap")
     if normalized:
         scale = 1.0 / (math.sqrt(dim) * math.sqrt(N))
-        tag = ",normalized=1"
     else:
         scale = N ** (-(m + 1) / 2.0)
-        tag = ""
 
     # a builder, so the byte budget is checked before np.empty allocates
     def build():
@@ -242,9 +224,7 @@ def make_spin_tensor(N: int, m: int, normalized: bool = False) -> IndexSet:
         return pts
 
     kind = "spin-quadratic" if m == 2 else "spin-tensor"
-    desc = (f"spin-quadratic:N={N}{tag}" if m == 2
-            else f"spin-tensor:N={N},m={m}{tag}")
-    return _declare(1 << N, dim, build, kind, desc, scale)
+    return _declare(1 << N, dim, build, kind)
 
 
 @dataclass(frozen=True)
@@ -311,7 +291,7 @@ def load_csv(path) -> IndexSet:
         rows = np.loadtxt(fh, delimiter=",", ndmin=2)
     if rows.shape != (card, dim):
         raise ValueError(f"data shape {rows.shape} does not match metadata ({card}, {dim})")
-    return _finalize(rows, "explicit", "explicit")
+    return _finalize(rows)
 
 
 def dedupe(T: IndexSet) -> IndexSet:
@@ -322,11 +302,11 @@ def dedupe(T: IndexSet) -> IndexSet:
     uniq = np.unique(T.points, axis=0)
     if uniq.shape[0] == T.cardinality:
         return T
-    return _finalize(uniq, "explicit", T.descriptor + ",deduped", distinct=True)
+    return _finalize(uniq, distinct=True)
 
 
 def scale(T: IndexSet, c: float) -> IndexSet:
     """The set c*T as an ``explicit`` set; structure tags are dropped."""
     if c == 0:
         raise ValueError("scale factor must be nonzero")
-    return _finalize(T.points * c, "explicit", f"scaled({c:g})*" + T.descriptor)
+    return _finalize(T.points * c)

@@ -37,6 +37,14 @@ from . import softmax as sm
 
 T_MAX_CAP = 60.0
 DEFAULT_STREAM = RandomStream(DEFAULT_SEED)
+# Gauss-Legendre nodes of the potential integrals in u = e^{-t}, and of the
+# Stein representation's integral over s in [0, 1]
+POTENTIAL_NODES = 64
+STEIN_NODES = 32
+# the truncated potential's tail e^{-t_max} Lip(f) r is aimed at this
+TAIL_TOL = 1e-9
+# least Monte-Carlo sample size of an estimated Gaussian mean E f(G)
+GAUSSIAN_MEAN_SAMPLES = 4096
 
 
 def _gauss_moment(k: int) -> float:
@@ -89,11 +97,11 @@ class Polynomial:
         return cls(n, terms)
 
     @classmethod
-    def coordinate_power(cls, n: int, i: int, k: int,
-                         coeff: float = 1.0) -> "Polynomial":
+    def coordinate_power(cls, n: int, i: int, k: int) -> "Polynomial":
+        """The monomial x_i^k."""
         e = [0] * n
         e[i] = k
-        return cls(n, {tuple(e): coeff})
+        return cls(n, {tuple(e): 1.0})
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         if other.n != self.n:
@@ -156,16 +164,9 @@ class Polynomial:
         return Polynomial(self.n, terms)
 
     def gaussian_mean(self) -> float:
-        """E f(G) exactly via Gaussian moments of each monomial."""
-        out = 0.0
-        for expo, c in self.terms.items():
-            m = c
-            for e in expo:
-                m *= _gauss_moment(e)
-                if m == 0.0:
-                    break
-            out += m
-        return out
+        """E f(G) exactly: the constant term of P_inf f, where every x_i^k
+        has smoothed to its Gaussian moment."""
+        return self.ou_smoothed(math.inf).terms.get((0,) * self.n, 0.0)
 
     def ou_smoothed(self, t: float) -> "Polynomial":
         """P_t f, exactly: each x_i^k expands binomially against Gaussian
@@ -327,16 +328,17 @@ def _closed_form_potential(poly: Polynomial, x: np.ndarray,
 
 
 def _gaussian_mean_estimate(f, n: int, samples: int, stream: RandomStream):
+    """(E f(G), standard error) from at least GAUSSIAN_MEAN_SAMPLES draws."""
     if isinstance(f, Polynomial):
         return f.gaussian_mean(), 0.0
     # one node at u = 0 evaluates f at G itself
     return mean_se(_ou_quadrature(f.value_rows, np.zeros(n), (0.0,), (1.0,),
-                                  samples, stream, "gaussian-mean"))
+                                  max(samples, GAUSSIAN_MEAN_SAMPLES), stream,
+                                  "gaussian-mean"))
 
 
-def ou_potential(f, x, nodes: int = 64, samples: int = 2048,
-                 stream: RandomStream = DEFAULT_STREAM,
-                 tail_tol: float = 1e-9) -> OperatorEstimate:
+def ou_potential(f, x, samples: int = 2048,
+                 stream: RandomStream = DEFAULT_STREAM) -> OperatorEstimate:
     """PP f(x) = int_0^inf (P_t f(x) - E f(G)) dt.
 
     Substituting u = e^{-t} gives int_{u_min}^1 (P_{-log u} f(x) - E f(G))/u du
@@ -350,24 +352,23 @@ def ou_potential(f, x, nodes: int = 64, samples: int = 2048,
         # the integrand (q(u) - q(0))/u is a polynomial in u; integrate it
         # term by term over [0, 1], with no truncation at all
         return _closed_form_potential(f, x, 0)
-    mg, mg_se = _gaussian_mean_estimate(f, n, max(samples, 4096), stream)
+    mg, mg_se = _gaussian_mean_estimate(f, n, samples, stream)
     scale = f.lipschitz_bound(float(np.linalg.norm(x)) + math.sqrt(n)) \
         * (float(np.linalg.norm(x)) + math.sqrt(n))
-    t_max = min(max(1.0, math.log(max(scale, tail_tol) / tail_tol)), T_MAX_CAP)
+    t_max = min(max(1.0, math.log(max(scale, TAIL_TOL) / TAIL_TOL)), T_MAX_CAP)
     tail = math.exp(-t_max) * scale
-    u, w = _gauss_legendre(nodes, math.exp(-t_max), 1.0)
+    u, w = _gauss_legendre(POTENTIAL_NODES, math.exp(-t_max), 1.0)
     w = w / u
     vals = _ou_quadrature(lambda Y: f.value_rows(Y) - mg, x, u, w,
                           samples, stream, "ou-potential")
     value, se_mc = mean_se(vals)
     # the rule subtracts the estimated mean with total weight sum_j w_j/u_j
     se = math.hypot(se_mc, float(w.sum()) * mg_se)
-    return OperatorEstimate(value, se, samples, nodes, t_max, tail,
+    return OperatorEstimate(value, se, samples, POTENTIAL_NODES, t_max, tail,
                             "mc-quadrature")
 
 
-def potential_partial(f, x, i: int, k: int, nodes: int = 64,
-                      samples: int = 2048,
+def potential_partial(f, x, i: int, k: int, samples: int = 2048,
                       stream: RandomStream = DEFAULT_STREAM) -> OperatorEstimate:
     """d_i^{(k)} PP f(x) = int_0^inf e^{-kt} P_t(d_i^{(k)} f)(x) dt, k >= 1.
 
@@ -377,18 +378,18 @@ def potential_partial(f, x, i: int, k: int, nodes: int = 64,
     so there is no truncation error.  k = 0 delegates to ou_potential.
     """
     if k == 0:
-        return ou_potential(f, x, nodes, samples, stream)
+        return ou_potential(f, x, samples, stream)
     if k < 0:
         raise ValueError("k must be >= 0")
     x = np.asarray(x, dtype=np.float64)
     if isinstance(f, Polynomial):
         return _closed_form_potential(f.partial(i, k), x, k)
-    u, w = _gauss_legendre(nodes, 0.0, 1.0)
+    u, w = _gauss_legendre(POTENTIAL_NODES, 0.0, 1.0)
     vals = _ou_quadrature(lambda Y: f.partial_rows(Y, i, k), x, u,
                           w * u ** (k - 1), samples, stream,
                           f"potential-partial-{i}-{k}")
-    return OperatorEstimate(*mean_se(vals), samples, nodes, math.inf, 0.0,
-                            "mc-quadrature")
+    return OperatorEstimate(*mean_se(vals), samples, POTENTIAL_NODES, math.inf,
+                            0.0, "mc-quadrature")
 
 
 @dataclass(frozen=True)
@@ -404,7 +405,7 @@ class PoissonReport:
     ok: bool
 
 
-def poisson_identity_check(f, x, nodes: int = 64, samples: int = 2048,
+def poisson_identity_check(f, x, samples: int = 2048,
                            stream: RandomStream = DEFAULT_STREAM) -> PoissonReport:
     """Check f(x) - E f(G) = -L PP f(x); polynomials also check -PP L f(x).
 
@@ -414,22 +415,22 @@ def poisson_identity_check(f, x, nodes: int = 64, samples: int = 2048,
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.size
-    mg, mg_se = _gaussian_mean_estimate(f, n, max(samples, 4096),
+    mg, mg_se = _gaussian_mean_estimate(f, n, samples,
                                         stream.substream("poisson-mean"))
     lhs = float(f.value_rows(x[None, :])[0]) - mg
     rhs = 0.0
     var = mg_se ** 2
     exact = isinstance(f, Polynomial)
     for i in range(n):
-        d1 = potential_partial(f, x, i, 1, nodes, samples,
+        d1 = potential_partial(f, x, i, 1, samples,
                                stream.substream("poisson-d1", i))
-        d2 = potential_partial(f, x, i, 2, nodes, samples,
+        d2 = potential_partial(f, x, i, 2, samples,
                                stream.substream("poisson-d2", i))
         rhs += float(x[i]) * d1.value - d2.value
         var += (float(x[i]) * d1.std_error) ** 2 + d2.std_error ** 2
     rhs2 = None
     if exact:
-        rhs2 = -ou_potential(f.generator(), x, nodes).value
+        rhs2 = -ou_potential(f.generator(), x).value
     se = math.sqrt(var)
     tolerance = 1e-10 if exact else 4.0 * se + 1e-9
     ok = abs(lhs - rhs) <= tolerance
@@ -458,7 +459,6 @@ class SteinReport:
     tolerance: float
     exact: bool
     replicates: int
-    s_nodes: int
     ok: bool
 
     @property
@@ -499,8 +499,7 @@ def _stein_terms(f, X: np.ndarray, variant: str, s: np.ndarray,
 def stein_representation_check(f, dist: CoordinateDistribution,
                                variant: str = "fourth",
                                stream: RandomStream = DEFAULT_STREAM,
-                               replicates: int = 2000, s_nodes: int = 32,
-                               force_mc: bool = False) -> SteinReport:
+                               replicates: int = 2000) -> SteinReport:
     """Check E L f(xi) against its integral representation.
 
     variant 'third' uses third partials and needs E xi^2 = 1, E|xi|^3 < inf;
@@ -519,14 +518,14 @@ def stein_representation_check(f, dist: CoordinateDistribution,
         raise HypothesisViolation(
             "third moment", f"E xi^3 must vanish, got {dist.third_moment}")
     n = f.n
-    s, w = _gauss_legendre(s_nodes, 0.0, 1.0)
+    s, w = _gauss_legendre(STEIN_NODES, 0.0, 1.0)
 
     def sides(X):
         # per row: the generator side E L f and the representation side
         return np.stack([f.generator_rows(X),
                          _stein_terms(f, X, variant, s, w)], axis=1)
 
-    exact = dist.name == "rademacher" and n <= 12 and not force_mc
+    exact = dist.name == "rademacher" and n <= 12
     if exact:
         S, se, tol = sides(sign_patterns(n)), 0.0, 1e-10
     else:
@@ -536,7 +535,7 @@ def stein_representation_check(f, dist: CoordinateDistribution,
         tol = 4.0 * se + 1e-9
     lhs, rhs = (float(v) for v in S.mean(axis=0))
     return SteinReport(variant, lhs, rhs, se, tol, exact, S.shape[0],
-                       s_nodes, abs(lhs - rhs) <= tol)
+                       abs(lhs - rhs) <= tol)
 
 
 def semigroup_check(f, t1: float, t2: float, x, samples: int = 4096,
@@ -585,7 +584,7 @@ def ergodic_check(f, t: float, x, samples: int = 4096,
         dev = abs(float(f.ou_smoothed(t)(x)) - f.gaussian_mean())
         bound = math.exp(-t) * float(np.abs(q[1:]).sum())
         return dev, bound, dev <= bound * (1 + 1e-9) + 1e-12
-    mg, mg_se = _gaussian_mean_estimate(f, n, max(samples, 4096),
+    mg, mg_se = _gaussian_mean_estimate(f, n, samples,
                                         stream.substream("ergodic-mean"))
     est = ou_apply(f, t, x, samples, stream.substream("ergodic"))
     dev = abs(est.value - mg)

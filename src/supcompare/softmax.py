@@ -30,6 +30,11 @@ WEIGHT_FLUSH = 1e-300
 # moment-bound constants for the third and fourth log-Laplace derivatives
 THIRD_DERIV_CONST = 6.0
 FOURTH_DERIV_CONST = 26.0
+# relative float slack of derivative_bound_check and lipschitz_log_moment_check
+DERIV_BOUND_SLACK = 1e-12
+LIPSCHITZ_SLACK = 1e-10
+# collapse_weight's beta, in units of 1/margin
+COLLAPSE_MARGIN_FACTOR = 50.0
 
 
 def _require_beta(beta: float) -> float:
@@ -195,8 +200,8 @@ class DerivativeBoundReport:
     ok: bool
 
 
-def derivative_bound_check(T: IndexSet, beta: float, x, i: int,
-                           slack: float = 1e-12) -> DerivativeBoundReport:
+def derivative_bound_check(T: IndexSet, beta: float, x,
+                           i: int) -> DerivativeBoundReport:
     """Check 0 <= d2 <= beta E[l_i^2], |d3| <= 6 beta^2 E|l_i|^3,
     |d4| <= 26 beta^3 E[l_i^4], moments under the Gibbs measure."""
     beta = _require_beta(beta)
@@ -206,7 +211,7 @@ def derivative_bound_check(T: IndexSet, beta: float, x, i: int,
     b2 = beta * gibbs_moment(mu, i, 2, absolute=True)
     b3 = THIRD_DERIV_CONST * beta ** 2 * gibbs_moment(mu, i, 3, absolute=True)
     b4 = FOURTH_DERIV_CONST * beta ** 3 * gibbs_moment(mu, i, 4)
-    tol = slack * max(1.0, b2, b3, b4)
+    tol = DERIV_BOUND_SLACK * max(1.0, b2, b3, b4)
     ok = (-tol <= d2 <= b2 + tol) and abs(d3) <= b3 + tol and abs(d4) <= b4 + tol
     return DerivativeBoundReport(d2, d3, d4, b2, b3, b4, ok)
 
@@ -263,8 +268,7 @@ class LipschitzMomentReport:
 
 
 def lipschitz_log_moment_check(T: IndexSet, beta: float, x, y, i: int,
-                               k: int = 4,
-                               slack: float = 1e-10) -> LipschitzMomentReport:
+                               k: int = 4) -> LipschitzMomentReport:
     """Check |log E_{mu_x}|l_i|^k - log E_{mu_y}|l_i|^k| <= 2 beta sup_t |<t, x-y>|.
 
     When x - y is supported on coordinate i alone the sharper coordinate form
@@ -295,7 +299,7 @@ def lipschitz_log_moment_check(T: IndexSet, beta: float, x, y, i: int,
     elif support.size == 1 and support[0] == i:
         coord = 2.0 * beta * geometric_profile(T).rinf * abs(float(diff[i]))
     bound = general if coord is None else min(general, coord)
-    ok = gap <= bound + slack * max(1.0, bound)
+    ok = gap <= bound + LIPSCHITZ_SLACK * max(1.0, bound)
     return LipschitzMomentReport(lx, ly, gap, general, coord, ok)
 
 
@@ -312,16 +316,16 @@ def grad_fd_report(T: IndexSet, beta: float, x, i: int, order: int):
     return analytic, fd
 
 
-def collapse_weight(T: IndexSet, x, margin_factor: float = 50.0) -> float:
-    """Gibbs weight of the maximizing row at beta = margin_factor / margin,
-    margin = gap between the best and second-best inner products.  Requires
-    a unique maximizer among distinct values."""
+def collapse_weight(T: IndexSet, x) -> float:
+    """Gibbs weight of the maximizing row at beta = COLLAPSE_MARGIN_FACTOR /
+    margin, margin = gap between the best and second-best inner products.
+    Requires a unique maximizer among distinct values."""
     z = T.points @ np.asarray(x, dtype=np.float64)
     order = np.argsort(z)
     top, second = z[order[-1]], z[order[-2]]
     margin = top - second
     if margin <= 0:
         raise ValueError("maximizer is not unique")
-    beta = margin_factor / margin
+    beta = COLLAPSE_MARGIN_FACTOR / margin
     w = gibbs_weights(T, beta, x)
     return float(w[order[-1]])

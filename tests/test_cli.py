@@ -1,6 +1,8 @@
+import csv
 import json
 import math
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -90,6 +92,45 @@ def test_bounds_csv_names_the_law_parameter(tmp_path):
                      f"output_dir={tmp_path}"]) == 0
     text = (tmp_path / "bounds.csv").read_text()
     assert "scaled-rademacher:2.0" in text
+
+
+def test_bounds_csv_set_is_the_descriptor_as_typed(tmp_path):
+    # each names a set that a rebuilt name would lose: a non-default alpha,
+    # an explicit diagonal, a theta past six significant digits
+    for i, desc in enumerate((
+            "diagcube:n=6,alpha=0.9", "diagcube:d=3|2|1",
+            "basis:n=4,mode=negative-scaled,theta=1.23456789")):
+        out = tmp_path / str(i)
+        assert run_main(["bounds", f"set={desc}", "replicates=200",
+                         "format=csv", f"output_dir={out}"]) == 0
+        with open(out / "bounds.csv", newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        assert row["set"] == desc
+
+
+def test_seed_outside_64_bits_is_refused(tmp_path, capsys):
+    for seed in (-1, 1 << 64):
+        with pytest.raises(cli.ConfigError, match="seed"):
+            cli.parse_config(["estimate", "set=basis:n=4", f"seed={seed}"])
+        assert run_main(["estimate", "set=basis:n=4", "replicates=200",
+                         f"seed={seed}", f"output_dir={tmp_path}"]) == 1
+        assert "error: seed" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+    assert cli.parse_config(["estimate", "set=basis:n=4",
+                             f"seed={(1 << 64) - 1}"]).seed == (1 << 64) - 1
+
+
+def test_output_dir_naming_a_file_fails_before_the_run(tmp_path, capsys,
+                                                       monkeypatch):
+    path = tmp_path / "taken"
+    path.write_text("")
+
+    def run(config):
+        raise AssertionError("ran with an unusable output_dir")
+    monkeypatch.setattr(cli, "run", run)
+    assert run_main(["verify", "gibbs", f"output_dir={path}"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert path.read_text() == ""
 
 
 # a valid value for every config key a subcommand may read
@@ -296,10 +337,15 @@ def test_beta_auto_on_a_zero_set_exits_1(tmp_path, capsys):
 
 
 def test_version_has_one_source(tmp_path):
-    tomllib = pytest.importorskip("tomllib")
+    # pyproject.toml declares no version literal: setuptools reads it from
+    # supcompare.__version__, the one the JSON record carries
+    pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")
     pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
-    with open(pyproject, "rb") as fh:
-        assert tomllib.load(fh)["project"]["version"] == supcompare.__version__
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # [tool.setuptools] is flagged beta
+        project = pyprojecttoml.read_configuration(pyproject)["project"]
+    assert project["dynamic"] == ["version"]
+    assert project["version"] == supcompare.__version__
     out = tmp_path / "version"
     run_main(["sudakov", "set=basis:n=4", f"output_dir={out}"])
     doc = json.loads((out / "sudakov.json").read_text())

@@ -161,6 +161,16 @@ def test_stream_reproducible_and_keyed():
     assert not np.array_equal(va, d.generator().standard_normal(4))
 
 
+def test_stream_refuses_a_seed_outside_64_bits():
+    for bad in (-1, 1 << 64):
+        with pytest.raises(ValueError, match="master_seed"):
+            dists.RandomStream(bad)
+        with pytest.raises(ValueError, match="substream_id"):
+            dists.RandomStream(0, bad)
+    top = dists.RandomStream((1 << 64) - 1, (1 << 64) - 1)
+    assert top.generator().standard_normal(2).shape == (2,)
+
+
 def test_substream_mix_is_published():
     # the documented derivation: fnv1a over the tag, then two splitmix steps
     h = dists.fnv1a64(b"tag")

@@ -199,7 +199,7 @@ def test_explicit_sign_cube_takes_matmul_path():
     n = 6
     d = _cube_diag(n)
     # the last four sign vectors: not the prefix the closed form assumes
-    T = isets.make_diagonal_cube(d, signs=isets.sign_patterns(n)[-4:])
+    T = isets.build_explicit(isets.sign_patterns(n)[-4:] * d)
     assert T.kind == "explicit"
     X = np.random.default_rng(8).standard_normal((300, n))
     sups = est._sup_kernel(T)(X)

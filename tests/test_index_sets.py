@@ -88,7 +88,7 @@ def test_distinct_flag_skips_unique(monkeypatch, tmp_path):
                isets.make_diagonal_cube(d, k=2),
                isets.dedupe(dup)]
     isets.save_csv(flagged[0], tmp_path / "set.csv")
-    unflagged = [dup, isets.make_diagonal_cube(d, signs=[[1, -1, 1]]),
+    unflagged = [dup, isets.build_explicit(np.array([[1, -1, 1]]) * d),
                  isets.load_csv(tmp_path / "set.csv"),
                  isets.make_spin_quadratic(3), isets.make_spin_tensor(4, 3),
                  isets.scale(flagged[0], 2.0)]
@@ -131,9 +131,6 @@ def test_diagonal_cube_full_and_subset():
     Tk = isets.make_diagonal_cube(d, k=2)
     assert Tk.cardinality == 4
     assert np.array_equal(Tk.points, T.points[:4])
-    signs = [[1, -1, 1], [-1, 1, 1]]
-    Ts = isets.make_diagonal_cube(d, signs=signs)
-    assert np.array_equal(Ts.points, np.asarray(signs) * np.asarray(d))
 
 
 def test_diagonal_cube_validation():
@@ -143,10 +140,6 @@ def test_diagonal_cube_validation():
         isets.make_diagonal_cube([1.0, -0.5])
     with pytest.raises(ValueError):
         isets.make_diagonal_cube([0.5, 1.0])
-    with pytest.raises(ValueError):
-        isets.make_diagonal_cube([1.0, 0.5], signs=[[1, 2]])
-    with pytest.raises(ValueError):
-        isets.make_diagonal_cube([1.0, 0.5], signs=[[1, -1]], k=1)
 
 
 def test_spin_quadratic_small():

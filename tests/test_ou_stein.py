@@ -204,7 +204,7 @@ def test_stein_refuses_bad_hypotheses():
         ou.stein_representation_check(f, skewed, "fourth")
     assert exc.value.moment == "third moment"
     # the third-order representation does not need symmetry
-    rep = ou.stein_representation_check(f, skewed, "third", force_mc=True,
+    rep = ou.stein_representation_check(f, skewed, "third",
                                         stream=dists.RandomStream(10),
                                         replicates=500)
     assert rep.replicates == 500
