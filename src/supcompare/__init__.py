@@ -19,8 +19,7 @@ from .softmax import (WeightedMeasure, log_partition,
                       sandwich_gap, gibbs_measure, gibbs_weights,
                       gibbs_moment, log_partition_grad,
                       log_partition_partial, derivative_bound_check,
-                      log_laplace, tilted_measure, log_laplace_partial,
-                      uniform_measure, weighted_measure,
+                      log_laplace, tilted_measure, uniform_measure,
                       lipschitz_log_moment_check, uniform_identity_gap,
                       collapse_weight, gibbs_weight_rows)
 from .ou_stein import (Polynomial, SoftmaxFunction, OperatorEstimate,
@@ -28,7 +27,7 @@ from .ou_stein import (Polynomial, SoftmaxFunction, OperatorEstimate,
                        ou_apply, ou_potential, potential_partial,
                        poisson_identity_check, stein_representation_check,
                        semigroup_check, ergodic_check)
-from .estimator import (SupremumEstimate, exact_sup, estimate_complexity,
+from .estimator import (SupremumEstimate, estimate_complexity,
                         exact_rademacher_complexity, softmax_complexity,
                         paired_gap_estimate)
 from .bounds import (BoundProfile, ComparisonReport, SudakovReport,

@@ -10,15 +10,13 @@ runs its blocks through the one driver ``_blocked`` and reports its mean
 and standard error through ``mean_se``.
 
 Sup kernels: ``_sup_kernel(T)`` is the single dispatch point that maps a
-block X of draws to sup_t <x, t> per row.  Structured sets whose kind is a
-key of ``SUP_KERNELS`` use that entry: basis families never touch
-``T.points``, a diagonal cube reads its diagonal from them, and a
-two-spin set runs the matmul over its distinct half.  Every other set
-runs the chunked matmul over its distinct points.  A new fast path joins
-as one more entry ``kind: (T, X) -> sups``, plus a case in
-``KERNEL_CASES`` (bitwise kernels) or ``CLOSED_FORM_CASES`` of
-tests/test_estimator.py, whose differential tests run every entry against
-the matmul path on an untagged copy of the points.
+block X of draws to sup_t <x, t> per row.  A set whose constructor
+declared a kernel ``T.sup`` runs it, and the kernel receives the set;
+every other set runs the chunked matmul over its distinct points.  A new
+fast path is declared by its set's constructor in ``index_sets``, plus a
+case in ``KERNEL_CASES`` (bitwise kernels) or ``CLOSED_FORM_CASES`` of
+tests/test_estimator.py, whose differential tests run every declared
+kernel against the matmul path on an untagged copy of the points.
 """
 from __future__ import annotations
 
@@ -28,12 +26,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import CoordinateDistribution, RandomStream, gaussian
-from .index_sets import IndexSet, dedupe, sign_patterns
+from .index_sets import (POINT_CHUNK, IndexSet, _chunked_sup, dedupe,
+                         sign_patterns)
 from .softmax import _require_beta, _smoothed_max_rows
 
 SAMPLE_BLOCK = 1024
-POINT_CHUNK = 16384
-BIG_DIM = 10_000
 MIN_REPLICATES = 100
 MAX_ENUM_DIM = 22
 # float tolerance of the pointwise soft-max bracket sup <= F_beta <= sup + offset
@@ -66,62 +63,10 @@ def mean_se(values: np.ndarray) -> tuple:
             float(np.std(values, ddof=1)) / math.sqrt(values.size))
 
 
-def _chunked_sup(points: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """max over rows t of points of <x, t>, for each row x of X.
-
-    Points go in POINT_CHUNK chunks; in huge dimension the products
-    accumulate over 4096-column slices, which keeps rounding bounded.
-    """
-    dim = points.shape[1]
-    out = np.full(X.shape[0], -np.inf)
-    for lo in range(0, points.shape[0], POINT_CHUNK):
-        chunk = points[lo:lo + POINT_CHUNK]
-        if dim > BIG_DIM:
-            Z = np.zeros((X.shape[0], chunk.shape[0]))
-            for k in range(0, dim, 4096):
-                Z += X[:, k:k + 4096] @ chunk.T[k:k + 4096, :]
-        else:
-            Z = X @ chunk.T
-        np.maximum(out, Z.max(axis=1), out=out)
-    return out
-
-
-def exact_sup(T: IndexSet, x) -> float:
-    """max_t <x, t>, chunked over points; compensated in huge dimension."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (T.dim,):
-        raise ValueError(f"x must have shape ({T.dim},)")
-    return float(_chunked_sup(T.points, x[None, :])[0])
-
-
-def _diagonal_cube_sup(T: IndexSet, X: np.ndarray) -> np.ndarray:
-    """sum_{free} d_i |x_i| - sum_{fixed} d_i x_i: a cube from k fixes its
-    leading n - k signs at -1, so row 0 is -d."""
-    d, lo = -T.points[0], T.dim - int(T.param)
-    # einsum, not a BLAS gemv: its summation order, and so the result, must
-    # not depend on the BLAS thread count
-    return (np.einsum("ij,j->i", np.abs(X[:, lo:]), d[lo:])
-            - np.einsum("ij,j->i", X[:, :lo], d[:lo]))
-
-
-# exact sup kernels of structured sets, keyed by IndexSet.kind
-SUP_KERNELS = {
-    "basis-canonical": lambda T, X: X.max(axis=1),
-    "basis-signed": lambda T, X: np.abs(X).max(axis=1),
-    "basis-negative-scaled": lambda T, X: (X * -T.param).max(axis=1),
-    "diagonal-cube": _diagonal_cube_sup,
-    # rows sigma and -sigma coincide, and the first half (sigma_1 = -1)
-    # holds every distinct row
-    "spin-quadratic": lambda T, X: _chunked_sup(
-        T.points[:T.cardinality // 2], X),
-}
-
-
 def _sup_kernel(T: IndexSet):
     """X -> sup_t <x, t> for each row x of X."""
-    kernel = SUP_KERNELS.get(T.kind)
-    if kernel is not None:
-        return lambda X: kernel(T, X)
+    if T.sup is not None:
+        return lambda X: T.sup(T, X)
     # the sup over T equals the sup over its distinct rows
     distinct = dedupe(T).points
     return lambda X: _chunked_sup(distinct, X)

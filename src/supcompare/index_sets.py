@@ -8,6 +8,13 @@ when declared.  Basis families are built only if something reads their
 points: their sup kernels and sampling need only the declared shape.
 Duplicate rows are retained: the declared cardinality enters
 log-cardinality bounds, and deduplication is the caller's choice.
+
+A structured set's constructor declares its exact sup kernel ``sup(T, X)``,
+the max over rows t of <x, t> for each row x of X: basis families never
+touch the points, a diagonal cube closes over its diagonal and free sign
+count, and a spin set of even order runs the matmul over its distinct
+half.  The kernel receives the set rather than capturing it, so a set
+holds no reference to itself and is freed with its last reference.
 """
 from __future__ import annotations
 
@@ -23,6 +30,8 @@ MAX_CARDINALITY = 2 ** 22
 MAX_DIM = 2 ** 20
 # bytes of a built point matrix (8 * cardinality * dim)
 MAX_POINT_BYTES = 2 ** 31
+POINT_CHUNK = 16384
+BIG_DIM = 10_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -31,10 +40,9 @@ class IndexSet:
 
     ``cardinality`` and ``dim`` are the declared shape; ``build`` returns
     the point matrix, and ``points`` calls it once, on first read.
-    ``kind`` tags structured constructions so estimators can use exact
-    fast paths; ``explicit`` means no structure is assumed.  ``param``
-    carries the scalar a sup kernel reads (theta of a negative-scaled basis
-    family, the free sign count k of a diagonal cube), else 0.0.
+    ``kind`` labels the construction; ``explicit`` means no structure is
+    assumed.  ``sup`` is the exact sup kernel ``(T, X) -> sups`` its
+    constructor declared, or None for the generic matmul path.
     ``distinct`` is true when the construction guarantees distinct rows, so
     ``dedupe`` has nothing to remove.
     """
@@ -43,7 +51,8 @@ class IndexSet:
     dim: int
     build: Callable[[], np.ndarray] = field(repr=False)
     kind: str = "explicit"
-    param: float = 0.0
+    sup: Callable[["IndexSet", np.ndarray], np.ndarray] | None = field(
+        default=None, repr=False)
     distinct: bool = False
 
     @cached_property
@@ -63,9 +72,8 @@ class IndexSet:
         return math.log(self.cardinality)
 
 
-def _declare(cardinality: int, dim: int, build, kind: str,
-             param: float = 0.0, distinct: bool = False,
-             lazy: bool = False) -> IndexSet:
+def _declare(cardinality: int, dim: int, build, kind: str, sup=None,
+             distinct: bool = False, lazy: bool = False) -> IndexSet:
     """The one constructor: caps are checked on the declared shape before
     anything is built.  The points are built and checked finite now,
     unless ``lazy`` leaves them to the first read."""
@@ -75,7 +83,7 @@ def _declare(cardinality: int, dim: int, build, kind: str,
         raise ValueError(f"cardinality {cardinality} exceeds cap {MAX_CARDINALITY}")
     if dim < 1 or dim > MAX_DIM:
         raise ValueError(f"dimension {dim} outside [1, {MAX_DIM}]")
-    T = IndexSet(cardinality, dim, build, kind, param, distinct)
+    T = IndexSet(cardinality, dim, build, kind, sup, distinct)
     if not lazy and not np.all(np.isfinite(T.points)):
         raise ValueError("points must be finite")
     return T
@@ -98,6 +106,26 @@ def build_explicit(points) -> IndexSet:
     return _finalize(arr)
 
 
+def _chunked_sup(points: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """max over rows t of points of <x, t>, for each row x of X.
+
+    Points go in POINT_CHUNK chunks; in huge dimension the products
+    accumulate over 4096-column slices, which keeps rounding bounded.
+    """
+    dim = points.shape[1]
+    out = np.full(X.shape[0], -np.inf)
+    for lo in range(0, points.shape[0], POINT_CHUNK):
+        chunk = points[lo:lo + POINT_CHUNK]
+        if dim > BIG_DIM:
+            Z = np.zeros((X.shape[0], chunk.shape[0]))
+            for k in range(0, dim, 4096):
+                Z += X[:, k:k + 4096] @ chunk.T[k:k + 4096, :]
+        else:
+            Z = X @ chunk.T
+        np.maximum(out, Z.max(axis=1), out=out)
+    return out
+
+
 BASIS_MODES = ("canonical", "signed", "negative-scaled")
 
 
@@ -117,18 +145,21 @@ def make_basis_family(n: int, mode: str = "canonical",
         raise ValueError(f"theta is read only by mode=negative-scaled, not {mode}")
     if mode == "canonical":
         return _declare(n, n, lambda: np.eye(n), "basis-canonical",
-                        distinct=True, lazy=True)
+                        lambda T, X: X.max(axis=1), distinct=True, lazy=True)
     if mode == "signed":
         def signed():
             eye = np.eye(n)
             return np.vstack([eye, -eye])
-        return _declare(2 * n, n, signed, "basis-signed", distinct=True,
+        return _declare(2 * n, n, signed, "basis-signed",
+                        lambda T, X: np.abs(X).max(axis=1), distinct=True,
                         lazy=True)
     # checked here: a lazy set's points are not scanned for NaN or inf
     if theta is None or not 0 < theta < math.inf:
         raise ValueError("negative-scaled mode requires a finite theta > 0")
+    neg = -float(theta)
     return _declare(n, n, lambda: -theta * np.eye(n), "basis-negative-scaled",
-                    float(theta), distinct=True, lazy=True)
+                    lambda T, X: (X * neg).max(axis=1), distinct=True,
+                    lazy=True)
 
 
 def sign_patterns(n: int, count: int | None = None,
@@ -161,9 +192,11 @@ def make_diagonal_cube(diag, k: int | None = None) -> IndexSet:
     The sign vectors are the first 2^k in lexicographic order, or the full
     cube when k is omitted; the set's sup kernel relies on their leading
     n - k signs being -1.  Other sign vectors make an ``explicit`` set:
-    ``build_explicit(signs * d)``.
+    ``build_explicit(signs * d)``.  ``diag`` is copied, so a later change
+    to the caller's array reaches neither the points nor the kernel.
     """
-    d = np.asarray(diag, dtype=np.float64)
+    d = np.array(diag, dtype=np.float64)
+    d.setflags(write=False)
     if d.ndim != 1 or d.size < 1:
         raise ValueError("diag must be a 1d sequence")
     if not np.all(d > 0):
@@ -177,8 +210,16 @@ def make_diagonal_cube(diag, k: int | None = None) -> IndexSet:
         raise ValueError("k must be in [0, n]")
     free = n if k is None else k
     count = 1 << free
+    lo = n - free
+
+    def sup(T, X):
+        # sum_{free} d_i |x_i| - sum_{fixed} d_i x_i.  einsum, not a BLAS
+        # gemv: its summation order, and so the result, must not depend on
+        # the BLAS thread count
+        return (np.einsum("ij,j->i", np.abs(X[:, lo:]), d[lo:])
+                - np.einsum("ij,j->i", X[:, :lo], d[:lo]))
     return _declare(count, n, lambda: sign_patterns(n, count) * d[None, :],
-                    "diagonal-cube", float(free), distinct=True)
+                    "diagonal-cube", sup, distinct=True)
 
 
 def make_spin_quadratic(N: int, normalized: bool = False) -> IndexSet:
@@ -224,7 +265,16 @@ def make_spin_tensor(N: int, m: int, normalized: bool = False) -> IndexSet:
         return pts
 
     kind = "spin-quadratic" if m == 2 else "spin-tensor"
-    return _declare(1 << N, dim, build, kind)
+    if m % 2 == 0:
+        return _declare(1 << N, dim, build, kind, _half_orbit_sup)
+    # for odd m < N distinct sigma give distinct rows; m = N gives two rows
+    return _declare(1 << N, dim, build, kind, distinct=m < N)
+
+
+def _half_orbit_sup(T: IndexSet, X: np.ndarray) -> np.ndarray:
+    """Sup over an even-order spin set: rows sigma and -sigma coincide, and
+    the first half (sigma_1 = -1) holds every distinct row."""
+    return _chunked_sup(T.points[:T.cardinality // 2], X)
 
 
 @dataclass(frozen=True)

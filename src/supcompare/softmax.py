@@ -86,20 +86,6 @@ def uniform_measure(T: IndexSet) -> WeightedMeasure:
     return WeightedMeasure(T, w)
 
 
-def weighted_measure(T: IndexSet, weights) -> WeightedMeasure:
-    w = np.asarray(weights, dtype=np.float64)
-    if w.shape != (T.cardinality,):
-        raise ValueError("weights must have one entry per point")
-    if np.any(w < 0) or not np.all(np.isfinite(w)):
-        raise ValueError("weights must be finite and nonnegative")
-    s = w.sum()
-    if s <= 0:
-        raise ValueError("weights must have positive total mass")
-    w = w / s
-    w.setflags(write=False)
-    return WeightedMeasure(T, w)
-
-
 def _normalized_exp(z: np.ndarray) -> np.ndarray:
     """exp(z) normalized along the last axis, max-subtracted; weights below
     WEIGHT_FLUSH flush to exact zero."""
@@ -233,14 +219,6 @@ def tilted_measure(mu: WeightedMeasure, x) -> WeightedMeasure:
     w = _normalized_exp(_tilt_logits(mu, x))
     w.setflags(write=False)
     return WeightedMeasure(mu.base, w)
-
-
-def log_laplace_partial(mu: WeightedMeasure, x, i: int, order: int) -> float:
-    """Coordinate partials of Lambda_mu at x: central moments of l_i under
-    the tilted measure (the beta = 1 case of log_partition_partial)."""
-    nu = tilted_measure(mu, x)
-    return float(_partial_rows(nu.weights[None, :], mu.base.points[:, i],
-                               1.0, order)[0])
 
 
 def uniform_identity_gap(T: IndexSet, beta: float, x) -> float:

@@ -166,7 +166,7 @@ def test_parse_set_families():
     T = cli.parse_set("basis:n=5,mode=signed")
     assert T.cardinality == 10
     T = cli.parse_set("basis:n=3,mode=negative-scaled,theta=2")
-    assert T.param == 2.0
+    assert np.array_equal(T.points, -2 * np.eye(3))
     T = cli.parse_set("diagcube:n=4,alpha=0.5,k=2")
     assert T.cardinality == 4 and T.dim == 4
     T = cli.parse_set("diagcube:d=1|0.5")

@@ -1,5 +1,7 @@
+import gc
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -11,15 +13,18 @@ from supcompare import index_sets as isets
 SQRT_2_OVER_PI = 0.7978845608028654  # E|g| for standard Gaussian
 
 
+def exact_sup(T, x):
+    """max_t <x, t> at one x, through the set's sup kernel."""
+    return float(est._sup_kernel(T)(np.asarray(x)[None, :])[0])
+
+
 def test_exact_sup_brute_force():
     rng = np.random.default_rng(0)
     for _ in range(50):
         pts = rng.standard_normal((8, 5))
         T = isets.build_explicit(pts)
         x = rng.standard_normal(5)
-        assert est.exact_sup(T, x) == float((pts @ x).max())
-    with pytest.raises(ValueError):
-        est.exact_sup(isets.make_basis_family(3), np.zeros(4))
+        assert exact_sup(T, x) == float((pts @ x).max())
 
 
 def test_exact_sup_monotone_under_nesting():
@@ -29,7 +34,7 @@ def test_exact_sup_monotone_under_nesting():
         small = isets.build_explicit(pts[:5])
         big = isets.build_explicit(pts)
         x = rng.standard_normal(4)
-        assert est.exact_sup(small, x) <= est.exact_sup(big, x)
+        assert exact_sup(small, x) <= exact_sup(big, x)
 
 
 def test_exact_sup_scale_equivariance():
@@ -37,12 +42,12 @@ def test_exact_sup_scale_equivariance():
     pts = rng.standard_normal((6, 3))
     T = isets.build_explicit(pts)
     x = rng.standard_normal(3)
-    base = est.exact_sup(T, x)
+    base = exact_sup(T, x)
     for c in (0.5, 2.0, 4.0):
         # powers of two scale exactly in floating point
-        assert est.exact_sup(isets.scale(T, c), x) == c * base
+        assert exact_sup(isets.scale(T, c), x) == c * base
     for c in (1.7, 0.3):
-        assert est.exact_sup(isets.scale(T, c), x) == pytest.approx(
+        assert exact_sup(isets.scale(T, c), x) == pytest.approx(
             c * base, rel=1e-12)
 
 
@@ -88,10 +93,10 @@ def _cube_diag(n):
     return np.arange(1, n + 1.0) ** -0.25
 
 
-# one case per entry of est.SUP_KERNELS, in exactly one of two tables.
-# KERNEL_CASES holds kernels bitwise equal to the matmul path:
-# (constructor of a set of that kind in dimension <= n, its exact
-# Rademacher complexity at n, or None when it has no closed form)
+# one case per kind of set whose constructor declares a sup kernel, in
+# exactly one of two tables.  KERNEL_CASES holds kernels bitwise equal to
+# the matmul path: (constructor of a set of that kind in dimension <= n,
+# its exact Rademacher complexity at n, or None when it has no closed form)
 KERNEL_CASES = {
     "basis-canonical": (lambda n: isets.make_basis_family(n),
                         lambda n: 1.0 - 2.0 ** (1 - n)),
@@ -101,6 +106,7 @@ KERNEL_CASES = {
         lambda n: isets.make_basis_family(n, "negative-scaled", 1.7),
         lambda n: 1.7 * (1.0 - 2.0 ** (1 - n))),
     "spin-quadratic": (_two_spin_within, None),
+    "spin-tensor": (lambda n: isets.make_spin_tensor(6, 4), None),
 }
 
 # CLOSED_FORM_CASES holds closed forms, equal to the matmul path up to
@@ -113,9 +119,51 @@ CLOSED_FORM_CASES = {
 }
 
 
-def test_every_kernel_has_exactly_one_case():
+def families(tmp_path):
+    """One small set from every constructor and mode, built afresh."""
+    d = [1.0, 0.5, 0.25]
+    explicit = isets.build_explicit([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    isets.save_csv(explicit, tmp_path / "set.csv")
+    return ([isets.make_basis_family(4, mode, 1.5 if mode == "negative-scaled"
+                                     else None) for mode in isets.BASIS_MODES]
+            + [isets.make_diagonal_cube(d), isets.make_diagonal_cube(d, k=2),
+               isets.make_spin_quadratic(4), isets.make_spin_tensor(4, 3),
+               isets.make_spin_tensor(5, 4), explicit,
+               isets.dedupe(explicit), isets.scale(explicit, 2.0),
+               isets.load_csv(tmp_path / "set.csv")])
+
+
+def test_every_kernel_has_exactly_one_case(tmp_path):
+    declared = {T.kind for T in families(tmp_path) if T.sup is not None}
     assert not set(KERNEL_CASES) & set(CLOSED_FORM_CASES)
-    assert set(KERNEL_CASES) | set(CLOSED_FORM_CASES) == set(est.SUP_KERNELS)
+    assert set(KERNEL_CASES) | set(CLOSED_FORM_CASES) == declared
+
+
+def test_sets_are_freed_without_the_cycle_collector(tmp_path):
+    # a stored kernel that captured its own set would make a cycle
+    # T -> sup -> T, and the set would wait for the cyclic GC
+    gc.disable()
+    try:
+        sets = families(tmp_path)
+        for T in sets:
+            T.points
+            est._sup_kernel(T)(np.ones((8, T.dim)))
+        refs = [weakref.ref(T) for T in sets]
+        del sets, T
+        assert [r() for r in refs] == [None] * len(refs)
+    finally:
+        gc.enable()
+
+
+def test_diagonal_cube_copies_its_diagonal():
+    d = _cube_diag(6)
+    T = isets.make_diagonal_cube(d, k=3)
+    pts = T.points.copy()
+    X = np.random.default_rng(11).standard_normal((200, 6))
+    sups = est._sup_kernel(T)(X)
+    d *= 2.0
+    assert np.array_equal(T.points, pts)
+    assert np.array_equal(est._sup_kernel(T)(X), sups)
 
 
 def test_fast_paths_match_generic_bitwise():
@@ -140,7 +188,7 @@ def test_exact_rademacher_over_chunks_matches_matmul_path(kind):
     build, exact = KERNEL_CASES[kind]
     T = build(n)
     # the enumeration spans several chunks: 4 for basis sets, 2 for the
-    # two-spin set of dimension 15
+    # spin sets of dimension 15
     assert 1 << T.dim >= 2 * est.POINT_CHUNK
     r = est.exact_rademacher_complexity(T)
     assert r == est.exact_rademacher_complexity(isets.build_explicit(T.points))
@@ -152,7 +200,7 @@ def test_exact_rademacher_over_chunks_matches_matmul_path(kind):
 
 @pytest.mark.parametrize("kind", sorted(CLOSED_FORM_CASES))
 @pytest.mark.parametrize("n,k", [(7, 0), (7, 3), (7, 7), (20, 14),
-                                 (est.BIG_DIM + 1, 3)])
+                                 (isets.BIG_DIM + 1, 3)])
 def test_closed_form_kernels_match_matmul_path(kind, n, k):
     T = CLOSED_FORM_CASES[kind][0](n, k)
     assert T.kind == kind

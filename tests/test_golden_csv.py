@@ -43,6 +43,9 @@ CONFIGS = {
     "estimate-spin-tensor": [
         "estimate", "set=spin-tensor:N=5,m=3,normalized=1",
         "distribution=uniform", "replicates=500", "seed=6"],
+    "estimate-spin-tensor-even": [
+        "estimate", "set=spin-tensor:N=6,m=4", "distribution=laplace",
+        "replicates=700", "seed=13"],
     "estimate-big-dim": [
         "estimate", "set=diagcube:n=10001,k=3", "distribution=gaussian",
         "replicates=200", "seed=7"],
@@ -62,6 +65,9 @@ CONFIGS = {
     "bounds-big-dim-paired": [
         "bounds", "set=diagcube:n=10001,k=2", "distribution=rademacher",
         "replicates=150", "seed=11", "paired=1"],
+    "bounds-spin-tensor-even-paired": [
+        "bounds", "set=spin-tensor:N=6,m=4,normalized=1",
+        "distribution=uniform", "replicates=600", "seed=14", "paired=1"],
     "sudakov-basis": [
         "sudakov", "set=basis:n=12", "replicates=300", "seed=12"],
     "sudakov-diagcube": [
@@ -100,6 +106,8 @@ DIGESTS = {
         "77ae506c4965eb9439840961255cb4e76aae68321da21f7dc9c0a5e521909aee",
     "estimate-spin-tensor":
         "aec584ef7bece7531e0a81e47414f56aa800bd2991e332e9f13e577d9242aa8c",
+    "estimate-spin-tensor-even":
+        "6ad8651a784940008bd7fe8c22a9925dd803ca4fd27b2e9605273b7ef3bb5b65",
     "estimate-big-dim":
         "1d6e7ba12fd3bcc905172bda318618ecc78d43f59f509a404b364ec64ccac5eb",
     "estimate-explicit-duplicates":
@@ -112,6 +120,8 @@ DIGESTS = {
         "bbf3d4cfbca8578b9c16c9a8e7d7492e6b86c0d903c6521650bc389407b7d771",
     "bounds-big-dim-paired":
         "2019b10e5c7640ceea37e10126f20a59b08845f48283be2af34a8d5aca4c39e8",
+    "bounds-spin-tensor-even-paired":
+        "8487bc60ea86b212a5eeaf8ed3153b5199d25f79dce2f52ecc29675030cbde43",
     "sudakov-basis":
         "6ad7aa9e64900b0a934a60ba8d097b750d62de310ca779aff202738190e6ec70",
     "sudakov-diagcube":

@@ -27,7 +27,6 @@ def test_basis_signed():
 def test_basis_negative_scaled():
     T = isets.make_basis_family(4, "negative-scaled", theta=2.5)
     assert np.array_equal(T.points, -2.5 * np.eye(4))
-    assert T.param == 2.5
     with pytest.raises(ValueError):
         isets.make_basis_family(4, "negative-scaled")
     for theta in (-1.0, 0.0, math.nan, math.inf, -math.inf):
@@ -86,12 +85,13 @@ def test_distinct_flag_skips_unique(monkeypatch, tmp_path):
                isets.make_basis_family(1, "signed"),
                isets.make_diagonal_cube(d),
                isets.make_diagonal_cube(d, k=2),
+               isets.make_spin_tensor(4, 3),
                isets.dedupe(dup)]
     isets.save_csv(flagged[0], tmp_path / "set.csv")
     unflagged = [dup, isets.build_explicit(np.array([[1, -1, 1]]) * d),
                  isets.load_csv(tmp_path / "set.csv"),
-                 isets.make_spin_quadratic(3), isets.make_spin_tensor(4, 3),
-                 isets.scale(flagged[0], 2.0)]
+                 isets.make_spin_quadratic(3), isets.make_spin_tensor(3, 3),
+                 isets.make_spin_tensor(5, 4), isets.scale(flagged[0], 2.0)]
     for T in flagged:
         assert T.distinct
         assert np.unique(T.points, axis=0).shape[0] == T.cardinality
@@ -159,6 +159,22 @@ def test_spin_tensor_row_norms():
     assert np.allclose(np.abs(T.points), 1.0 / 16.0)
     Tn = isets.make_spin_tensor(4, 3, normalized=True)
     assert np.allclose(np.linalg.norm(Tn.points, axis=1), 4.0 ** -0.5)
+
+
+@pytest.mark.parametrize("N", range(2, 8))
+def test_spin_tensor_row_multiplicity(N):
+    # odd m < N: distinct sigma give distinct rows, as `distinct` declares;
+    # even m: row sigma equals row -sigma, which the half-orbit kernel uses
+    for m in range(1, N + 1):
+        T = isets.make_spin_tensor(N, m)
+        rows = np.unique(T.points, axis=0).shape[0]
+        assert T.distinct == (rows == T.cardinality)
+        if m % 2 == 1 and m < N:
+            assert T.distinct
+        if m % 2 == 0:
+            assert T.sup is not None
+            assert np.array_equal(T.points, T.points[::-1])
+            assert rows == (2 if m == N else T.cardinality // 2)
 
 
 def test_spin_tensor_validation():

@@ -160,19 +160,6 @@ def test_uniform_measure_identity():
         assert sm.uniform_identity_gap(T, beta, x) <= 1e-10
 
 
-def test_log_laplace_partial_matches_log_partition():
-    # d^k F_beta(x) = beta^{k-1} d^k Lambda_nu(beta x) + the k=1 case
-    rng = np.random.default_rng(16)
-    for _ in range(40):
-        T, x, beta = random_instance(rng)
-        nu = sm.uniform_measure(T)
-        i = int(rng.integers(T.dim))
-        for order in (1, 2, 3, 4):
-            lhs = sm.log_partition_partial(T, beta, x, i, order)
-            rhs = beta ** (order - 1) * sm.log_laplace_partial(nu, beta * x, i, order)
-            assert lhs == pytest.approx(rhs, abs=1e-10 * (1 + abs(lhs)))
-
-
 def test_tilted_measure_is_gibbs():
     rng = np.random.default_rng(17)
     for _ in range(50):
@@ -180,18 +167,6 @@ def test_tilted_measure_is_gibbs():
         w1 = sm.gibbs_measure(T, beta, x).weights
         w2 = sm.tilted_measure(sm.uniform_measure(T), beta * x).weights
         assert np.allclose(w1, w2, atol=1e-13)
-
-
-def test_weighted_measure_validation():
-    T = isets.make_basis_family(3)
-    with pytest.raises(ValueError):
-        sm.weighted_measure(T, [1.0, 2.0])
-    with pytest.raises(ValueError):
-        sm.weighted_measure(T, [1.0, -1.0, 0.5])
-    with pytest.raises(ValueError):
-        sm.weighted_measure(T, [0.0, 0.0, 0.0])
-    mu = sm.weighted_measure(T, [2.0, 1.0, 1.0])
-    assert float(mu.weights.sum()) == pytest.approx(1.0)
 
 
 def test_lipschitz_log_moment_random():
