@@ -24,9 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import CoordinateDistribution, RandomStream, gaussian
-from .estimator import (SupremumEstimate, estimate_complexity,
-                        exact_rademacher_complexity, paired_gap_estimate)
+from .distributions import (CoordinateDistribution, RandomStream, gaussian,
+                            rademacher)
+from .estimator import (SupremumEstimate, complexity, estimate_complexity,
+                        paired_gap_estimate)
 from .index_sets import GeometricProfile, IndexSet, dedupe, geometric_profile
 
 
@@ -139,8 +140,6 @@ class ComparisonReport:
 
     dist_name: str
     u: float
-    xi_estimate: SupremumEstimate
-    gauss_estimate: SupremumEstimate | None
     gap: float
     gap_std_error: float
     bounds: BoundProfile
@@ -155,18 +154,17 @@ def error_report(T: IndexSet, dist: CoordinateDistribution, replicates: int,
 
     paired=True estimates the gap with common random numbers (same uniforms
     through both inverse CDFs), which tightens its standard error; the two
-    one-sided estimates are then not reported separately.
+    one-sided estimates are then not reported separately.  A Rademacher
+    law's own value is enumerated exactly where ``complexity`` allows it.
     """
     profile = geometric_profile(T)
     u = T.log_cardinality
     if paired:
         diff = paired_gap_estimate(T, dist, replicates, stream)
-        xi_est = diff
-        g_est = None
         gap = abs(diff.mean)
         gap_se = diff.std_error
     else:
-        xi_est = estimate_complexity(T, dist, replicates, stream.substream("xi"))
+        xi_est = complexity(T, dist, replicates, stream.substream("xi"))
         g_est = estimate_complexity(T, gaussian(), replicates,
                                     stream.substream("gauss"))
         gap = abs(xi_est.mean - g_est.mean)
@@ -177,8 +175,8 @@ def error_report(T: IndexSet, dist: CoordinateDistribution, replicates: int,
         if name == "u" or val is None:
             continue
         ratios[name] = gap / val if val > 0 else math.inf if gap > 0 else 0.0
-    return ComparisonReport(dist.name, u, xi_est, g_est, gap, gap_se, bp,
-                            ratios, regime_flags(profile, u), paired)
+    return ComparisonReport(dist.name, u, gap, gap_se, bp, ratios,
+                            regime_flags(profile, u), paired)
 
 
 @dataclass(frozen=True)
@@ -191,7 +189,10 @@ class SudakovReport:
     hypothesis_ratio: float
     conclusion_ratio: float
     rademacher: SupremumEstimate
-    exact: bool
+
+    @property
+    def exact(self) -> bool:
+        return self.rademacher.method == "exact-enumeration"
 
 
 MAX_PAIRWISE = 4096
@@ -206,8 +207,9 @@ def sudakov_check(T: IndexSet, replicates: int = 0,
 
     Small hypothesis_ratio is the regime where conclusion_ratio is bounded
     below.  Distances are over distinct points; |T| > 4096 is refused
-    (exact pairwise distances only).  r(T) is enumerated exactly when
-    dim <= 22, else estimated with `replicates` draws.
+    (exact pairwise distances only).  r(T) is ``complexity``: enumerated
+    exactly when dim <= MAX_ENUM_DIM, else estimated with `replicates`
+    draws on `stream`.
     """
     D = dedupe(T)
     if D.cardinality < 2:
@@ -225,16 +227,7 @@ def sudakov_check(T: IndexSet, replicates: int = 0,
     logc = math.log(D.cardinality)
     if logc == 0.0:
         raise ValueError("need cardinality >= 2")
-    if D.dim <= 22:
-        r_est = exact_rademacher_complexity(D)
-        exact = True
-    else:
-        if stream is None or replicates <= 0:
-            raise ValueError("dim > 22 needs replicates and a stream")
-        from .distributions import rademacher
-        r_est = estimate_complexity(D, rademacher(), replicates, stream)
-        exact = False
+    r_est = complexity(D, rademacher(), replicates, stream)
     hyp = profile.rinf * profile.r2 * math.sqrt(logc) / a ** 2
     concl = r_est.mean / (a * math.sqrt(logc))
-    return SudakovReport(D.cardinality, a, profile.rinf, hyp, concl, r_est,
-                         exact)
+    return SudakovReport(D.cardinality, a, profile.rinf, hyp, concl, r_est)

@@ -11,10 +11,10 @@ Subcommands:
     phase-curves  bound curves over a u grid with crossover checks
     verify        softmax | stein | gibbs identity batteries
 
-Config keys are flat `key=value` tokens; `--config FILE` loads the same
-syntax from a file (CLI tokens override).  A key the subcommand does not
-read is an error.  With a fixed seed, reruns write byte-identical CSV; JSON
-additionally carries the elapsed wall time.
+Config keys are flat `key=value` tokens, each parsed and defaulted by KEYS;
+`--config FILE` loads the same syntax (CLI tokens override).  A key the
+subcommand does not read is an error.  With a fixed seed, reruns write
+byte-identical CSV; JSON additionally carries the elapsed wall time.
 """
 from __future__ import annotations
 
@@ -26,6 +26,7 @@ import math
 import os
 import sys
 import time
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,8 +36,7 @@ from . import bounds as bounds_mod
 from . import checks
 from . import experiments
 from . import index_sets as isets
-from .distributions import (DEFAULT_SEED, SEED_LIMIT, CoordinateDistribution,
-                            RandomStream, from_name)
+from .distributions import DEFAULT_SEED, SEED_LIMIT, RandomStream, from_name
 from .estimator import BRACKET_TOL, estimate_complexity, softmax_complexity
 
 # the keys each subcommand reads, "*" marking a required one; every
@@ -53,51 +53,9 @@ SUBCOMMAND_KEYS = {
 }
 COMMON_KEYS = ("subcommand", "seed", "output_dir", "format")
 
-_DEFAULTS = {
-    "distribution": "rademacher",
-    "replicates": 100000,
-    "seed": DEFAULT_SEED,
-    "output_dir": ".",
-    "format": "both",
-}
-
 
 class ConfigError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """A fully-resolved run request; echoes verbatim into every output."""
-
-    subcommand: str
-    target: str | None
-    set_descriptor: str | None
-    distribution: str
-    replicates: int
-    seed: int
-    beta: str | None
-    paired: bool
-    n_list: tuple | None
-    N_list: tuple | None
-    N: int | None
-    m: int | None
-    u_grid: tuple | None
-    output_dir: str
-    format: str
-
-    def as_dict(self) -> dict:
-        """The settings the subcommand reads (COMMON_KEYS and its
-        SUBCOMMAND_KEYS), each echoed when set."""
-        out = {}
-        for key in COMMON_KEYS + tuple(
-                k.rstrip("*") for k in SUBCOMMAND_KEYS[self.subcommand]):
-            val = self.set_descriptor if key == "set" else getattr(self, key)
-            if key == "paired":
-                val = 1 if val else None
-            if val is not None:
-                out[key] = list(val) if isinstance(val, tuple) else val
-        return out
 
 
 @dataclass
@@ -125,13 +83,30 @@ def _parse_pairs(tokens) -> dict:
     return pairs
 
 
-def _int(pairs, key, default=None):
-    if key not in pairs:
-        return default
-    try:
-        return int(pairs[key])
-    except ValueError:
-        raise ConfigError(f"{key} must be an integer, got {pairs[key]!r}")
+# value parsers: (text, key) -> value, raising ConfigError on a bad value
+
+def _text(value: str, key: str) -> str:
+    return value
+
+
+def _one_of(*choices):
+    def parse(value: str, key: str) -> str:
+        if value not in choices:
+            raise ConfigError(f"{key} must be one of {choices}, got {value!r}")
+        return value
+    return parse
+
+
+def _int(lo=-math.inf, hi=math.inf):
+    def parse(value: str, key: str) -> int:
+        try:
+            num = int(value)
+        except ValueError:
+            raise ConfigError(f"{key} must be an integer, got {value!r}")
+        if not lo <= num < hi:
+            raise ConfigError(f"{key} must be in [{lo}, {hi}), got {num}")
+        return num
+    return parse
 
 
 def _flag(value: str, key: str) -> bool:
@@ -140,24 +115,69 @@ def _flag(value: str, key: str) -> bool:
     return value == "1"
 
 
-def _list(pairs, key, kind):
-    if key not in pairs:
-        return None
+def _list(kind, lo):
+    def parse(value: str, key: str) -> tuple:
+        try:
+            values = tuple(kind(v) for v in value.split(",") if v)
+        except ValueError:
+            values = ()
+        if not values or not all(lo <= v < math.inf for v in values):
+            raise ConfigError(f"{key} must be comma-separated finite "
+                              f"{kind.__name__}s >= {lo}, at least one")
+        return values
+    return parse
+
+
+def _law(value: str, key: str) -> str:
     try:
-        values = tuple(kind(v) for v in pairs[key].split(",") if v)
+        from_name(value)
+    except ValueError as exc:
+        raise ConfigError(str(exc))
+    return value
+
+
+def _beta(value: str, key: str):
+    if value == "auto":
+        return value
+    try:
+        beta = float(value)
     except ValueError:
-        values = ()
-    if not values or (kind is float and not all(map(math.isfinite, values))):
-        raise ConfigError(f"{key} must be comma-separated finite "
-                          f"{kind.__name__}s, at least one")
-    return values
+        beta = math.nan
+    if not 0.0 < beta < math.inf:
+        raise ConfigError("beta must be a positive finite number or "
+                          f"'auto', got {value!r}")
+    return beta
 
 
-def parse_config(tokens, file_text: str | None = None) -> RunConfig:
-    """Build a RunConfig from CLI tokens, optionally over a config file.
+# every config key: its parser and its default; a None default is unset
+# (beta, u_grid) or belongs to a key its subcommands require
+KEYS = {
+    "subcommand": (_one_of(*SUBCOMMAND_KEYS), None),
+    "target": (_one_of(*checks.TARGETS), None),
+    "set": (_text, None),
+    "distribution": (_law, "rademacher"),
+    "replicates": (_int(1), 100000),
+    "seed": (_int(0, SEED_LIMIT), DEFAULT_SEED),
+    "beta": (_beta, None),
+    "paired": (_flag, False),
+    # a sweep size is at least 2, and all are checked before the first runs
+    "n_list": (_list(int, lo=2), (16, 64, 256, 1024, 4096, 16384)),
+    "N_list": (_list(int, lo=2), (4, 6, 8, 10, 12, 14)),
+    "N": (_int(), None),
+    "m": (_int(), None),
+    "u_grid": (_list(float, lo=0.0), None),
+    "output_dir": (_text, "."),
+    "format": (_one_of("csv", "json", "both"), "both"),
+}
+
+
+def parse_config(tokens, file_text: str | None = None):
+    """The run config from CLI tokens, optionally over a config file.
 
     Tokens are `key=value` pairs; a bare leading token is the subcommand,
-    and for `verify` the following bare token is the target battery.
+    and for `verify` the following bare token is the target battery.  The
+    result is an immutable record (a namedtuple) of exactly COMMON_KEYS and
+    the subcommand's keys, each parsed, with KEYS defaults filled in.
     """
     tokens = list(tokens)
     bare = []
@@ -175,63 +195,20 @@ def parse_config(tokens, file_text: str | None = None) -> RunConfig:
         pairs["target"] = bare[1]
     if len(bare) > 2:
         raise ConfigError(f"unexpected positional arguments {bare[2:]}")
-    sub = pairs.get("subcommand")
-    if sub not in SUBCOMMAND_KEYS:
-        raise ConfigError(f"subcommand must be one of "
-                          f"{tuple(SUBCOMMAND_KEYS)}, got {sub!r}")
+    sub = KEYS["subcommand"][0](pairs.get("subcommand"), "subcommand")
     keys = SUBCOMMAND_KEYS[sub]
-    ignored = sorted(set(pairs) - {k.rstrip("*") for k in keys + COMMON_KEYS})
+    names = COMMON_KEYS + tuple(k.rstrip("*") for k in keys)
+    ignored = sorted(set(pairs) - set(names))
     if ignored:
         raise ConfigError(f"subcommand {sub!r} does not read keys {ignored}")
     missing = [k[:-1] for k in keys if k.endswith("*") and k[:-1] not in pairs]
     if missing:
         raise ConfigError(f"subcommand {sub!r} requires keys: {missing}")
-    target = pairs.get("target")
-    if sub == "verify" and target not in checks.TARGETS:
-        raise ConfigError(
-            f"verify needs a target in {checks.TARGETS}, got {target!r}")
-    replicates = _int(pairs, "replicates", _DEFAULTS["replicates"])
-    if replicates < 1:
-        raise ConfigError("replicates must be >= 1")
-    seed = _int(pairs, "seed", _DEFAULTS["seed"])
-    if not 0 <= seed < SEED_LIMIT:
-        raise ConfigError(f"seed must be in [0, 2^64), got {seed}")
-    beta = pairs.get("beta")
-    if beta is not None and beta != "auto":
-        try:
-            valid = 0.0 < float(beta) < math.inf
-        except ValueError:
-            valid = False
-        if not valid:
-            raise ConfigError("beta must be a positive finite number or "
-                              f"'auto', got {beta!r}")
-    paired = _flag(pairs.get("paired", "0"), "paired")
-    fmt = pairs.get("format", _DEFAULTS["format"])
-    if fmt not in ("csv", "json", "both"):
-        raise ConfigError("format must be csv, json, or both")
-    # distribution names validate eagerly so typos fail before any work
-    dist_name = pairs.get("distribution", _DEFAULTS["distribution"])
-    try:
-        from_name(dist_name)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-    return RunConfig(
-        subcommand=sub,
-        target=target,
-        set_descriptor=pairs.get("set"),
-        distribution=dist_name,
-        replicates=replicates,
-        seed=seed,
-        beta=beta,
-        paired=paired,
-        n_list=_list(pairs, "n_list", int),
-        N_list=_list(pairs, "N_list", int),
-        N=_int(pairs, "N"),
-        m=_int(pairs, "m"),
-        u_grid=_list(pairs, "u_grid", float),
-        output_dir=pairs.get("output_dir", _DEFAULTS["output_dir"]),
-        format=fmt,
-    )
+    values = {}
+    for key in names:
+        parse, default = KEYS[key]
+        values[key] = parse(pairs[key], key) if key in pairs else default
+    return namedtuple("Config", names)(**values)
 
 
 def parse_set(descriptor: str) -> isets.IndexSet:
@@ -298,19 +275,11 @@ def _no_extras(args: dict, descriptor: str):
         raise ConfigError(f"unknown set arguments {sorted(args)} in {descriptor!r}")
 
 
-def _resolve_beta(config: RunConfig, T: isets.IndexSet,
-                  dist: CoordinateDistribution) -> float | None:
-    if config.beta is None:
-        return None
-    if config.beta == "auto":
-        profile = isets.geometric_profile(T)
-        return bounds_mod.auto_beta(profile, T.log_cardinality, dist)
-    return float(config.beta)
-
-
 def _fmt(value) -> str:
     if value is None:
         return ""
+    if isinstance(value, tuple):
+        return ",".join(map(_fmt, value))
     if isinstance(value, bool):
         return "1" if value else "0"
     if isinstance(value, (int, np.integer)):
@@ -325,41 +294,44 @@ def _table_from_dicts(rows: list) -> tuple:
     return headers, [[row[h] for h in headers] for row in rows]
 
 
-def run(config: RunConfig) -> ResultRecord:
-    """Execute one run; pure given (config), up to wall-time metadata."""
+def run(config) -> ResultRecord:
+    """Execute one parse_config record; pure given it, up to wall-time
+    metadata.  The record is the JSON config echo."""
     start = time.monotonic()
-    record = ResultRecord(config=config.as_dict())
+    record = ResultRecord(config=config._asdict())
     stream = RandomStream(config.seed).substream(config.subcommand)
-    dist = from_name(config.distribution)
     sub = config.subcommand
+    # the set and the law are built once, by the subcommands that read them
+    T = parse_set(config.set) if "set" in config._fields else None
+    dist = (from_name(config.distribution)
+            if "distribution" in config._fields else None)
 
     if sub == "estimate":
-        T = parse_set(config.set_descriptor)
-        beta = _resolve_beta(config, T, dist)
+        beta = config.beta
+        if beta == "auto":
+            beta = bounds_mod.auto_beta(isets.geometric_profile(T),
+                                        T.log_cardinality, dist)
         est = estimate_complexity(T, dist, config.replicates,
                                   stream.substream("plain"))
         rows = [{"metric": "complexity", **dataclasses.asdict(est),
                  "beta": None, "offset": None}]
+        record.summary = {"mean": est.mean, "std_error": est.std_error}
         record.assertions["estimate_finite"] = math.isfinite(est.mean)
         if beta is not None:
             soft, offset, slack = softmax_complexity(
                 T, dist, beta, config.replicates, stream.substream("soft"))
             rows.append({"metric": "softmax", **dataclasses.asdict(soft),
                          "beta": beta, "offset": offset})
-            record.summary["beta"] = beta
-            record.summary["offset"] = offset
-            record.summary["softmax_bracket_slack"] = slack
+            record.summary.update(beta=beta, offset=offset,
+                                  softmax_bracket_slack=slack)
             record.assertions["softmax_bracket"] = slack >= -BRACKET_TOL
         record.tables["main"] = _table_from_dicts(rows)
-        record.summary["mean"] = est.mean
-        record.summary["std_error"] = est.std_error
 
     elif sub == "bounds":
-        T = parse_set(config.set_descriptor)
         rep = bounds_mod.error_report(T, dist, config.replicates, stream,
                                       config.paired)
         row = {
-            "set": config.set_descriptor, "distribution": rep.dist_name,
+            "set": config.set, "distribution": rep.dist_name,
             "u": rep.u, "gap": rep.gap, "gap_std_error": rep.gap_std_error,
             "paired": rep.paired,
         }
@@ -377,7 +349,6 @@ def run(config: RunConfig) -> ResultRecord:
             math.isfinite(v) for v in rep.ratios.values())
 
     elif sub == "sudakov":
-        T = parse_set(config.set_descriptor)
         rep = bounds_mod.sudakov_check(T, config.replicates, stream)
         row = {
             "cardinality": rep.cardinality, "separation": rep.separation,
@@ -397,8 +368,8 @@ def run(config: RunConfig) -> ResultRecord:
             and rep.conclusion_ratio > 0)
 
     elif sub == "laplace":
-        n_list = config.n_list or (16, 64, 256, 1024, 4096, 16384)
-        res = experiments.heavy_tail_growth(n_list, config.replicates, stream)
+        res = experiments.heavy_tail_growth(config.n_list, config.replicates,
+                                            stream)
         record.tables["main"] = _table_from_dicts(res.rows)
         record.summary = dict(res.summary)
         record.assertions["ratio_log_max_over_min_le_2"] = (
@@ -408,8 +379,7 @@ def run(config: RunConfig) -> ResultRecord:
             math.isnan(rho) or rho >= 0.8)
 
     elif sub == "sk":
-        N_list = config.N_list or (4, 6, 8, 10, 12, 14)
-        res = experiments.spin_glass_universality(N_list, dist,
+        res = experiments.spin_glass_universality(config.N_list, dist,
                                                   config.replicates, stream)
         record.tables["main"] = _table_from_dicts(res.rows)
         record.summary = dict(res.summary)
@@ -427,13 +397,11 @@ def run(config: RunConfig) -> ResultRecord:
             record.assertions["gauss_in_band"] = res.summary["gauss_in_band"]
 
     elif sub == "phase-curves":
-        T = parse_set(config.set_descriptor)
         profile = isets.geometric_profile(T)
         u1, u2 = bounds_mod.crossover_points(profile)
         M = dist.bound if dist.bound is not None else 1.0
-        if config.u_grid is not None:
-            grid = list(config.u_grid)
-        else:
+        grid = config.u_grid
+        if grid is None:
             lo = max(min(u1 / 4.0, 1.0), 1e-3)
             hi = max(2.0 * u2, lo * 10.0)
             grid = sorted(set(np.geomspace(lo, hi, 33)) | {u1, u2})
@@ -523,7 +491,10 @@ USAGE = (
     "\nkeys each subcommand reads (* required):\n"
     + "".join(f"  {sub:13s} {' '.join(keys)}\n"
               for sub, keys in SUBCOMMAND_KEYS.items())
-    + "  every one     seed output_dir format={csv|json|both}\n")
+    + "  every one     seed output_dir format={csv|json|both}\n"
+    "\ndefaults (- for none):\n"
+    + "".join(f"  {key:13s} {_fmt(default) or '-'}\n"
+              for key, (_, default) in KEYS.items() if key != "subcommand"))
 
 
 def main(argv=None) -> int:

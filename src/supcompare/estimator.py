@@ -135,6 +135,15 @@ def exact_rademacher_complexity(T: IndexSet) -> SupremumEstimate:
     return SupremumEstimate(mean, 0.0, mean, mean, total, "exact-enumeration", 0)
 
 
+def complexity(T: IndexSet, dist: CoordinateDistribution, replicates: int,
+               stream: RandomStream) -> SupremumEstimate:
+    """E sup_t <xi, t>: enumerated exactly for a Rademacher law while
+    T.dim <= MAX_ENUM_DIM, else the Monte-Carlo estimate on ``stream``."""
+    if dist.name == "rademacher" and T.dim <= MAX_ENUM_DIM:
+        return exact_rademacher_complexity(T)
+    return estimate_complexity(T, dist, replicates, stream)
+
+
 def softmax_complexity(T: IndexSet, dist: CoordinateDistribution, beta: float,
                        replicates: int, stream: RandomStream):
     """(estimate of E F_beta(xi), log|T|/beta, worst bracket slack).

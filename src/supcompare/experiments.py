@@ -13,8 +13,7 @@ import numpy as np
 
 from .distributions import (CoordinateDistribution, RandomStream, gaussian,
                             laplace)
-from .estimator import (MAX_ENUM_DIM, estimate_complexity,
-                        exact_rademacher_complexity)
+from .estimator import complexity, estimate_complexity
 from .index_sets import IndexSet, make_basis_family, make_spin_tensor
 
 # Gaussian values of the normalized two-spin sets stay inside this band
@@ -37,10 +36,10 @@ def heavy_tail_growth(n_list, replicates: int,
     while gap/(log n)^{3/4} drifts upward; the summary reports the max/min
     of the first ratio and the Spearman trend of the second.
     """
+    if min(n_list) < 2:
+        raise ValueError(f"every n must be >= 2, got {list(n_list)}")
     rows = []
     for k, n in enumerate(n_list):
-        if n < 2:
-            raise ValueError("n must be >= 2")
         T = make_basis_family(int(n))
         lap = estimate_complexity(T, laplace(False), replicates,
                                   stream.substream("laplace", k))
@@ -84,11 +83,7 @@ def _gap_fields(T: IndexSet, dist: CoordinateDistribution, replicates: int,
                 stream: RandomStream, k: int = 0) -> dict:
     """Row fields of the law and Gaussian values on T, their absolute gap
     and its standard error; substreams ("xi", k) and ("gauss", k)."""
-    # rademacher disorder enumerates exactly while the cap allows it
-    if dist.name == "rademacher" and T.dim <= MAX_ENUM_DIM:
-        xi = exact_rademacher_complexity(T)
-    else:
-        xi = estimate_complexity(T, dist, replicates, stream.substream("xi", k))
+    xi = complexity(T, dist, replicates, stream.substream("xi", k))
     g = estimate_complexity(T, gaussian(), replicates,
                             stream.substream("gauss", k))
     return {"xi_mean": xi.mean, "xi_se": xi.std_error,
@@ -108,6 +103,8 @@ def spin_glass_universality(N_list, dist: CoordinateDistribution,
     (sigma and -sigma index the same point) stay in the set; suprema are
     unchanged.
     """
+    if min(N_list) < 2:
+        raise ValueError(f"every N must be >= 2, got {list(N_list)}")
     expo = _universality_exponent(dist)
     rows = []
     for k, N in enumerate(N_list):

@@ -31,7 +31,6 @@ MAX_DIM = 2 ** 20
 # bytes of a built point matrix (8 * cardinality * dim)
 MAX_POINT_BYTES = 2 ** 31
 POINT_CHUNK = 16384
-BIG_DIM = 10_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,22 +106,12 @@ def build_explicit(points) -> IndexSet:
 
 
 def _chunked_sup(points: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """max over rows t of points of <x, t>, for each row x of X.
-
-    Points go in POINT_CHUNK chunks; in huge dimension the products
-    accumulate over 4096-column slices, which keeps rounding bounded.
-    """
-    dim = points.shape[1]
+    """max over rows t of points of <x, t>, for each row x of X; points go
+    in POINT_CHUNK chunks."""
     out = np.full(X.shape[0], -np.inf)
     for lo in range(0, points.shape[0], POINT_CHUNK):
-        chunk = points[lo:lo + POINT_CHUNK]
-        if dim > BIG_DIM:
-            Z = np.zeros((X.shape[0], chunk.shape[0]))
-            for k in range(0, dim, 4096):
-                Z += X[:, k:k + 4096] @ chunk.T[k:k + 4096, :]
-        else:
-            Z = X @ chunk.T
-        np.maximum(out, Z.max(axis=1), out=out)
+        np.maximum(out, (X @ points[lo:lo + POINT_CHUNK].T).max(axis=1),
+                   out=out)
     return out
 
 

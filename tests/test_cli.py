@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import supcompare
-from supcompare import cli, softmax
+from supcompare import cli, experiments, softmax
 from supcompare import index_sets as isets
 
 
@@ -386,6 +386,72 @@ def test_json_config_echoes_only_keys_read(tmp_path):
         assert run_main(argv + [f"output_dir={out}", "format=json"]) == 0
         config = json.loads((out / f"{stem}.json").read_text())["config"]
         assert config == {**expected, "output_dir": str(out)}
+
+
+# a small config of every subcommand
+SMALL_RUNS = {
+    "estimate": ["estimate", "set=basis:n=3", "replicates=100", "beta=2"],
+    "bounds": ["bounds", "set=basis:n=3", "replicates=100", "paired=1"],
+    "sudakov": ["sudakov", "set=basis:n=3"],
+    "laplace": ["laplace", "n_list=4,8", "replicates=100"],
+    "sk": ["sk", "N_list=4", "distribution=uniform", "replicates=100"],
+    "tensor": ["tensor", "N=4", "m=3", "replicates=100"],
+    "phase-curves": ["phase-curves", "set=basis:n=4", "u_grid=0.5,2"],
+    "verify-gibbs": ["verify", "gibbs"],
+}
+
+
+def test_json_config_is_the_parsed_record(tmp_path):
+    assert {argv[0] for argv in SMALL_RUNS.values()} == set(cli.SUBCOMMAND_KEYS)
+    for stem, argv in SMALL_RUNS.items():
+        argv = argv + ["seed=4", f"output_dir={tmp_path / stem}", "format=json"]
+        cfg = cli.parse_config(argv)
+        keys = cli.SUBCOMMAND_KEYS[cfg.subcommand]
+        assert cfg._fields == cli.COMMON_KEYS + tuple(k.rstrip("*") for k in keys)
+        assert run_main(argv) in (0, 2)
+        config = json.loads((tmp_path / stem / f"{stem}.json").read_text())["config"]
+        assert config == json.loads(json.dumps(cfg._asdict()))
+    assert config["target"] == "gibbs"
+    assert json.loads((tmp_path / "bounds" / "bounds.json").read_text())[
+        "config"]["paired"] is True
+
+
+def test_laplace_echoes_and_runs_the_default_sizes(tmp_path, monkeypatch):
+    ran = []
+
+    def sweep(n_list, replicates, stream):
+        ran.append(n_list)
+        return experiments.ExperimentResult(
+            [{"n": 2}], {"ratio_log_max_over_min": 1.0,
+                         "ratio_log34_spearman": 1.0})
+    monkeypatch.setattr(experiments, "heavy_tail_growth", sweep)
+    assert run_main(["laplace", "replicates=100", "format=json",
+                     f"output_dir={tmp_path}"]) == 0
+    config = json.loads((tmp_path / "laplace.json").read_text())["config"]
+    assert config["n_list"] == [16, 64, 256, 1024, 4096, 16384]
+    assert ran == [tuple(config["n_list"])]
+
+
+def test_bad_sweep_size_is_a_config_error(tmp_path, monkeypatch, capsys):
+    def sweep(*args):
+        raise AssertionError("ran a sweep with a bad size")
+    monkeypatch.setattr(experiments, "heavy_tail_growth", sweep)
+    monkeypatch.setattr(experiments, "spin_glass_universality", sweep)
+    for argv in (["laplace", "n_list=4096,1"], ["sk", "N_list=4,0"]):
+        with pytest.raises(cli.ConfigError, match=">= 2"):
+            cli.parse_config(argv)
+        assert run_main(argv + [f"output_dir={tmp_path}"]) == 1
+        assert "error: " in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_help_prints_every_default(capsys):
+    assert run_main(["--help"]) == 0
+    out = capsys.readouterr().out
+    for key, (_, default) in cli.KEYS.items():
+        if key != "subcommand":
+            assert f"  {key:13s} {cli._fmt(default) or '-'}\n" in out
+    assert "n_list        16,64,256,1024,4096,16384\n" in out
 
 
 def test_json_has_stable_key_order(tmp_path):

@@ -200,7 +200,7 @@ def test_exact_rademacher_over_chunks_matches_matmul_path(kind):
 
 @pytest.mark.parametrize("kind", sorted(CLOSED_FORM_CASES))
 @pytest.mark.parametrize("n,k", [(7, 0), (7, 3), (7, 7), (20, 14),
-                                 (isets.BIG_DIM + 1, 3)])
+                                 (10_001, 3)])
 def test_closed_form_kernels_match_matmul_path(kind, n, k):
     T = CLOSED_FORM_CASES[kind][0](n, k)
     assert T.kind == kind
@@ -337,6 +337,18 @@ def test_softmax_complexity_bracket():
     # same stream tag differs, but the bracket holds in expectation strongly
     assert plain.mean - 4 * plain.std_error <= soft.mean \
         <= plain.mean + offset + 4 * soft.std_error
+
+
+def test_complexity_enumerates_rademacher_up_to_the_cap(monkeypatch):
+    monkeypatch.setattr(est, "MAX_ENUM_DIM", 4)
+    stream = dists.RandomStream(16).substream("policy")
+    small, big = isets.make_basis_family(4), isets.make_basis_family(5)
+    assert (est.complexity(small, dists.rademacher(), 100, stream)
+            == est.exact_rademacher_complexity(small))
+    assert (est.complexity(big, dists.rademacher(), 100, stream)
+            == est.estimate_complexity(big, dists.rademacher(), 100, stream))
+    assert (est.complexity(small, dists.gaussian(), 100, stream)
+            == est.estimate_complexity(small, dists.gaussian(), 100, stream))
 
 
 def test_paired_gap_gaussian_self_is_zero():

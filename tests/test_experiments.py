@@ -43,6 +43,18 @@ def test_spin_glass_universality_small():
     assert res.summary["scaled_max"] >= res.summary["scaled_min"]
 
 
+def test_sweeps_refuse_a_bad_size_before_any_work(monkeypatch):
+    def builds(*args, **kwargs):
+        raise AssertionError("built a set before checking every size")
+    monkeypatch.setattr(xp, "make_basis_family", builds)
+    monkeypatch.setattr(xp, "make_spin_tensor", builds)
+    with pytest.raises(ValueError, match=">= 2"):
+        xp.heavy_tail_growth((4096, 1), 100, dists.RandomStream(1))
+    with pytest.raises(ValueError, match=">= 2"):
+        xp.spin_glass_universality((4, 1), dists.uniform_symmetric(), 100,
+                                   dists.RandomStream(1))
+
+
 def test_universality_exponent_for_skewed_law():
     skew = dists.CoordinateDistribution("skewed", 1.0, 0.4, 1.3, 3.0, None)
     assert xp._universality_exponent(skew) == pytest.approx(1.0 / 6.0)

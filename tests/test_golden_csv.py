@@ -68,6 +68,9 @@ CONFIGS = {
     "bounds-spin-tensor-even-paired": [
         "bounds", "set=spin-tensor:N=6,m=4,normalized=1",
         "distribution=uniform", "replicates=600", "seed=14", "paired=1"],
+    "bounds-basis-rademacher": [
+        "bounds", "set=basis:n=8", "distribution=rademacher",
+        "replicates=600", "seed=22"],
     "sudakov-basis": [
         "sudakov", "set=basis:n=12", "replicates=300", "seed=12"],
     "sudakov-diagcube": [
@@ -122,6 +125,8 @@ DIGESTS = {
         "2019b10e5c7640ceea37e10126f20a59b08845f48283be2af34a8d5aca4c39e8",
     "bounds-spin-tensor-even-paired":
         "8487bc60ea86b212a5eeaf8ed3153b5199d25f79dce2f52ecc29675030cbde43",
+    "bounds-basis-rademacher":
+        "95dfefb58cb1735cb7c4049765cb0d9316b39a94e34e745e41ff4118a5c01a12",
     "sudakov-basis":
         "6ad7aa9e64900b0a934a60ba8d097b750d62de310ca779aff202738190e6ec70",
     "sudakov-diagcube":
