@@ -17,7 +17,7 @@ print(f"R2={prof.r2:.4f}  R3={prof.r3:.4f}  R4={prof.r4:.4f}  "
       f"Rinf={prof.rinf:.4f}")
 print(f"column norms: l3={prof.col3:.4f}  l4={prof.col4:.4f}")
 
-u1, u2 = bnd.crossover_points(prof)
+u1, u2 = prof.u1, prof.u2
 print(f"window: u1 = (R4/Rinf)^4 = {u1:.4f},  u2 = (R2/Rinf)^2 = {u2:.4f}")
 
 print()

@@ -73,12 +73,6 @@ def piecewise_bound(profile: GeometricProfile, u: float) -> float:
     return min(u ** 0.75 * profile.r4, u * profile.rinf)
 
 
-def crossover_points(profile: GeometricProfile):
-    """(u1, u2): fourth_moment and sup_norm curves cross at u1 = (R4/Rinf)^4;
-    trivial and mixed cross at u2 = (R2/Rinf)^2."""
-    return profile.u1, profile.u2
-
-
 def regime_flags(profile: GeometricProfile, u: float) -> dict:
     """Dimension-free regime indicators at a given u."""
     return {

@@ -14,7 +14,8 @@ import numpy as np
 from .distributions import (CoordinateDistribution, RandomStream, gaussian,
                             laplace)
 from .estimator import complexity, estimate_complexity
-from .index_sets import IndexSet, make_basis_family, make_spin_tensor
+from .index_sets import (IndexSet, make_basis_family, make_spin_tensor,
+                         spin_tensor_shape)
 
 # Gaussian values of the normalized two-spin sets stay inside this band
 # for N in 4..12 (recorded from an exact-enumeration sweep)
@@ -34,13 +35,15 @@ def heavy_tail_growth(n_list, replicates: int,
 
     The gap grows like log n, so gap/log n stays within a constant factor
     while gap/(log n)^{3/4} drifts upward; the summary reports the max/min
-    of the first ratio and the Spearman trend of the second.
+    of the first ratio and the Spearman trend of the second, which is None
+    (not evaluated) with fewer than 3 sizes.
     """
     if min(n_list) < 2:
         raise ValueError(f"every n must be >= 2, got {list(n_list)}")
+    # declaring checks every size against the caps; no basis set is built
+    sets = [make_basis_family(int(n)) for n in n_list]
     rows = []
-    for k, n in enumerate(n_list):
-        T = make_basis_family(int(n))
+    for k, (n, T) in enumerate(zip(n_list, sets)):
         lap = estimate_complexity(T, laplace(False), replicates,
                                   stream.substream("laplace", k))
         gau = estimate_complexity(T, gaussian(), replicates,
@@ -61,11 +64,10 @@ def heavy_tail_growth(n_list, replicates: int,
         })
     r_log = [r["ratio_log"] for r in rows]
     r_34 = [r["ratio_log34"] for r in rows]
+    rho = None
     if len(rows) >= 3:
         from scipy import stats  # ~0.6 s to import; only this rank test needs it
         rho = float(stats.spearmanr(np.log([r["n"] for r in rows]), r_34).statistic)
-    else:
-        rho = float("nan")
     summary = {
         "ratio_log_max_over_min": max(r_log) / min(r_log) if min(r_log) > 0
         else float("inf"),
@@ -105,6 +107,8 @@ def spin_glass_universality(N_list, dist: CoordinateDistribution,
     """
     if min(N_list) < 2:
         raise ValueError(f"every N must be >= 2, got {list(N_list)}")
+    for N in N_list:  # every size against the caps before the first build
+        spin_tensor_shape(int(N), 2)
     expo = _universality_exponent(dist)
     rows = []
     for k, N in enumerate(N_list):

@@ -58,10 +58,7 @@ class IndexSet:
     def points(self) -> np.ndarray:
         """The point matrix, built on first read and cached read-only;
         one over MAX_POINT_BYTES is refused before it is built."""
-        nbytes = 8 * self.cardinality * self.dim
-        if nbytes > MAX_POINT_BYTES:
-            raise ValueError(f"{self.cardinality} x {self.dim} points take "
-                             f"{nbytes} bytes, over the budget of {MAX_POINT_BYTES}")
+        _check_shape(self.cardinality, self.dim, built=True)
         pts = self.build()
         pts.setflags(write=False)
         return pts
@@ -71,17 +68,27 @@ class IndexSet:
         return math.log(self.cardinality)
 
 
-def _declare(cardinality: int, dim: int, build, kind: str, sup=None,
-             distinct: bool = False, lazy: bool = False) -> IndexSet:
-    """The one constructor: caps are checked on the declared shape before
-    anything is built.  The points are built and checked finite now,
-    unless ``lazy`` leaves them to the first read."""
+def _check_shape(cardinality: int, dim: int, built: bool) -> None:
+    """Every cap, on a declared shape: 1..MAX_CARDINALITY points in 1..MAX_DIM
+    dimensions and, if the points are ``built``, MAX_POINT_BYTES of them."""
     if cardinality < 1:
         raise ValueError("index set must contain at least one point")
     if cardinality > MAX_CARDINALITY:
         raise ValueError(f"cardinality {cardinality} exceeds cap {MAX_CARDINALITY}")
     if dim < 1 or dim > MAX_DIM:
         raise ValueError(f"dimension {dim} outside [1, {MAX_DIM}]")
+    nbytes = 8 * cardinality * dim
+    if built and nbytes > MAX_POINT_BYTES:
+        raise ValueError(f"{cardinality} x {dim} points take {nbytes} bytes, "
+                         f"over the budget of {MAX_POINT_BYTES}")
+
+
+def _declare(cardinality: int, dim: int, build, kind: str, sup=None,
+             distinct: bool = False, lazy: bool = False) -> IndexSet:
+    """The one constructor: caps are checked on the declared shape before
+    anything is built.  The points are built and checked finite now,
+    unless ``lazy`` leaves them to the first read."""
+    _check_shape(cardinality, dim, built=not lazy)
     T = IndexSet(cardinality, dim, build, kind, sup, distinct)
     if not lazy and not np.all(np.isfinite(T.points)):
         raise ValueError("points must be finite")
@@ -220,6 +227,18 @@ def make_spin_quadratic(N: int, normalized: bool = False) -> IndexSet:
     return make_spin_tensor(N, 2, normalized)
 
 
+def spin_tensor_shape(N: int, m: int) -> tuple:
+    """(2^N, binom(N, m)), the shape of make_spin_tensor(N, m), checked
+    against every cap without building anything."""
+    if N < 2 or not 1 <= m <= N:
+        raise ValueError(f"need N >= 2 and m in [1, N], got N={N}, m={m}")
+    if (1 << N) > MAX_CARDINALITY:  # before math.comb, slow for a huge N
+        raise ValueError("2^N exceeds the cardinality cap")
+    shape = (1 << N, math.comb(N, m))
+    _check_shape(*shape, built=True)
+    return shape
+
+
 def make_spin_tensor(N: int, m: int, normalized: bool = False) -> IndexSet:
     """Order-m spin interaction index set.
 
@@ -230,15 +249,7 @@ def make_spin_tensor(N: int, m: int, normalized: bool = False) -> IndexSet:
     otherwise by N^{-(m+1)/2}, the energy-density scaling under which the
     Gaussian value converges as N grows.
     """
-    if N < 2:
-        raise ValueError("N must be >= 2")
-    if not 1 <= m <= N:
-        raise ValueError("m must be in [1, N]")
-    if (1 << N) > MAX_CARDINALITY:
-        raise ValueError("2^N exceeds the cardinality cap")
-    dim = math.comb(N, m)
-    if dim > MAX_DIM:
-        raise ValueError("binom(N, m) exceeds the dimension cap")
+    card, dim = spin_tensor_shape(N, m)
     if normalized:
         scale = 1.0 / (math.sqrt(dim) * math.sqrt(N))
     else:
@@ -247,7 +258,7 @@ def make_spin_tensor(N: int, m: int, normalized: bool = False) -> IndexSet:
     # a builder, so the byte budget is checked before np.empty allocates
     def build():
         S = sign_patterns(N)
-        pts = np.empty(((1 << N), dim))
+        pts = np.empty((card, dim))
         for c, combo in enumerate(itertools.combinations(range(N), m)):
             pts[:, c] = S[:, combo].prod(axis=1)
         pts *= scale
@@ -255,9 +266,9 @@ def make_spin_tensor(N: int, m: int, normalized: bool = False) -> IndexSet:
 
     kind = "spin-quadratic" if m == 2 else "spin-tensor"
     if m % 2 == 0:
-        return _declare(1 << N, dim, build, kind, _half_orbit_sup)
+        return _declare(card, dim, build, kind, _half_orbit_sup)
     # for odd m < N distinct sigma give distinct rows; m = N gives two rows
-    return _declare(1 << N, dim, build, kind, distinct=m < N)
+    return _declare(card, dim, build, kind, distinct=m < N)
 
 
 def _half_orbit_sup(T: IndexSet, X: np.ndarray) -> np.ndarray:
@@ -272,8 +283,9 @@ class GeometricProfile:
 
     r2/r3/r4/rinf are sup_t of the l2/l3/l4/linf norms of the points;
     col3/col4 are the lp norms of the coordinate-wise max-abs vector
-    (max_t |t_i|)_i; u1/u2 are the window endpoints (r4/rinf)^4 and
-    (r2/rinf)^2; log_cardinality uses the declared (multiset) cardinality.
+    (max_t |t_i|)_i; u1 = (r4/rinf)^4 and u2 = (r2/rinf)^2 end the window:
+    there the fourth-moment and sup-norm bound curves cross, and the trivial
+    and mixed ones; log_cardinality uses the declared (multiset) cardinality.
     """
 
     r2: float

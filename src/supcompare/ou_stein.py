@@ -11,16 +11,17 @@ A test function f is anything with ``n``, ``value_rows(X)``,
 ``lipschitz_bound(radius)``, each rows method mapping an (m, n) array to
 (m,) values; a value at one point is the rows form at one row.
 ``Polynomial`` and ``SoftmaxFunction`` (the smoothed maximum) are the two.
-One check, ``isinstance(f, Polynomial)``, selects every closed form:
-smoothing is a binomial expansion against Gaussian moments, and the time
-integrals become polynomial integrals in u = e^{-t}, so Gauss-Legendre
-quadrature is exact.  Every other test function goes through Monte-Carlo
-in the estimators' block driver ``estimator._blocked``: each
-SAMPLE_BLOCK-replicate block draws from its own keyed substream, memory is
-bounded by one block, and every Monte-Carlo entry point needs at least
-MIN_REPLICATES samples.
-The semigroup, Gaussian mean and potentials share one quadrature reducer,
-``_ou_quadrature``, with common random numbers across its nodes.
+Polynomials take closed forms, each operator behind its own
+``isinstance(f, Polynomial)``: smoothing is a binomial expansion against
+Gaussian moments, and P_{-log u} f(x) is a polynomial q(u) in u = e^{-t},
+so each potential integral is the exact sum of q_m / (m + k).  Every
+other test function goes through Monte-Carlo in the estimators' block
+driver ``estimator._blocked``: each SAMPLE_BLOCK-replicate block draws
+from its own keyed substream, memory is bounded by one block, and every
+Monte-Carlo entry point needs at least MIN_REPLICATES samples.  The
+semigroup, Gaussian mean and potentials share one quadrature reducer,
+``_ou_quadrature``, with common random numbers across its nodes; every
+check applies one agreement rule, ``_tolerance``.
 """
 from __future__ import annotations
 
@@ -35,14 +36,11 @@ from .estimator import SAMPLE_BLOCK, _blocked, mean_se
 from .index_sets import IndexSet, geometric_profile, sign_patterns
 from . import softmax as sm
 
-T_MAX_CAP = 60.0
 DEFAULT_STREAM = RandomStream(DEFAULT_SEED)
-# Gauss-Legendre nodes of the potential integrals in u = e^{-t}, and of the
-# Stein representation's integral over s in [0, 1]
+# Gauss-Legendre nodes of the potential integrals over u = e^{-t} in
+# [0, 1], and of the Stein representation's integral over s in [0, 1]
 POTENTIAL_NODES = 64
 STEIN_NODES = 32
-# the truncated potential's tail e^{-t_max} Lip(f) r is aimed at this
-TAIL_TOL = 1e-9
 # least Monte-Carlo sample size of an estimated Gaussian mean E f(G)
 GAUSSIAN_MEAN_SAMPLES = 4096
 
@@ -154,15 +152,6 @@ class Polynomial:
             p = Polynomial(self.n, terms)
         return p
 
-    def multiply_coordinate(self, i: int) -> "Polynomial":
-        """x_i * self."""
-        terms = {}
-        for expo, c in self.terms.items():
-            e = list(expo)
-            e[i] += 1
-            terms[tuple(e)] = c
-        return Polynomial(self.n, terms)
-
     def gaussian_mean(self) -> float:
         """E f(G) exactly: the constant term of P_inf f, where every x_i^k
         has smoothed to its Gaussian moment."""
@@ -198,11 +187,16 @@ class Polynomial:
         return Polynomial(self.n, out_terms)
 
     def generator(self) -> "Polynomial":
-        """L f = Laplacian f - sum_i x_i d_i f, again a polynomial."""
-        out = Polynomial(self.n, {})
-        for i in range(self.n):
-            out = out + self.partial(i, 2) - self.partial(i, 1).multiply_coordinate(i)
-        return out
+        """L f = Laplacian f - sum_i x_i d_i f, term by term: c x^e maps to
+        sum_i c e_i (e_i - 1) x^{e - 2 e_i} - |e| c x^e."""
+        terms = []
+        for expo, c in self.terms.items():
+            terms.append((expo, -sum(expo) * c))
+            for i, e in enumerate(expo):
+                if e >= 2:
+                    terms.append((expo[:i] + (e - 2,) + expo[i + 1:],
+                                  c * e * (e - 1)))
+        return Polynomial(self.n, terms)
 
     def lipschitz_bound(self, radius: float) -> float:
         """Upper bound on |grad f| over the ball of the given radius."""
@@ -247,8 +241,6 @@ class OperatorEstimate:
     std_error: float
     samples: int
     nodes: int
-    t_max: float
-    tail_bound: float
     method: str
 
 
@@ -279,10 +271,10 @@ def ou_apply(f, t: float, x, samples: int = 4096,
     x = np.asarray(x, dtype=np.float64)
     if t == 0.0:
         return OperatorEstimate(float(f.value_rows(x[None, :])[0]), 0.0, 0, 0,
-                                0.0, 0.0, "exact-t0")
+                                "exact-t0")
     vals = _ou_quadrature(f.value_rows, x, (math.exp(-t),), (1.0,), samples,
                           stream, "ou-apply")
-    return OperatorEstimate(*mean_se(vals), samples, 0, t, 0.0, "mc")
+    return OperatorEstimate(*mean_se(vals), samples, 0, "mc")
 
 
 def _gauss_legendre(nodes: int, lo: float, hi: float):
@@ -324,7 +316,7 @@ def _closed_form_potential(poly: Polynomial, x: np.ndarray,
     q from _u_polynomial; at k = 0 the constant term E poly(G) drops out."""
     q = _u_polynomial(poly, x)
     value = sum(float(q[m]) / (m + k) for m in range(int(k == 0), q.size))
-    return OperatorEstimate(value, 0.0, 0, 0, math.inf, 0.0, "closed-form")
+    return OperatorEstimate(value, 0.0, 0, 0, "closed-form")
 
 
 def _gaussian_mean_estimate(f, n: int, samples: int, stream: RandomStream):
@@ -339,57 +331,45 @@ def _gaussian_mean_estimate(f, n: int, samples: int, stream: RandomStream):
 
 def ou_potential(f, x, samples: int = 2048,
                  stream: RandomStream = DEFAULT_STREAM) -> OperatorEstimate:
-    """PP f(x) = int_0^inf (P_t f(x) - E f(G)) dt.
-
-    Substituting u = e^{-t} gives int_{u_min}^1 (P_{-log u} f(x) - E f(G))/u du
-    on a finite interval; Gauss-Legendre there is exact for polynomials
-    (the integrand is a polynomial in u) and the truncation tail is bounded
-    by e^{-t_max} Lip(f) (|x| + sqrt(n)).
-    """
-    x = np.asarray(x, dtype=np.float64)
-    n = x.size
-    if isinstance(f, Polynomial):
-        # the integrand (q(u) - q(0))/u is a polynomial in u; integrate it
-        # term by term over [0, 1], with no truncation at all
-        return _closed_form_potential(f, x, 0)
-    mg, mg_se = _gaussian_mean_estimate(f, n, samples, stream)
-    scale = f.lipschitz_bound(float(np.linalg.norm(x)) + math.sqrt(n)) \
-        * (float(np.linalg.norm(x)) + math.sqrt(n))
-    t_max = min(max(1.0, math.log(max(scale, TAIL_TOL) / TAIL_TOL)), T_MAX_CAP)
-    tail = math.exp(-t_max) * scale
-    u, w = _gauss_legendre(POTENTIAL_NODES, math.exp(-t_max), 1.0)
-    w = w / u
-    vals = _ou_quadrature(lambda Y: f.value_rows(Y) - mg, x, u, w,
-                          samples, stream, "ou-potential")
-    value, se_mc = mean_se(vals)
-    # the rule subtracts the estimated mean with total weight sum_j w_j/u_j
-    se = math.hypot(se_mc, float(w.sum()) * mg_se)
-    return OperatorEstimate(value, se, samples, POTENTIAL_NODES, t_max, tail,
-                            "mc-quadrature")
+    """PP f(x) = int_0^inf (P_t f(x) - E f(G)) dt, the k = 0 case of
+    potential_partial."""
+    return potential_partial(f, x, 0, 0, samples, stream)
 
 
 def potential_partial(f, x, i: int, k: int, samples: int = 2048,
                       stream: RandomStream = DEFAULT_STREAM) -> OperatorEstimate:
-    """d_i^{(k)} PP f(x) = int_0^inf e^{-kt} P_t(d_i^{(k)} f)(x) dt, k >= 1.
+    """d_i^{(k)} PP f(x) for k >= 0; k = 0 gives PP f(x), whatever i.
 
-    The commutation identity pulls the derivative inside the semigroup at
-    exponential cost e^{-kt}; with u = e^{-t} the integral is
-    int_0^1 u^{k-1} P_{-log u}(d_i^{(k)} f)(x) du over the full interval,
-    so there is no truncation error.  k = 0 delegates to ou_potential.
+    d_i^{(k)} P_t = e^{-kt} P_t d_i^{(k)}, so u = e^{-t} makes the integral
+    int_0^1 u^{k-1} (P_{-log u} d_i^{(k)} f(x) - [k = 0] E f(G)) du, with no
+    truncation: at k = 0 the bracket decays like e^{-t} = u.  Every order
+    runs the same POTENTIAL_NODES Gauss-Legendre nodes on [0, 1]; at k = 0
+    the estimated E f(G) is subtracted with total weight sum_j w_j / u_j,
+    and its standard error is charged at that weight.
     """
-    if k == 0:
-        return ou_potential(f, x, samples, stream)
     if k < 0:
         raise ValueError("k must be >= 0")
     x = np.asarray(x, dtype=np.float64)
     if isinstance(f, Polynomial):
         return _closed_form_potential(f.partial(i, k), x, k)
     u, w = _gauss_legendre(POTENTIAL_NODES, 0.0, 1.0)
-    vals = _ou_quadrature(lambda Y: f.partial_rows(Y, i, k), x, u,
-                          w * u ** (k - 1), samples, stream,
-                          f"potential-partial-{i}-{k}")
-    return OperatorEstimate(*mean_se(vals), samples, POTENTIAL_NODES, math.inf,
-                            0.0, "mc-quadrature")
+    w = w * u ** (k - 1)
+    if k == 0:
+        mg, mg_se = _gaussian_mean_estimate(f, x.size, samples, stream)
+        vals = _ou_quadrature(lambda Y: f.value_rows(Y) - mg, x, u, w,
+                              samples, stream, "ou-potential")
+    else:
+        mg_se = 0.0
+        vals = _ou_quadrature(lambda Y: f.partial_rows(Y, i, k), x, u, w,
+                              samples, stream, f"potential-partial-{i}-{k}")
+    value, se = mean_se(vals)
+    return OperatorEstimate(value, math.hypot(se, float(w.sum()) * mg_se),
+                            samples, POTENTIAL_NODES, "mc-quadrature")
+
+
+def _tolerance(exact: bool, std_error: float) -> float:
+    """The agreement rule: 1e-10 if exact, else 4 standard errors + 1e-9."""
+    return 1e-10 if exact else 4.0 * std_error + 1e-9
 
 
 @dataclass(frozen=True)
@@ -410,8 +390,7 @@ def poisson_identity_check(f, x, samples: int = 2048,
     """Check f(x) - E f(G) = -L PP f(x); polynomials also check -PP L f(x).
 
     -L PP f = sum_i x_i d_i PP f - sum_i d_i^2 PP f, each partial through
-    potential_partial.  Exact paths must agree to 1e-10; Monte-Carlo paths
-    to 4 combined standard errors.
+    potential_partial.  Both sides agree by the rule of ``_tolerance``.
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.size
@@ -428,14 +407,10 @@ def poisson_identity_check(f, x, samples: int = 2048,
                                stream.substream("poisson-d2", i))
         rhs += float(x[i]) * d1.value - d2.value
         var += (float(x[i]) * d1.std_error) ** 2 + d2.std_error ** 2
-    rhs2 = None
-    if exact:
-        rhs2 = -ou_potential(f.generator(), x).value
+    rhs2 = -ou_potential(f.generator(), x).value if exact else None
     se = math.sqrt(var)
-    tolerance = 1e-10 if exact else 4.0 * se + 1e-9
-    ok = abs(lhs - rhs) <= tolerance
-    if rhs2 is not None:
-        ok = ok and abs(lhs - rhs2) <= tolerance
+    tolerance = _tolerance(exact, se)
+    ok = all(abs(lhs - r) <= tolerance for r in (rhs, rhs2) if r is not None)
     return PoissonReport(lhs, rhs, rhs2, se, tolerance, exact, ok)
 
 
@@ -505,9 +480,9 @@ def stein_representation_check(f, dist: CoordinateDistribution,
     variant 'third' uses third partials and needs E xi^2 = 1, E|xi|^3 < inf;
     variant 'fourth' uses fourth partials and additionally needs E xi^3 = 0.
     A violated hypothesis raises HypothesisViolation naming the moment.
-    Rademacher coordinates with n <= 12 are enumerated exactly (tolerance
-    1e-10); other laws go through Monte-Carlo with common random numbers
-    and a 4 sigma tolerance.
+    Rademacher coordinates with n <= 12 are enumerated exactly; other laws
+    go through Monte-Carlo with common random numbers.  Both sides agree by
+    the rule of ``_tolerance``.
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
@@ -527,12 +502,12 @@ def stein_representation_check(f, dist: CoordinateDistribution,
 
     exact = dist.name == "rademacher" and n <= 12
     if exact:
-        S, se, tol = sides(sign_patterns(n)), 0.0, 1e-10
+        S, se = sides(sign_patterns(n)), 0.0
     else:
         S = _blocked(stream, "stein-xi", replicates,
                      lambda rng: dist.sample(rng, (SAMPLE_BLOCK, n)), sides)
         se = mean_se(S[:, 0] - S[:, 1])[1]
-        tol = 4.0 * se + 1e-9
+    tol = _tolerance(exact, se)
     lhs, rhs = (float(v) for v in S.mean(axis=0))
     return SteinReport(variant, lhs, rhs, se, tol, exact, S.shape[0],
                        abs(lhs - rhs) <= tol)
@@ -542,30 +517,32 @@ def semigroup_check(f, t1: float, t2: float, x, samples: int = 4096,
                     stream: RandomStream = DEFAULT_STREAM):
     """P_{t1} P_{t2} f(x) vs P_{t1+t2} f(x).
 
-    Polynomials compare exactly (<= 1e-10); otherwise the nested average is
-    compared to the direct one at 4 combined standard errors.  Returns
+    Polynomials compare exactly; otherwise the nested average is compared
+    to the direct one.  Both agree by the rule of ``_tolerance``.  Returns
     (lhs, rhs, tolerance, ok).
     """
     if t1 < 0 or t2 < 0:
         raise ValueError("t1 and t2 must be >= 0")
     x = np.asarray(x, dtype=np.float64)
-    if isinstance(f, Polynomial):
+    exact = isinstance(f, Polynomial)
+    if exact:
         lhs = float(f.ou_smoothed(t2).ou_smoothed(t1)(x))
-        rhs = float(f.ou_smoothed(t1 + t2)(x))
-        return lhs, rhs, 1e-10, abs(lhs - rhs) <= 1e-10
-    n = x.size
-    a1, a2 = math.exp(-t1), math.exp(-t2)
-    b1, b2 = _ou_b(a1), _ou_b(a2)
-    # both Gaussians of the nested kernel in one draw: G1 | G2
-    nested = _blocked(
-        stream, "semigroup", samples,
-        lambda rng: rng.standard_normal((SAMPLE_BLOCK, 2 * n)),
-        lambda G: f.value_rows(a2 * (a1 * x + b1 * G[:, :n]) + b2 * G[:, n:]))
-    direct = ou_apply(f, t1 + t2, x, samples,
-                      stream.substream("semigroup-direct"))
-    lhs, se = mean_se(nested)
-    tol = 4.0 * math.hypot(se, direct.std_error) + 1e-9
-    return lhs, direct.value, tol, abs(lhs - direct.value) <= tol
+        rhs, se = float(f.ou_smoothed(t1 + t2)(x)), 0.0
+    else:
+        n, a1, a2 = x.size, math.exp(-t1), math.exp(-t2)
+        b1, b2 = _ou_b(a1), _ou_b(a2)
+        # both Gaussians of the nested kernel in one draw: G1 | G2
+        nested = _blocked(
+            stream, "semigroup", samples,
+            lambda rng: rng.standard_normal((SAMPLE_BLOCK, 2 * n)),
+            lambda G: f.value_rows(a2 * (a1 * x + b1 * G[:, :n])
+                                   + b2 * G[:, n:]))
+        direct = ou_apply(f, t1 + t2, x, samples,
+                          stream.substream("semigroup-direct"))
+        lhs, nested_se = mean_se(nested)
+        rhs, se = direct.value, math.hypot(nested_se, direct.std_error)
+    tol = _tolerance(exact, se)
+    return lhs, rhs, tol, abs(lhs - rhs) <= tol
 
 
 def ergodic_check(f, t: float, x, samples: int = 4096,

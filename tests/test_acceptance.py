@@ -251,7 +251,7 @@ def test_phase_curve_crossovers():
         T = _random_set(rng, n_max=6, card_max=12,
                         scale=10.0 ** rng.uniform(-1, 1))
         p = isets.geometric_profile(T)
-        u1, u2 = bnd.crossover_points(p)
+        u1, u2 = p.u1, p.u2
         res1 = abs(p.r4 * u1 ** 0.75 - p.rinf * u1)
         res2 = abs(math.sqrt(u2) * p.r2
                    - u2 ** 0.75 * math.sqrt(p.r2 * p.rinf))
@@ -263,7 +263,8 @@ def test_phase_curve_crossovers():
 
     d = [float(j) ** -0.25 for j in range(1, 17)]
     cube = isets.make_diagonal_cube(d, k=6)
-    u1, u2 = bnd.crossover_points(isets.geometric_profile(cube))
+    p = isets.geometric_profile(cube)
+    u1, u2 = p.u1, p.u2
     assert abs(u1 - DIAGCUBE16_U1) <= 1e-12
     assert abs(u2 - DIAGCUBE16_U2) <= 1e-12
     assert round(u1, 3) == 3.381 and round(u2, 3) == 6.664

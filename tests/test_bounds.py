@@ -45,7 +45,7 @@ def test_crossover_identities():
     for _ in range(20):
         T = isets.build_explicit(rng.standard_normal((6, 5)))
         p = isets.geometric_profile(T)
-        u1, u2 = bmod.crossover_points(p)
+        u1, u2 = p.u1, p.u2
         # fourth-moment and sup-norm curves meet at u1
         lhs = p.r4 * u1 ** 0.75
         rhs = p.rinf * u1
@@ -59,7 +59,7 @@ def test_crossover_identities():
 
 def test_piecewise_and_flags():
     p = crafted_profile()
-    u1, u2 = bmod.crossover_points(p)
+    u1, u2 = p.u1, p.u2
     for u in (0.5 * u1 + 1e-3, u1, 2.0 * u1):
         assert bmod.piecewise_bound(p, u) == pytest.approx(
             min(p.r4 * u ** 0.75, p.rinf * u))
@@ -70,7 +70,7 @@ def test_piecewise_and_flags():
 
 def test_phase_curve_table_regions():
     p = crafted_profile()
-    u1, u2 = bmod.crossover_points(p)
+    u1, u2 = p.u1, p.u2
     rows = bmod.phase_curve_table(p, [0.5 * u1, u1 * 1.0001, u2 * 1.5], 1.0)
     assert rows[0]["region"] == "below-window"
     assert rows[1]["region"] == "window" or u1 == u2

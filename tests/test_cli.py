@@ -432,6 +432,21 @@ def test_laplace_echoes_and_runs_the_default_sizes(tmp_path, monkeypatch):
     assert ran == [tuple(config["n_list"])]
 
 
+def test_laplace_asserts_no_rank_test_it_did_not_run(tmp_path, capsys):
+    # the Spearman trend needs 3 sizes: with 2 there is no assertion, and
+    # the JSON summary holds null, not the invalid NaN
+    assert run_main(["laplace", "n_list=16,64", "replicates=200",
+                     "format=json", f"output_dir={tmp_path}"]) in (0, 2)
+    assert "spearman" not in capsys.readouterr().out
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    doc = json.loads((tmp_path / "laplace.json").read_text(),
+                     parse_constant=refuse)
+    assert doc["summary"]["ratio_log34_spearman"] is None
+    assert set(doc["assertions"]) == {"ratio_log_max_over_min_le_2"}
+
+
 def test_bad_sweep_size_is_a_config_error(tmp_path, monkeypatch, capsys):
     def sweep(*args):
         raise AssertionError("ran a sweep with a bad size")

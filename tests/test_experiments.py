@@ -55,6 +55,22 @@ def test_sweeps_refuse_a_bad_size_before_any_work(monkeypatch):
                                    dists.RandomStream(1))
 
 
+def test_sweeps_refuse_an_over_cap_size_before_any_estimate(monkeypatch):
+    def estimates(*args, **kwargs):
+        raise AssertionError("estimated before checking every size")
+    monkeypatch.setattr(xp, "estimate_complexity", estimates)
+    monkeypatch.setattr(xp, "complexity", estimates)
+    with pytest.raises(ValueError, match="dimension"):
+        xp.heavy_tail_growth((16, isets.MAX_DIM + 1), 100,
+                             dists.RandomStream(1))
+    # N = 21 and 22 pass the 2^N cardinality cap, but their points do not
+    # fit the byte budget
+    for N, match in ((23, "cardinality"), (21, "bytes")):
+        with pytest.raises(ValueError, match=match):
+            xp.spin_glass_universality((4, N), dists.rademacher(), 100,
+                                       dists.RandomStream(1))
+
+
 def test_universality_exponent_for_skewed_law():
     skew = dists.CoordinateDistribution("skewed", 1.0, 0.4, 1.3, 3.0, None)
     assert xp._universality_exponent(skew) == pytest.approx(1.0 / 6.0)

@@ -117,7 +117,7 @@ def test_potential_of_eigenfunction(k):
     x = np.array([0.9])
     est = ou.ou_potential(f, x)
     assert est.method == "closed-form"
-    assert est.std_error == 0.0 and est.tail_bound == 0.0
+    assert est.std_error == 0.0
     assert est.value == pytest.approx(f(x) / k, rel=1e-12)
 
 
@@ -344,9 +344,6 @@ class ZeroSamples:
     def value_rows(self, X):
         return np.zeros(X.shape[0])
 
-    def lipschitz_bound(self, radius):
-        return 1.0
-
 
 def test_ou_potential_charges_gaussian_mean_error_by_its_weight(monkeypatch):
     # the rule subtracts the estimated Gaussian mean at every node, with
@@ -356,10 +353,20 @@ def test_ou_potential_charges_gaussian_mean_error_by_its_weight(monkeypatch):
                         lambda f, n, samples, stream: (0.0, mg_se))
     est = ou.ou_potential(ZeroSamples(), X3)
     assert est.method == "mc-quadrature" and est.value == 0.0
-    u, w = ou._gauss_legendre(est.nodes, math.exp(-est.t_max), 1.0)
+    # the nodes cover all of [0, 1]: there is no truncation
+    u, w = ou._gauss_legendre(est.nodes, 0.0, 1.0)
     assert est.std_error == pytest.approx(float((w / u).sum()) * mg_se,
                                           rel=1e-14)
-    assert est.std_error < est.t_max * mg_se
+
+
+@pytest.mark.parametrize("f", [POLY3, MonteCarloOnly(POLY3)],
+                         ids=["closed-form", "monte-carlo"])
+def test_ou_potential_is_the_order_zero_partial(f):
+    # one integral rule for every order: PP f is d_i^{(0)} PP f for every i
+    stream = dists.RandomStream(17)
+    want = ou.ou_potential(f, X3, stream=stream)
+    for i in range(X3.size):
+        assert ou.potential_partial(f, X3, i, 0, stream=stream) == want
 
 
 def test_monte_carlo_entry_points_need_min_replicates():
