@@ -37,7 +37,8 @@ from . import checks
 from . import experiments
 from . import index_sets as isets
 from .distributions import DEFAULT_SEED, SEED_LIMIT, RandomStream, from_name
-from .estimator import BRACKET_TOL, estimate_complexity, softmax_complexity
+from .estimator import (BRACKET_TOL, MIN_REPLICATES, estimate_complexity,
+                        softmax_complexity)
 
 # the keys each subcommand reads, "*" marking a required one; every
 # subcommand also reads COMMON_KEYS
@@ -156,7 +157,9 @@ KEYS = {
     "target": (_one_of(*checks.TARGETS), None),
     "set": (_text, None),
     "distribution": (_law, "rademacher"),
-    "replicates": (_int(1), 100000),
+    # every Monte-Carlo estimate needs MIN_REPLICATES, so a run that would
+    # enumerate instead still refuses fewer
+    "replicates": (_int(MIN_REPLICATES), 100000),
     "seed": (_int(0, SEED_LIMIT), DEFAULT_SEED),
     "beta": (_beta, None),
     "paired": (_flag, False),
@@ -442,19 +445,26 @@ def _csv_bytes(headers, rows) -> bytes:
     return buf.getvalue().encode("ascii")
 
 
-def _json_default(value):
-    if isinstance(value, (np.integer,)):
+def _json_value(value):
+    """value as plain JSON data: numpy scalars and arrays become Python
+    ones, and a non-finite float, which JSON cannot spell, becomes None."""
+    if isinstance(value, dict):
+        return {k: _json_value(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return [_json_value(v) for v in value]
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    if isinstance(value, (int, np.integer)):
         return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    raise TypeError(f"not JSON-serializable: {type(value)}")
+    if isinstance(value, (float, np.floating)):
+        return float(value) if math.isfinite(value) else None
+    return value
 
 
 def emit(record: ResultRecord, output_dir: str, fmt: str) -> list:
     """Write the record; returns written paths.  CSV is byte-deterministic,
-    JSON additionally carries elapsed_seconds."""
+    JSON additionally carries elapsed_seconds and writes a non-finite value
+    as null."""
     os.makedirs(output_dir, exist_ok=True)
     sub = record.config["subcommand"]
     stem = sub if sub != "verify" else f"verify-{record.config['target']}"
@@ -478,8 +488,8 @@ def emit(record: ResultRecord, output_dir: str, fmt: str) -> list:
         }
         path = os.path.join(output_dir, f"{stem}.json")
         with open(path, "w", encoding="ascii") as fh:
-            json.dump(doc, fh, sort_keys=True, indent=1,
-                      default=_json_default)
+            json.dump(_json_value(doc), fh, sort_keys=True, indent=1,
+                      allow_nan=False)
             fh.write("\n")
         paths.append(path)
     return paths

@@ -5,16 +5,22 @@ sup_t <x, t> are taken.  A set is declared by its shape and a builder of
 its point matrix; the points are built on first read and kept as a
 read-only float64 array.  Explicit, diagonal-cube and spin sets are built
 when declared.  Basis families are built only if something reads their
-points: their sup kernels and sampling need only the declared shape.
+points: their kernels and sampling need only the declared shape.
 Duplicate rows are retained: the declared cardinality enters
 log-cardinality bounds, and deduplication is the caller's choice.
 
-A structured set's constructor declares its exact sup kernel ``sup(T, X)``,
-the max over rows t of <x, t> for each row x of X: basis families never
-touch the points, a diagonal cube closes over its diagonal and free sign
-count, and a spin set of even order runs the matmul over its distinct
-half.  The kernel receives the set rather than capturing it, so a set
-holds no reference to itself and is freed with its last reference.
+A structured set's constructor declares two kernels.  ``sup(T, X)`` is the
+max over rows t of <x, t> for each row x of X; ``logz(T, X, beta)`` is the
+pair (sup, log sum_t exp(beta <x, t>)) per row, the one entry through
+which ``softmax`` evaluates every smoothed maximum beta F_beta.  Basis
+families never touch the points, a diagonal cube closes over its diagonal
+and free sign count (its Gibbs measure is a product measure, so its log
+partition is a sum of log 2 cosh terms), and a spin set of even order runs
+the matmul over its distinct half.  A set without kernels takes the
+generic entries, ``_chunked_sup`` and ``_chunked_logz``, which go over the
+points in POINT_CHUNK chunks.  A kernel receives the set rather than
+capturing it, so a set holds no reference to itself and is freed with its
+last reference.
 """
 from __future__ import annotations
 
@@ -25,6 +31,7 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
+from scipy.special import logsumexp
 
 MAX_CARDINALITY = 2 ** 22
 MAX_DIM = 2 ** 20
@@ -41,7 +48,9 @@ class IndexSet:
     the point matrix, and ``points`` calls it once, on first read.
     ``kind`` labels the construction; ``explicit`` means no structure is
     assumed.  ``sup`` is the exact sup kernel ``(T, X) -> sups`` its
-    constructor declared, or None for the generic matmul path.
+    constructor declared, and ``logz`` the log-partition kernel
+    ``(T, X, beta) -> (sups, log sum_t exp(beta <x, t>))``; None selects
+    the generic chunked matmul path.
     ``distinct`` is true when the construction guarantees distinct rows, so
     ``dedupe`` has nothing to remove.
     """
@@ -51,6 +60,8 @@ class IndexSet:
     build: Callable[[], np.ndarray] = field(repr=False)
     kind: str = "explicit"
     sup: Callable[["IndexSet", np.ndarray], np.ndarray] | None = field(
+        default=None, repr=False)
+    logz: Callable[["IndexSet", np.ndarray, float], tuple] | None = field(
         default=None, repr=False)
     distinct: bool = False
 
@@ -84,12 +95,13 @@ def _check_shape(cardinality: int, dim: int, built: bool) -> None:
 
 
 def _declare(cardinality: int, dim: int, build, kind: str, sup=None,
-             distinct: bool = False, lazy: bool = False) -> IndexSet:
+             logz=None, distinct: bool = False,
+             lazy: bool = False) -> IndexSet:
     """The one constructor: caps are checked on the declared shape before
     anything is built.  The points are built and checked finite now,
     unless ``lazy`` leaves them to the first read."""
     _check_shape(cardinality, dim, built=not lazy)
-    T = IndexSet(cardinality, dim, build, kind, sup, distinct)
+    T = IndexSet(cardinality, dim, build, kind, sup, logz, distinct)
     if not lazy and not np.all(np.isfinite(T.points)):
         raise ValueError("points must be finite")
     return T
@@ -122,6 +134,46 @@ def _chunked_sup(points: np.ndarray, X: np.ndarray) -> np.ndarray:
     return out
 
 
+def _lse_block(Z: np.ndarray, beta: float) -> tuple:
+    """(max, logsumexp(beta Z)) along each row of a block of products Z."""
+    return Z.max(axis=1), logsumexp(beta * Z, axis=1)
+
+
+def _fused_block(Z: np.ndarray, beta: float) -> tuple:
+    """_lse_block in place: with s the row max, beta s + log sum exp(beta
+    (Z - s)); Z is overwritten."""
+    s = Z.max(axis=1)
+    Z -= s[:, None]
+    Z *= beta
+    np.exp(Z, out=Z)
+    return s, beta * s + np.log(Z.sum(axis=1))
+
+
+def _chunked_logz(points: np.ndarray, X: np.ndarray, beta: float,
+                  block=_lse_block) -> tuple:
+    """(max_t <x, t>, log sum_t exp(beta <x, t>)) for each row x of X.
+
+    The points go in POINT_CHUNK chunks, so at most one chunk of products
+    is held; the chunk values are combined with np.maximum and
+    np.logaddexp (the online-normalizer logsumexp), and a set of one chunk
+    gets the block's value exactly."""
+    sups = np.full(X.shape[0], -np.inf)
+    logz = np.full(X.shape[0], -np.inf)
+    for lo in range(0, points.shape[0], POINT_CHUNK):
+        s, z = block(X @ points[lo:lo + POINT_CHUNK].T, beta)
+        np.maximum(sups, s, out=sups)
+        np.logaddexp(logz, z, out=logz)
+    return sups, logz
+
+
+def _basis_logz(products):
+    """The logz kernel of a basis family from ``products(X)``, the block
+    X @ points.T without the points: the same values, in the same column
+    order, as the matmul."""
+    return lambda T, X, beta: (T.sup(T, X),
+                               logsumexp(beta * products(X), axis=1))
+
+
 BASIS_MODES = ("canonical", "signed", "negative-scaled")
 
 
@@ -141,21 +193,23 @@ def make_basis_family(n: int, mode: str = "canonical",
         raise ValueError(f"theta is read only by mode=negative-scaled, not {mode}")
     if mode == "canonical":
         return _declare(n, n, lambda: np.eye(n), "basis-canonical",
-                        lambda T, X: X.max(axis=1), distinct=True, lazy=True)
+                        lambda T, X: X.max(axis=1), _basis_logz(lambda X: X),
+                        distinct=True, lazy=True)
     if mode == "signed":
         def signed():
             eye = np.eye(n)
             return np.vstack([eye, -eye])
         return _declare(2 * n, n, signed, "basis-signed",
-                        lambda T, X: np.abs(X).max(axis=1), distinct=True,
-                        lazy=True)
+                        lambda T, X: np.abs(X).max(axis=1),
+                        _basis_logz(lambda X: np.hstack([X, -X])),
+                        distinct=True, lazy=True)
     # checked here: a lazy set's points are not scanned for NaN or inf
     if theta is None or not 0 < theta < math.inf:
         raise ValueError("negative-scaled mode requires a finite theta > 0")
     neg = -float(theta)
     return _declare(n, n, lambda: -theta * np.eye(n), "basis-negative-scaled",
-                    lambda T, X: (X * neg).max(axis=1), distinct=True,
-                    lazy=True)
+                    lambda T, X: (X * neg).max(axis=1),
+                    _basis_logz(lambda X: X * neg), distinct=True, lazy=True)
 
 
 def sign_patterns(n: int, count: int | None = None,
@@ -214,8 +268,17 @@ def make_diagonal_cube(diag, k: int | None = None) -> IndexSet:
         # the BLAS thread count
         return (np.einsum("ij,j->i", np.abs(X[:, lo:]), d[lo:])
                 - np.einsum("ij,j->i", X[:, :lo], d[:lo]))
+
+    def logz(T, X, beta):
+        # the Gibbs measure is a product measure: with y = beta d x,
+        # sum_{free} log(2 cosh y_i) - sum_{fixed} y_i, and
+        # log(2 cosh y) = |y| + log1p(exp(-2|y|)); no matmul either
+        y = np.abs(X[:, lo:]) * (beta * d[lo:])
+        free = (y + np.log1p(np.exp(-2.0 * y))).sum(axis=1)
+        return sup(T, X), free - np.einsum("ij,j->i", X[:, :lo],
+                                           beta * d[:lo])
     return _declare(count, n, lambda: sign_patterns(n, count) * d[None, :],
-                    "diagonal-cube", sup, distinct=True)
+                    "diagonal-cube", sup, logz, distinct=True)
 
 
 def make_spin_quadratic(N: int, normalized: bool = False) -> IndexSet:
@@ -266,7 +329,8 @@ def make_spin_tensor(N: int, m: int, normalized: bool = False) -> IndexSet:
 
     kind = "spin-quadratic" if m == 2 else "spin-tensor"
     if m % 2 == 0:
-        return _declare(card, dim, build, kind, _half_orbit_sup)
+        return _declare(card, dim, build, kind, _half_orbit_sup,
+                        _half_orbit_logz)
     # for odd m < N distinct sigma give distinct rows; m = N gives two rows
     return _declare(card, dim, build, kind, distinct=m < N)
 
@@ -275,6 +339,15 @@ def _half_orbit_sup(T: IndexSet, X: np.ndarray) -> np.ndarray:
     """Sup over an even-order spin set: rows sigma and -sigma coincide, and
     the first half (sigma_1 = -1) holds every distinct row."""
     return _chunked_sup(T.points[:T.cardinality // 2], X)
+
+
+def _half_orbit_logz(T: IndexSet, X: np.ndarray, beta: float) -> tuple:
+    """logz over an even-order spin set: the sum over the first half, plus
+    log 2, in place on each chunk of products; the sups are
+    _half_orbit_sup's."""
+    sups, logz = _chunked_logz(T.points[:T.cardinality // 2], X, beta,
+                               _fused_block)
+    return sups, logz + math.log(2.0)
 
 
 @dataclass(frozen=True)

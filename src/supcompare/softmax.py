@@ -10,9 +10,15 @@ coordinate are central moments of the coordinate functional l_i(t) = t_i
 under the Gibbs measure with weights proportional to exp(beta <x, t>).
 
 Every evaluation runs in rows form: ``_smoothed_max_rows`` is the one
-kernel for (max, F_beta) at each row of a block X, ``gibbs_weight_rows``
-the one Gibbs normalizer, and ``_partial_rows`` the one Gibbs-moment pass
-behind every partial.  A scalar entry point is its rows form at one row.
+dispatch point for (max, F_beta) at each row of a block X,
+``gibbs_weight_rows`` the one Gibbs normalizer, and ``_partial_rows`` the
+one Gibbs-moment pass behind every partial.  A scalar entry point is its
+rows form at one row.  ``_smoothed_max_rows`` runs the log-partition
+kernel ``T.logz`` that the set's constructor declared beside its sup
+kernel ``T.sup`` (see ``index_sets``), or the generic chunked matmul
+``index_sets._chunked_logz``; either returns (max, beta F_beta).  Each
+declared kernel has a case in ``LOGZ_CASES`` of tests/test_estimator.py,
+which runs it against the generic path on an untagged copy of the points.
 """
 from __future__ import annotations
 
@@ -22,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .index_sets import IndexSet, geometric_profile
+from .index_sets import IndexSet, _chunked_logz, geometric_profile
 from . import numdiff
 
 WEIGHT_FLUSH = 1e-300
@@ -52,8 +58,11 @@ def _smoothed_max_rows(T: IndexSet, beta: float, X: np.ndarray):
     """(max_t <x, t>, F_beta(x)) at each row of X, shape (m, n) -> two (m,);
     F_beta sums over every declared row of T, duplicates included."""
     beta = _require_beta(beta)
-    Z = X @ T.points.T
-    return Z.max(axis=1), logsumexp(beta * Z, axis=1) / beta
+    if T.logz is not None:
+        sups, logz = T.logz(T, X, beta)
+    else:
+        sups, logz = _chunked_logz(T.points, X, beta)
+    return sups, logz / beta
 
 
 def log_partition(T: IndexSet, beta: float, x) -> float:

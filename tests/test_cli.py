@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 import supcompare
-from supcompare import cli, experiments, softmax
+from supcompare import cli, experiments
 from supcompare import index_sets as isets
+from supcompare.estimator import MIN_REPLICATES
 
 
 def test_parse_config_defaults_and_overrides():
@@ -70,7 +71,7 @@ def test_parse_config_refuses_degenerate_law_parameters():
 def test_degenerate_law_parameter_exits_1(tmp_path, capsys):
     for name in ("scaled-rademacher:inf", "two-point:1e-300"):
         assert run_main(["bounds", "set=basis:n=4", f"distribution={name}",
-                         "replicates=10", f"output_dir={tmp_path}"]) == 1
+                         "replicates=100", f"output_dir={tmp_path}"]) == 1
     assert not list(tmp_path.iterdir())
 
 
@@ -135,7 +136,7 @@ def test_output_dir_naming_a_file_fails_before_the_run(tmp_path, capsys,
 
 # a valid value for every config key a subcommand may read
 KEY_VALUES = {"set": "basis:n=2", "distribution": "gaussian",
-              "replicates": "10", "beta": "1", "paired": "1", "n_list": "4,8",
+              "replicates": "100", "beta": "1", "paired": "1", "n_list": "4,8",
               "N_list": "4", "N": "4", "m": "2", "u_grid": "1,2",
               "target": "softmax", "seed": "3", "output_dir": "out",
               "format": "csv"}
@@ -202,9 +203,9 @@ def test_flags_accept_only_0_or_1(tmp_path, capsys):
                                  "paired=0"]).paired
     out = str(tmp_path)
     assert run_main(["estimate", "set=spin-quadratic:N=4,normalized=true",
-                     "replicates=10", f"output_dir={out}"]) == 1
+                     "replicates=100", f"output_dir={out}"]) == 1
     assert run_main(["bounds", "set=basis:n=4", "paired=7",
-                     "replicates=10", f"output_dir={out}"]) == 1
+                     "replicates=100", f"output_dir={out}"]) == 1
     assert "must be 0 or 1" in capsys.readouterr().err
 
 
@@ -300,9 +301,9 @@ def test_failed_assertion_exits_2(tmp_path):
 
 
 def test_softmax_bracket_violation_exits_2(tmp_path, monkeypatch, capsys):
-    lse = softmax.logsumexp
+    lse = isets.logsumexp
     # a soft-max far above the upper end sup + log|T|/beta of its bracket
-    monkeypatch.setattr(softmax, "logsumexp",
+    monkeypatch.setattr(isets, "logsumexp",
                         lambda Z, axis: lse(Z, axis=axis) + 100.0)
     out = tmp_path / "bracket"
     code = run_main(["estimate", "set=basis:n=4", "distribution=gaussian",
@@ -432,17 +433,21 @@ def test_laplace_echoes_and_runs_the_default_sizes(tmp_path, monkeypatch):
     assert ran == [tuple(config["n_list"])]
 
 
+def strict_json(path):
+    """The JSON document at path; NaN, Infinity and -Infinity, which are
+    not JSON, raise."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
 def test_laplace_asserts_no_rank_test_it_did_not_run(tmp_path, capsys):
     # the Spearman trend needs 3 sizes: with 2 there is no assertion, and
     # the JSON summary holds null, not the invalid NaN
     assert run_main(["laplace", "n_list=16,64", "replicates=200",
                      "format=json", f"output_dir={tmp_path}"]) in (0, 2)
     assert "spearman" not in capsys.readouterr().out
-
-    def refuse(name):
-        raise ValueError(f"{name} is not JSON")
-    doc = json.loads((tmp_path / "laplace.json").read_text(),
-                     parse_constant=refuse)
+    doc = strict_json(tmp_path / "laplace.json")
     assert doc["summary"]["ratio_log34_spearman"] is None
     assert set(doc["assertions"]) == {"ratio_log_max_over_min_le_2"}
 
@@ -477,3 +482,48 @@ def test_json_has_stable_key_order(tmp_path):
                         "tables", "version") if f'"{k}"' in text]
     positions = [text.index(f'"{k}"') for k in keys]
     assert positions == sorted(positions)
+
+
+def test_json_writes_a_non_finite_value_as_null(tmp_path):
+    # here a gap ratio is <= 0, so the growth ratio is infinite
+    assert run_main(["laplace", "n_list=2,3", "replicates=100", "seed=8",
+                     "format=json", f"output_dir={tmp_path}"]) == 2
+    doc = strict_json(tmp_path / "laplace.json")
+    assert doc["summary"]["ratio_log_max_over_min"] is None
+    assert doc["assertions"]["ratio_log_max_over_min_le_2"] is False
+
+
+def test_emit_keeps_csv_and_nulls_json_non_finite_cells(tmp_path):
+    record = cli.ResultRecord(
+        config={"subcommand": "estimate"},
+        tables={"main": (["a", "b", "c"],
+                         [[math.inf, np.float64(np.nan), np.float64(0.5)]])},
+        summary={"low": -math.inf, "count": np.int64(3)},
+        assertions={"held": np.bool_(True)})
+    cli.emit(record, str(tmp_path), "both")
+    assert (tmp_path / "estimate.csv").read_bytes() == b"a,b,c\ninf,nan,0.5\n"
+    doc = strict_json(tmp_path / "estimate.json")
+    assert doc["tables"]["main"]["rows"] == [[None, None, 0.5]]
+    assert doc["summary"] == {"low": None, "count": 3}
+    assert doc["assertions"] == {"held": True}
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "set=basis:n=4"], ["bounds", "set=basis:n=4"],
+    ["sk", "N_list=4"], ["sudakov", "set=basis:n=4"]],
+    ids=lambda argv: argv[0])
+def test_too_few_replicates_is_refused_before_any_work(argv, tmp_path,
+                                                       monkeypatch, capsys):
+    # sudakov on a small set enumerates the Rademacher signs, so without
+    # this refusal it would run with the value unread
+    def run(config):
+        raise AssertionError("ran with too few replicates")
+    monkeypatch.setattr(cli, "run", run)
+    few = f"replicates={MIN_REPLICATES // 2}"
+    with pytest.raises(cli.ConfigError, match="replicates must be in"):
+        cli.parse_config(argv + [few])
+    out = tmp_path / "out"
+    assert run_main(argv + [few, f"output_dir={out}"]) == 1
+    assert "replicates must be in [100" in capsys.readouterr().err
+    assert not out.exists()
+    assert cli.parse_config(argv + ["replicates=100"]).replicates == 100

@@ -5,10 +5,12 @@ import weakref
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from supcompare import distributions as dists
 from supcompare import estimator as est
 from supcompare import index_sets as isets
+from supcompare import softmax as sm
 
 SQRT_2_OVER_PI = 0.7978845608028654  # E|g| for standard Gaussian
 
@@ -148,6 +150,7 @@ def test_sets_are_freed_without_the_cycle_collector(tmp_path):
         for T in sets:
             T.points
             est._sup_kernel(T)(np.ones((8, T.dim)))
+            sm._smoothed_max_rows(T, 1.0, np.ones((8, T.dim)))
         refs = [weakref.ref(T) for T in sets]
         del sets, T
         assert [r() for r in refs] == [None] * len(refs)
@@ -231,6 +234,87 @@ def test_closed_form_exact_rademacher_over_chunks(kind, k):
     build, exact = CLOSED_FORM_CASES[kind]
     r = est.exact_rademacher_complexity(build(n, k))
     assert r.mean == pytest.approx(exact(n, k), rel=1e-14)
+
+
+# one case per kind of set whose constructor declares a log-partition
+# kernel logz: (whether it is bitwise equal to the generic chunked matmul
+# path, a constructor of small sets of that kind)
+LOGZ_CASES = {
+    "basis-canonical": (True, lambda: [isets.make_basis_family(7)]),
+    "basis-signed": (True, lambda: [isets.make_basis_family(7, "signed")]),
+    "basis-negative-scaled": (True, lambda: [
+        isets.make_basis_family(7, "negative-scaled", 1.7)]),
+    "spin-quadratic": (False, lambda: [isets.make_spin_quadratic(N)
+                                       for N in (2, 7)]),
+    "spin-tensor": (False, lambda: [isets.make_spin_tensor(6, 4),
+                                    isets.make_spin_tensor(4, 4)]),
+    "diagonal-cube": (False, lambda: [
+        isets.make_diagonal_cube(_cube_diag(7), k) for k in (0, 3, None)]
+        + [isets.make_diagonal_cube(_cube_diag(20), k=14)]),
+}
+
+
+def test_every_logz_kernel_has_a_case(tmp_path):
+    declared = {T.kind for T in families(tmp_path) if T.logz is not None}
+    assert set(LOGZ_CASES) == declared
+
+
+@pytest.mark.parametrize("kind", sorted(LOGZ_CASES))
+def test_logz_kernels_match_generic_path(kind):
+    bitwise, build = LOGZ_CASES[kind]
+    rng = np.random.default_rng(len(kind))
+    for T in build():
+        assert T.kind == kind
+        sm._smoothed_max_rows(T, 1.0, np.ones((4, T.dim)))
+        # a basis kernel builds no points
+        assert ("points" in vars(T)) == (not kind.startswith("basis-"))
+        G = isets.build_explicit(T.points)  # no structure tag
+        for X in (rng.standard_normal((300, T.dim)),
+                  rng.choice([-1.0, 1.0], size=(300, T.dim))):
+            for beta in (0.3, 2.0, 40.0, 300.0):
+                sups, F = sm._smoothed_max_rows(T, beta, X)
+                gsups, gF = sm._smoothed_max_rows(G, beta, X)
+                assert np.array_equal(sups, T.sup(T, X))
+                if bitwise:
+                    assert np.array_equal(sups, gsups)
+                    assert np.array_equal(F, gF)
+                else:
+                    # relative to |F| or to the size of the products
+                    scale = np.maximum(np.abs(gF), np.abs(X) @ np.abs(
+                        T.points).max(axis=0))
+                    assert np.all(np.abs(sups - gsups) <= 1e-13 * scale)
+                    assert np.all(np.abs(F - gF) <= 1e-13 * scale)
+                offset = T.log_cardinality / beta
+                slack = np.minimum(F - sups, sups + offset - F)
+                assert slack.min() >= -est.BRACKET_TOL
+
+
+def test_generic_logz_over_chunks_matches_one_shot():
+    rng = np.random.default_rng(21)
+    T = isets.build_explicit(rng.standard_normal((2 * est.POINT_CHUNK + 5, 3)))
+    X = rng.standard_normal((40, 3))
+    Z = X @ T.points.T
+    for beta in (0.5, 8.0):
+        sups, F = sm._smoothed_max_rows(T, beta, X)
+        assert np.array_equal(sups, isets._chunked_sup(T.points, X))
+        np.testing.assert_allclose(F, logsumexp(beta * Z, axis=1) / beta,
+                                   rtol=1e-13, atol=0)
+
+
+def test_generic_logz_holds_one_chunk_of_products():
+    # the products with all 16 chunks of T would take 16 chunk sizes before
+    # logsumexp adds its temporaries; one chunk at a time takes a few
+    rng = np.random.default_rng(22)
+    T = isets.build_explicit(rng.standard_normal((16 * est.POINT_CHUNK, 2)))
+    X = rng.standard_normal((32, 2))
+    chunk_bytes = 8 * X.shape[0] * est.POINT_CHUNK
+    tracemalloc.start()
+    try:
+        sm._smoothed_max_rows(T, 1.0, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * chunk_bytes
 
 
 def test_diagonal_cube_gaussian_value():

@@ -49,6 +49,9 @@ CONFIGS = {
     "estimate-big-dim": [
         "estimate", "set=diagcube:n=10001,k=3", "distribution=gaussian",
         "replicates=200", "seed=7"],
+    "estimate-big-dim-beta": [
+        "estimate", "set=diagcube:n=10001,k=2", "distribution=gaussian",
+        "replicates=150", "seed=1", "beta=2"],
     "estimate-explicit-duplicates": [
         "estimate", "set=explicit:path={explicit}", "distribution=laplace",
         "replicates=900", "seed=8", "beta=0.7"],
@@ -113,6 +116,8 @@ DIGESTS = {
         "6ad8651a784940008bd7fe8c22a9925dd803ca4fd27b2e9605273b7ef3bb5b65",
     "estimate-big-dim":
         "1d6e7ba12fd3bcc905172bda318618ecc78d43f59f509a404b364ec64ccac5eb",
+    "estimate-big-dim-beta":
+        "791d90167c228d7b2505399406a2ec4ddc797a35e50c24ec26d42451d0355da4",
     "estimate-explicit-duplicates":
         "cc2146da4cd086ab15d837af89b99103dbe73421ab643a9df1b2f2a137837554",
     "bounds-diagcube":
