@@ -5,7 +5,7 @@ sup_t <x, t> are taken.  A set is declared by its shape and a builder of
 its point matrix; the points are built on first read and kept as a
 read-only float64 array.  Explicit, diagonal-cube and spin sets are built
 when declared.  Basis families are built only if something reads their
-points: their kernels and sampling need only the declared shape.
+points: their sup kernels and sampling need only the declared shape.
 Duplicate rows are retained: the declared cardinality enters
 log-cardinality bounds, and deduplication is the caller's choice.
 
@@ -13,14 +13,14 @@ A structured set's constructor declares two kernels.  ``sup(T, X)`` is the
 max over rows t of <x, t> for each row x of X; ``logz(T, X, beta)`` is the
 pair (sup, log sum_t exp(beta <x, t>)) per row, the one entry through
 which ``softmax`` evaluates every smoothed maximum beta F_beta.  Basis
-families never touch the points, a diagonal cube closes over its diagonal
-and free sign count (its Gibbs measure is a product measure, so its log
-partition is a sum of log 2 cosh terms), and a spin set of even order runs
-the matmul over its distinct half.  A set without kernels takes the
-generic entries, ``_chunked_sup`` and ``_chunked_logz``, which go over the
-points in POINT_CHUNK chunks.  A kernel receives the set rather than
-capturing it, so a set holds no reference to itself and is freed with its
-last reference.
+families declare only ``sup``, which never touches the points; a diagonal
+cube closes over its diagonal and free sign count (its Gibbs measure is a
+product measure, so its log partition is a sum of log 2 cosh terms), and
+a spin set of even order runs the matmul over its distinct half.  A set
+without a kernel takes the generic entry, ``_chunked_sup`` or
+``_chunked_logz``, which goes over the points in POINT_CHUNK chunks.  A
+kernel receives the set rather than capturing it, so a set holds no
+reference to itself and is freed with its last reference.
 """
 from __future__ import annotations
 
@@ -166,14 +166,6 @@ def _chunked_logz(points: np.ndarray, X: np.ndarray, beta: float,
     return sups, logz
 
 
-def _basis_logz(products):
-    """The logz kernel of a basis family from ``products(X)``, the block
-    X @ points.T without the points: the same values, in the same column
-    order, as the matmul."""
-    return lambda T, X, beta: (T.sup(T, X),
-                               logsumexp(beta * products(X), axis=1))
-
-
 BASIS_MODES = ("canonical", "signed", "negative-scaled")
 
 
@@ -193,23 +185,21 @@ def make_basis_family(n: int, mode: str = "canonical",
         raise ValueError(f"theta is read only by mode=negative-scaled, not {mode}")
     if mode == "canonical":
         return _declare(n, n, lambda: np.eye(n), "basis-canonical",
-                        lambda T, X: X.max(axis=1), _basis_logz(lambda X: X),
-                        distinct=True, lazy=True)
+                        lambda T, X: X.max(axis=1), distinct=True, lazy=True)
     if mode == "signed":
         def signed():
             eye = np.eye(n)
             return np.vstack([eye, -eye])
         return _declare(2 * n, n, signed, "basis-signed",
-                        lambda T, X: np.abs(X).max(axis=1),
-                        _basis_logz(lambda X: np.hstack([X, -X])),
-                        distinct=True, lazy=True)
+                        lambda T, X: np.abs(X).max(axis=1), distinct=True,
+                        lazy=True)
     # checked here: a lazy set's points are not scanned for NaN or inf
     if theta is None or not 0 < theta < math.inf:
         raise ValueError("negative-scaled mode requires a finite theta > 0")
     neg = -float(theta)
     return _declare(n, n, lambda: -theta * np.eye(n), "basis-negative-scaled",
-                    lambda T, X: (X * neg).max(axis=1),
-                    _basis_logz(lambda X: X * neg), distinct=True, lazy=True)
+                    lambda T, X: (X * neg).max(axis=1), distinct=True,
+                    lazy=True)
 
 
 def sign_patterns(n: int, count: int | None = None,

@@ -237,20 +237,14 @@ def test_closed_form_exact_rademacher_over_chunks(kind, k):
 
 
 # one case per kind of set whose constructor declares a log-partition
-# kernel logz: (whether it is bitwise equal to the generic chunked matmul
-# path, a constructor of small sets of that kind)
+# kernel logz: a constructor of small sets of that kind
 LOGZ_CASES = {
-    "basis-canonical": (True, lambda: [isets.make_basis_family(7)]),
-    "basis-signed": (True, lambda: [isets.make_basis_family(7, "signed")]),
-    "basis-negative-scaled": (True, lambda: [
-        isets.make_basis_family(7, "negative-scaled", 1.7)]),
-    "spin-quadratic": (False, lambda: [isets.make_spin_quadratic(N)
-                                       for N in (2, 7)]),
-    "spin-tensor": (False, lambda: [isets.make_spin_tensor(6, 4),
-                                    isets.make_spin_tensor(4, 4)]),
-    "diagonal-cube": (False, lambda: [
+    "spin-quadratic": lambda: [isets.make_spin_quadratic(N) for N in (2, 7)],
+    "spin-tensor": lambda: [isets.make_spin_tensor(6, 4),
+                            isets.make_spin_tensor(4, 4)],
+    "diagonal-cube": lambda: [
         isets.make_diagonal_cube(_cube_diag(7), k) for k in (0, 3, None)]
-        + [isets.make_diagonal_cube(_cube_diag(20), k=14)]),
+        + [isets.make_diagonal_cube(_cube_diag(20), k=14)],
 }
 
 
@@ -261,13 +255,9 @@ def test_every_logz_kernel_has_a_case(tmp_path):
 
 @pytest.mark.parametrize("kind", sorted(LOGZ_CASES))
 def test_logz_kernels_match_generic_path(kind):
-    bitwise, build = LOGZ_CASES[kind]
     rng = np.random.default_rng(len(kind))
-    for T in build():
+    for T in LOGZ_CASES[kind]():
         assert T.kind == kind
-        sm._smoothed_max_rows(T, 1.0, np.ones((4, T.dim)))
-        # a basis kernel builds no points
-        assert ("points" in vars(T)) == (not kind.startswith("basis-"))
         G = isets.build_explicit(T.points)  # no structure tag
         for X in (rng.standard_normal((300, T.dim)),
                   rng.choice([-1.0, 1.0], size=(300, T.dim))):
@@ -275,15 +265,11 @@ def test_logz_kernels_match_generic_path(kind):
                 sups, F = sm._smoothed_max_rows(T, beta, X)
                 gsups, gF = sm._smoothed_max_rows(G, beta, X)
                 assert np.array_equal(sups, T.sup(T, X))
-                if bitwise:
-                    assert np.array_equal(sups, gsups)
-                    assert np.array_equal(F, gF)
-                else:
-                    # relative to |F| or to the size of the products
-                    scale = np.maximum(np.abs(gF), np.abs(X) @ np.abs(
-                        T.points).max(axis=0))
-                    assert np.all(np.abs(sups - gsups) <= 1e-13 * scale)
-                    assert np.all(np.abs(F - gF) <= 1e-13 * scale)
+                # relative to |F| or to the size of the products
+                scale = np.maximum(np.abs(gF), np.abs(X) @ np.abs(
+                    T.points).max(axis=0))
+                assert np.all(np.abs(sups - gsups) <= 1e-13 * scale)
+                assert np.all(np.abs(F - gF) <= 1e-13 * scale)
                 offset = T.log_cardinality / beta
                 slack = np.minimum(F - sups, sups + offset - F)
                 assert slack.min() >= -est.BRACKET_TOL
@@ -315,6 +301,16 @@ def test_generic_logz_holds_one_chunk_of_products():
     finally:
         tracemalloc.stop()
     assert peak < 12 * chunk_bytes
+
+
+def test_basis_softmax_over_the_point_budget_is_refused():
+    # a basis set declares no logz: its soft-max reads the points, whose
+    # byte budget refuses them before any product is formed
+    n = 20000
+    assert 8 * n * n > isets.MAX_POINT_BYTES
+    T = isets.make_basis_family(n, "signed")
+    with pytest.raises(ValueError, match="over the budget"):
+        sm._smoothed_max_rows(T, 1.0, np.ones((2, n)))
 
 
 def test_diagonal_cube_gaussian_value():
