@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import (CoordinateDistribution, RandomStream, gaussian,
-                            rademacher)
+from .distributions import (DEFAULT_STREAM, CoordinateDistribution,
+                            RandomStream, gaussian, rademacher)
 from .estimator import (SupremumEstimate, complexity, estimate_complexity,
                         paired_gap_estimate)
 from .index_sets import GeometricProfile, IndexSet, dedupe, geometric_profile
@@ -193,7 +193,7 @@ MAX_PAIRWISE = 4096
 
 
 def sudakov_check(T: IndexSet, replicates: int = 0,
-                  stream: RandomStream | None = None) -> SudakovReport:
+                  stream: RandomStream = DEFAULT_STREAM) -> SudakovReport:
     """Minoration ratios for r(T): with a the exact min pairwise distance,
 
         hypothesis_ratio = sup_t |t|_inf R2 sqrt(log|T|) / a^2
@@ -203,7 +203,7 @@ def sudakov_check(T: IndexSet, replicates: int = 0,
     below.  Distances are over distinct points; |T| > 4096 is refused
     (exact pairwise distances only).  r(T) is ``complexity``: enumerated
     exactly when dim <= MAX_ENUM_DIM, else estimated with `replicates`
-    draws on `stream`.
+    draws on `stream` (by default the DEFAULT_SEED stream).
     """
     D = dedupe(T)
     if D.cardinality < 2:
@@ -219,8 +219,6 @@ def sudakov_check(T: IndexSet, replicates: int = 0,
         raise ValueError("distinct points at zero distance; degenerate set")
     profile = geometric_profile(D)
     logc = math.log(D.cardinality)
-    if logc == 0.0:
-        raise ValueError("need cardinality >= 2")
     r_est = complexity(D, rademacher(), replicates, stream)
     hyp = profile.rinf * profile.r2 * math.sqrt(logc) / a ** 2
     concl = r_est.mean / (a * math.sqrt(logc))

@@ -97,10 +97,10 @@ def _fd_disagreement(rng):
     return max(fd_error(T, beta, x, i, order) for order in (2, 3, 4))
 
 
-def _moment_bound_violated(rng):
+def _moment_bound_excess(rng):
     T, x, beta = _instance(rng)
     i = int(rng.integers(T.dim))
-    return 0.0 if sm.derivative_bound_check(T, beta, x, i).ok else 1.0
+    return sm.derivative_bound_check(T, beta, x, i).excess
 
 
 def _uniform_identity_gap(rng):
@@ -150,12 +150,12 @@ def _gradient_error(rng):
     return float(np.abs(grad - moments).max())
 
 
-def _lipschitz_violated(rng):
+def _lipschitz_excess(rng):
     T, x, beta = _instance(rng)
     i = int(rng.integers(T.dim))
     y = x.copy()
     y[i] += float(rng.uniform(-0.5, 0.5))
-    return 0.0 if sm.lipschitz_log_moment_check(T, beta, x, y, i).ok else 1.0
+    return sm.lipschitz_log_moment_check(T, beta, x, y, i).excess
 
 
 def _concentrated_fourth_moment(rng):
@@ -190,7 +190,7 @@ BATTERIES = {
         Check("monotone_in_beta", 100, _beta_increase, 1e-12),
         Check("midpoint_convexity", 200, _midpoint_excess, 0.0),
         Check("derivative_fd_agreement", 50, _fd_disagreement, 1e-4),
-        Check("derivative_moment_bounds", 200, _moment_bound_violated, 0.0),
+        Check("derivative_moment_bounds", 200, _moment_bound_excess, 0.0),
         Check("uniform_measure_identity", 100, _uniform_identity_gap, 1e-10),
         Check("weight_collapse", 50, _collapse_weight, 1.0 - 1e-6, lower=True),
     ),
@@ -199,7 +199,7 @@ BATTERIES = {
         Check("log_ratio_identity", 100, _log_ratio_error, 1e-10),
         Check("gibbs_is_tilted_uniform", 100, _tilt_error, 1e-12),
         Check("gradient_is_mean", 100, _gradient_error, 1e-12),
-        Check("lipschitz_log_moment", 100, _lipschitz_violated, 0.0),
+        Check("lipschitz_log_moment", 100, _lipschitz_excess, 0.0),
         Check("concentrated_fourth_moment", 1, _concentrated_fourth_moment,
               1e-10),
         Check("fourth_moment_growth", 1, _fourth_moment_growth, 0.9,

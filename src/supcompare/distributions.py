@@ -25,7 +25,7 @@ _MASK64 = SEED_LIMIT - 1
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 
-# master seed used everywhere a stream is not supplied explicitly
+# master seed of DEFAULT_STREAM, used everywhere a stream is not supplied
 DEFAULT_SEED = 202608
 # empirical_moment_check flags a moment this many standard errors off
 MOMENT_Z = 5.0
@@ -74,6 +74,8 @@ class RandomStream:
         return RandomStream(self.master_seed,
                             derive_substream(self.substream_id, tag, index))
 
+
+DEFAULT_STREAM = RandomStream(DEFAULT_SEED)
 
 _SQRT3 = math.sqrt(3.0)
 _SQRT2 = math.sqrt(2.0)

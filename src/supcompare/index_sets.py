@@ -18,9 +18,12 @@ cube closes over its diagonal and free sign count (its Gibbs measure is a
 product measure, so its log partition is a sum of log 2 cosh terms), and
 a spin set of even order runs the matmul over its distinct half.  A set
 without a kernel takes the generic entry, ``_chunked_sup`` or
-``_chunked_logz``, which goes over the points in POINT_CHUNK chunks.  A
-kernel receives the set rather than capturing it, so a set holds no
-reference to itself and is freed with its last reference.
+``_chunked_logz``, which goes over the points in POINT_CHUNK chunks.
+Every logz but the cube's closed form, and every Gibbs weight in
+``softmax``, exponentiates its block of products in place through one
+body, ``_fused_block``.  A kernel receives the set rather than capturing
+it, so a set holds no reference to itself and is freed with its last
+reference.
 """
 from __future__ import annotations
 
@@ -31,7 +34,6 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy.special import logsumexp
 
 MAX_CARDINALITY = 2 ** 22
 MAX_DIM = 2 ** 20
@@ -134,14 +136,10 @@ def _chunked_sup(points: np.ndarray, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def _lse_block(Z: np.ndarray, beta: float) -> tuple:
-    """(max, logsumexp(beta Z)) along each row of a block of products Z."""
-    return Z.max(axis=1), logsumexp(beta * Z, axis=1)
-
-
 def _fused_block(Z: np.ndarray, beta: float) -> tuple:
-    """_lse_block in place: with s the row max, beta s + log sum exp(beta
-    (Z - s)); Z is overwritten."""
+    """(max, log sum exp(beta Z)) along each row of a block of products Z,
+    in place: with s the row max, Z becomes exp(beta (Z - s)), the
+    unnormalized Gibbs weights, and the log sum is beta s + log sum Z."""
     s = Z.max(axis=1)
     Z -= s[:, None]
     Z *= beta
@@ -149,18 +147,16 @@ def _fused_block(Z: np.ndarray, beta: float) -> tuple:
     return s, beta * s + np.log(Z.sum(axis=1))
 
 
-def _chunked_logz(points: np.ndarray, X: np.ndarray, beta: float,
-                  block=_lse_block) -> tuple:
-    """(max_t <x, t>, log sum_t exp(beta <x, t>)) for each row x of X.
-
-    The points go in POINT_CHUNK chunks, so at most one chunk of products
-    is held; the chunk values are combined with np.maximum and
-    np.logaddexp (the online-normalizer logsumexp), and a set of one chunk
-    gets the block's value exactly."""
+def _chunked_logz(points: np.ndarray, X: np.ndarray, beta: float) -> tuple:
+    """(max_t <x, t>, log sum_t exp(beta <x, t>)) for each row x of X, over
+    POINT_CHUNK chunks of points, each reduced in place by _fused_block and
+    combined by np.maximum and np.logaddexp (the online-normalizer
+    logsumexp): one chunk of products is held at a time, and a set of one
+    chunk gets the block's value exactly."""
     sups = np.full(X.shape[0], -np.inf)
     logz = np.full(X.shape[0], -np.inf)
     for lo in range(0, points.shape[0], POINT_CHUNK):
-        s, z = block(X @ points[lo:lo + POINT_CHUNK].T, beta)
+        s, z = _fused_block(X @ points[lo:lo + POINT_CHUNK].T, beta)
         np.maximum(sups, s, out=sups)
         np.logaddexp(logz, z, out=logz)
     return sups, logz
@@ -333,10 +329,8 @@ def _half_orbit_sup(T: IndexSet, X: np.ndarray) -> np.ndarray:
 
 def _half_orbit_logz(T: IndexSet, X: np.ndarray, beta: float) -> tuple:
     """logz over an even-order spin set: the sum over the first half, plus
-    log 2, in place on each chunk of products; the sups are
-    _half_orbit_sup's."""
-    sups, logz = _chunked_logz(T.points[:T.cardinality // 2], X, beta,
-                               _fused_block)
+    log 2; the sups are _half_orbit_sup's."""
+    sups, logz = _chunked_logz(T.points[:T.cardinality // 2], X, beta)
     return sups, logz + math.log(2.0)
 
 

@@ -31,12 +31,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import DEFAULT_SEED, CoordinateDistribution, RandomStream
+from .distributions import DEFAULT_STREAM, CoordinateDistribution, RandomStream
 from .estimator import SAMPLE_BLOCK, _blocked, mean_se
 from .index_sets import IndexSet, geometric_profile, sign_patterns
 from . import softmax as sm
 
-DEFAULT_STREAM = RandomStream(DEFAULT_SEED)
 # Gauss-Legendre nodes of the potential integrals over u = e^{-t} in
 # [0, 1], and of the Stein representation's integral over s in [0, 1]
 POTENTIAL_NODES = 64

@@ -9,16 +9,17 @@ which brackets the true maximum:  max <= F_beta <= max + log|T|/beta
 coordinate are central moments of the coordinate functional l_i(t) = t_i
 under the Gibbs measure with weights proportional to exp(beta <x, t>).
 
-Every evaluation runs in rows form: ``_smoothed_max_rows`` is the one
-dispatch point for (max, F_beta) at each row of a block X,
-``gibbs_weight_rows`` the one Gibbs normalizer, and ``_partial_rows`` the
-one Gibbs-moment pass behind every partial.  A scalar entry point is its
-rows form at one row.  ``_smoothed_max_rows`` runs the log-partition
-kernel ``T.logz`` that the set's constructor declared beside its sup
-kernel ``T.sup`` (see ``index_sets``), or the generic chunked matmul
-``index_sets._chunked_logz``; either returns (max, beta F_beta).  Each
-declared kernel has a case in ``LOGZ_CASES`` of tests/test_estimator.py,
-which runs it against the generic path on an untagged copy of the points.
+Every evaluation runs in rows form; a scalar entry point is its rows form
+at one row.  ``_smoothed_max_rows`` is the one dispatch point for (max,
+F_beta): it runs the log-partition kernel ``T.logz`` the set declared (see
+``index_sets``; ``LOGZ_CASES`` in tests/test_estimator.py checks each), or
+the generic ``index_sets._chunked_logz``.  ``gibbs_weight_rows`` is the
+one Gibbs normalizer; it and the generic path run the one exp body,
+``index_sets._fused_block``, in place on the block of products.
+``_partial_rows`` is the one Gibbs-moment pass behind every partial, its
+centred powers built by in-place products.  ``log_laplace`` alone keeps
+scipy's ``logsumexp``, the independent reference that the uniform-measure
+identity compares F_beta against.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .index_sets import IndexSet, _chunked_logz, geometric_profile
+from .index_sets import IndexSet, _chunked_logz, _fused_block, geometric_profile
 from . import numdiff
 
 WEIGHT_FLUSH = 1e-300
@@ -66,7 +67,7 @@ def _smoothed_max_rows(T: IndexSet, beta: float, X: np.ndarray):
 
 
 def log_partition(T: IndexSet, beta: float, x) -> float:
-    """F_beta(x), evaluated stably (max subtraction via logsumexp)."""
+    """F_beta(x), evaluated stably (max subtracted before the exp)."""
     return float(log_partition_rows(T, beta, _one_row(x))[0])
 
 
@@ -95,18 +96,18 @@ def uniform_measure(T: IndexSet) -> WeightedMeasure:
     return WeightedMeasure(T, w)
 
 
-def _normalized_exp(z: np.ndarray) -> np.ndarray:
-    """exp(z) normalized along the last axis, max-subtracted; weights below
-    WEIGHT_FLUSH flush to exact zero."""
-    w = np.exp(z - z.max(axis=-1, keepdims=True))
-    w[w < WEIGHT_FLUSH] = 0.0
-    return w / w.sum(axis=-1, keepdims=True)
+def _normalized_exp(Z: np.ndarray, beta: float) -> np.ndarray:
+    """exp(beta Z) normalized along each row of Z in place, through
+    _fused_block; weights below WEIGHT_FLUSH flush to exact zero."""
+    _fused_block(Z, beta)
+    Z[Z < WEIGHT_FLUSH] = 0.0
+    Z /= Z.sum(axis=1, keepdims=True)
+    return Z
 
 
 def gibbs_weight_rows(T: IndexSet, beta: float, X: np.ndarray) -> np.ndarray:
     """Gibbs weights at each row of X, shape (m, n) -> (m, |T|)."""
-    beta = _require_beta(beta)
-    return _normalized_exp(beta * (X @ T.points.T))
+    return _normalized_exp(X @ T.points.T, _require_beta(beta))
 
 
 def gibbs_measure(T: IndexSet, beta: float, x) -> WeightedMeasure:
@@ -145,10 +146,15 @@ def _partial_rows(W: np.ndarray, li: np.ndarray, beta: float,
     m1 = W @ li
     if order == 1:
         return m1
+    # centred powers by in-place products: at most W, C and one more block
     C = li[None, :] - m1[:, None]
-    cm = {k: np.einsum("bt,bt->b", W, C ** k)
-          for k in ((2, 4) if order == 4 else (order,))}
-    cumulant = cm[4] - 3.0 * cm[2] ** 2 if order == 4 else cm[order]
+    P = C * C
+    if order == 3:
+        P *= C
+    cumulant = np.einsum("bt,bt->b", W, P)
+    if order == 4:
+        P *= P
+        cumulant = np.einsum("bt,bt->b", W, P) - 3.0 * cumulant ** 2
     return beta ** (order - 1) * cumulant
 
 
@@ -182,8 +188,16 @@ def log_partition_generator_rows(T: IndexSet, beta: float,
     return lap - (X * M1).sum(axis=1)
 
 
+class _Verdict:
+    """A check report that passes when its ``excess`` is at most 0."""
+
+    @property
+    def ok(self) -> bool:
+        return self.excess <= 0.0
+
+
 @dataclass(frozen=True)
-class DerivativeBoundReport:
+class DerivativeBoundReport(_Verdict):
     """Analytic partials vs their Gibbs-moment majorants at one (x, i)."""
 
     d2: float
@@ -192,7 +206,8 @@ class DerivativeBoundReport:
     d2_bound: float
     d3_bound: float
     d4_bound: float
-    ok: bool
+    # the largest violation relative to max(1, bounds), past the slack
+    excess: float
 
 
 def derivative_bound_check(T: IndexSet, beta: float, x,
@@ -206,9 +221,10 @@ def derivative_bound_check(T: IndexSet, beta: float, x,
     b2 = beta * gibbs_moment(mu, i, 2, absolute=True)
     b3 = THIRD_DERIV_CONST * beta ** 2 * gibbs_moment(mu, i, 3, absolute=True)
     b4 = FOURTH_DERIV_CONST * beta ** 3 * gibbs_moment(mu, i, 4)
-    tol = DERIV_BOUND_SLACK * max(1.0, b2, b3, b4)
-    ok = (-tol <= d2 <= b2 + tol) and abs(d3) <= b3 + tol and abs(d4) <= b4 + tol
-    return DerivativeBoundReport(d2, d3, d4, b2, b3, b4, ok)
+    # np.max, not max: a NaN anywhere must fail the check
+    excess = (float(np.max([-d2, d2 - b2, abs(d3) - b3, abs(d4) - b4]))
+              / max(1.0, b2, b3, b4) - DERIV_BOUND_SLACK)
+    return DerivativeBoundReport(d2, d3, d4, b2, b3, b4, excess)
 
 
 def _tilt_logits(mu: WeightedMeasure, x) -> np.ndarray:
@@ -225,7 +241,7 @@ def log_laplace(mu: WeightedMeasure, x) -> float:
 
 def tilted_measure(mu: WeightedMeasure, x) -> WeightedMeasure:
     """The measure with density proportional to exp(<x, l>) against mu."""
-    w = _normalized_exp(_tilt_logits(mu, x))
+    w = _normalized_exp(_tilt_logits(mu, x)[None, :], 1.0)[0]
     w.setflags(write=False)
     return WeightedMeasure(mu.base, w)
 
@@ -243,7 +259,7 @@ def uniform_identity_gap(T: IndexSet, beta: float, x) -> float:
 
 
 @dataclass(frozen=True)
-class LipschitzMomentReport:
+class LipschitzMomentReport(_Verdict):
     """Log fourth-moment shift between two Gibbs locations vs its bounds."""
 
     log_moment_x: float
@@ -251,7 +267,8 @@ class LipschitzMomentReport:
     gap: float
     general_bound: float
     coordinate_bound: float | None
-    ok: bool
+    # gap - bound relative to max(1, bound), past the slack
+    excess: float
 
 
 def lipschitz_log_moment_check(T: IndexSet, beta: float, x, y, i: int,
@@ -266,28 +283,17 @@ def lipschitz_log_moment_check(T: IndexSet, beta: float, x, y, i: int,
     y = np.asarray(y, dtype=np.float64)
     mx = gibbs_moment(gibbs_measure(T, beta, x), i, k, absolute=True)
     my = gibbs_moment(gibbs_measure(T, beta, y), i, k, absolute=True)
-    if mx == 0.0 and my == 0.0:
-        gap = 0.0
-        lx = ly = -math.inf
-    elif mx == 0.0 or my == 0.0:
-        # flushed weights can zero a moment; report an honest infinite gap
-        gap = math.inf
-        lx = -math.inf if mx == 0.0 else math.log(mx)
-        ly = -math.inf if my == 0.0 else math.log(my)
-    else:
-        lx, ly = math.log(mx), math.log(my)
-        gap = abs(lx - ly)
+    # flushed weights can zero a moment: one zero is an honest infinite gap
+    lx, ly = (math.log(m) if m != 0.0 else -math.inf for m in (mx, my))
+    gap = 0.0 if mx == my == 0.0 else abs(lx - ly)
     diff = x - y
     general = 2.0 * beta * float(np.abs(T.points @ diff).max())
-    support = np.nonzero(diff)[0]
     coord = None
-    if support.size == 0:
-        coord = 0.0
-    elif support.size == 1 and support[0] == i:
+    if not np.delete(diff, i).any():  # x - y is supported on coordinate i
         coord = 2.0 * beta * geometric_profile(T).rinf * abs(float(diff[i]))
     bound = general if coord is None else min(general, coord)
-    ok = gap <= bound + LIPSCHITZ_SLACK * max(1.0, bound)
-    return LipschitzMomentReport(lx, ly, gap, general, coord, ok)
+    excess = (gap - bound) / max(1.0, bound) - LIPSCHITZ_SLACK
+    return LipschitzMomentReport(lx, ly, gap, general, coord, excess)
 
 
 def grad_fd_report(T: IndexSet, beta: float, x, i: int, order: int):

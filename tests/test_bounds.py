@@ -130,6 +130,16 @@ def test_sudakov_basis_values():
         (1.0 - 2.0 ** (1 - n)) / (a * math.sqrt(logc)), rel=1e-12)
 
 
+def test_sudakov_estimate_defaults_to_the_default_seed_stream():
+    # 30 coordinates are past MAX_ENUM_DIM, so r(T) is a Monte-Carlo
+    # estimate, drawn on the default stream when none is passed
+    T = isets.make_diagonal_cube(np.linspace(1.0, 0.1, 30), k=3)
+    rep = bmod.sudakov_check(T, 200)
+    assert not rep.exact
+    assert rep == bmod.sudakov_check(
+        T, 200, dists.RandomStream(dists.DEFAULT_SEED))
+
+
 def test_sudakov_validation():
     with pytest.raises(ValueError):
         bmod.sudakov_check(isets.build_explicit([[1.0, 0.0]]))

@@ -25,6 +25,34 @@ def test_driver_rows_report_the_value_they_were_judged_by(target):
                 assert row["observed"] >= 0.0
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_stein_battery_passes(seed):
+    rows = checks.run_battery("stein", seed)
+    assert all(r["passed"] for r in rows), [r for r in rows if not r["passed"]]
+
+
+@pytest.mark.parametrize("name, patches", [
+    ("derivative_moment_bounds",
+     {"THIRD_DERIV_CONST": 0.0, "FOURTH_DERIV_CONST": 0.0}),
+    ("lipschitz_log_moment",
+     {"geometric_profile": lambda T: isets.GeometricProfile(*[0.0] * 9)}),
+])
+def test_bound_rows_report_the_size_of_a_violation(monkeypatch, name,
+                                                   patches):
+    # each patch breaks the bound on every instance; the row reports the
+    # largest relative excess of its reports, not a 1.0 flag
+    for attr, value in patches.items():
+        monkeypatch.setattr(sm, attr, value)
+    check = next(c for table in checks.BATTERIES.values() for c in table
+                 if c.name == name)
+    row = checks.run_check(check, np.random.default_rng(5))
+    rng = np.random.default_rng(5)
+    sizes = [check.measure(rng) for _ in range(check.instances)]
+    assert min(sizes) > 0.0 and max(sizes) != 1.0
+    assert row == {"check": name, "passed": False, "observed": max(sizes),
+                   "threshold": 0.0}
+
+
 def test_run_check_rule():
     values = iter([0.5, 2.0, math.nan, 0.25])
     row = checks.run_check(checks.Check("c", 2, lambda rng: next(values), 1.0),

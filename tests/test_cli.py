@@ -301,10 +301,13 @@ def test_failed_assertion_exits_2(tmp_path):
 
 
 def test_softmax_bracket_violation_exits_2(tmp_path, monkeypatch, capsys):
-    lse = isets.logsumexp
-    # a soft-max far above the upper end sup + log|T|/beta of its bracket
-    monkeypatch.setattr(isets, "logsumexp",
-                        lambda Z, axis: lse(Z, axis=axis) + 100.0)
+    fused = isets._fused_block
+
+    def shifted(Z, beta):
+        # a soft-max far above the upper end sup + log|T|/beta of its bracket
+        sups, logz = fused(Z, beta)
+        return sups, logz + 100.0
+    monkeypatch.setattr(isets, "_fused_block", shifted)
     out = tmp_path / "bracket"
     code = run_main(["estimate", "set=basis:n=4", "distribution=gaussian",
                      "replicates=200", "beta=1.0", f"output_dir={out}"])

@@ -149,11 +149,11 @@ DIGESTS = {
     "phase-curves":
         "c6ecf69e0f1b348b0eff5a8c7c05a14140e51c908945b025d084aec915c6cc26",
     "verify-softmax":
-        "87397a8298875d083d698a535cda20540bcc888e46ed9b1b82cb2bc58c9f5837",
+        "8ab8b742b8bd40cdcd5491ab702b851f0677fbc6ac9bb29f5f8f2eb2a3acff2d",
     "verify-stein":
-        "098d7b25f270e94d76090a4627ffa165475d1ec76a84f4bb0da77a7b520354a2",
+        "3e58b60e0e77ccea09cec918b12915618170a1c98efcc5d5e561e05b2e76ef03",
     "verify-gibbs":
-        "b746108a066d0cbd9ba5a68e9b69e25a0539f26bafc66880591189506d343a4c",
+        "597b4d24af70f8e9fdb196360d07fa98533bdf581860ba255a051979bb13dd34",
 }
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -151,6 +152,54 @@ def test_derivative_bound_check():
         assert rep.d3_bound == pytest.approx(
             6.0 * beta ** 2
             * sm.gibbs_moment(sm.gibbs_measure(T, beta, x), i, 3, True))
+
+
+def test_bound_reports_give_the_size_of_a_violation(monkeypatch):
+    rng = np.random.default_rng(24)
+    T, x, beta = random_instance(rng)
+    rep = sm.derivative_bound_check(T, beta, x, 0)
+    assert rep.ok and rep.excess < 0.0
+    # with no third or fourth moment bound, |d3| and |d4| are the violation
+    monkeypatch.setattr(sm, "THIRD_DERIV_CONST", 0.0)
+    monkeypatch.setattr(sm, "FOURTH_DERIV_CONST", 0.0)
+    rep = sm.derivative_bound_check(T, beta, x, 0)
+    assert not rep.ok
+    assert rep.excess == (max(abs(rep.d3), abs(rep.d4))
+                          / max(1.0, rep.d2_bound) - sm.DERIV_BOUND_SLACK)
+    y = x.copy()
+    y[0] += 0.5
+    rep = sm.lipschitz_log_moment_check(T, beta, x, y, 0)
+    assert rep.ok and rep.excess < 0.0
+    # a zero sup norm makes the coordinate bound 0, so the gap is the excess
+    monkeypatch.setattr(sm, "geometric_profile",
+                        lambda T: isets.GeometricProfile(*[0.0] * 9))
+    rep = sm.lipschitz_log_moment_check(T, beta, x, y, 0)
+    assert rep.coordinate_bound == 0.0 and not rep.ok
+    assert rep.excess == rep.gap - sm.LIPSCHITZ_SLACK
+
+
+def _peak_blocks(f, block_bytes: int) -> float:
+    tracemalloc.start()
+    try:
+        f()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / block_bytes
+
+
+def test_gibbs_weights_and_partials_hold_few_blocks():
+    # the weights are normalized in place on the block of products, and a
+    # partial builds its centred powers by in-place products: W, C and one
+    # power, plus row vectors
+    rng = np.random.default_rng(23)
+    T = isets.build_explicit(rng.standard_normal((5000, 4)))
+    X = rng.standard_normal((256, 4))
+    block = 8 * X.shape[0] * T.cardinality
+    assert _peak_blocks(lambda: sm.gibbs_weight_rows(T, 1.3, X), block) < 2.0
+    for order in (1, 2, 3, 4):
+        assert _peak_blocks(lambda: sm.log_partition_partials_rows(
+            T, 1.3, X, 1, order), block) < 3.01
 
 
 def test_uniform_measure_identity():
