@@ -31,9 +31,8 @@ from .estimator import (SupremumEstimate, estimate_complexity,
                         exact_rademacher_complexity, softmax_complexity,
                         paired_gap_estimate)
 from .bounds import (BoundProfile, ComparisonReport, SudakovReport,
-                     bound_profile, piecewise_bound,
-                     regime_flags, phase_curve_table, auto_beta,
-                     error_report, sudakov_check)
+                     bound_profile, regime_flags, phase_curve_table,
+                     auto_beta, error_report, sudakov_check)
 from .experiments import (ExperimentResult, heavy_tail_growth,
                           spin_glass_universality, tensor_universality,
                           TENSOR_GAUSS_BAND)

@@ -68,11 +68,6 @@ def bound_profile(profile: GeometricProfile, u: float,
                         u34 * profile.r4, u * profile.rinf, bm, bmr3, l3, l4)
 
 
-def piecewise_bound(profile: GeometricProfile, u: float) -> float:
-    """min of the fourth-moment and sup-norm curves, which cross at u1."""
-    return min(u ** 0.75 * profile.r4, u * profile.rinf)
-
-
 def regime_flags(profile: GeometricProfile, u: float) -> dict:
     """Dimension-free regime indicators at a given u."""
     return {
@@ -85,11 +80,13 @@ def regime_flags(profile: GeometricProfile, u: float) -> dict:
 
 def phase_curve_table(profile: GeometricProfile, u_grid,
                       bound: float = 1.0) -> list[dict]:
-    """Rows of all law-free curves (times the law bound M) over a u grid."""
+    """Rows of the law-free curves over a u grid; the fourth-moment and
+    sup-norm curves and their minimum (crossing at u1) are times the law
+    bound M."""
     rows = []
     for u in u_grid:
         u = float(u)
-        bp = bound_profile(profile, u, bound=bound)
+        bp = bound_profile(profile, u)
         if u < profile.u1:
             region = "below-window"
         elif u <= profile.u2:
@@ -100,9 +97,9 @@ def phase_curve_table(profile: GeometricProfile, u_grid,
             "u": u,
             "trivial": bp.trivial,
             "mixed": bp.mixed,
-            "fourth_moment": bound * profile.r4 * u ** 0.75,
-            "sup_norm": bound * profile.rinf * u,
-            "piecewise": bound * piecewise_bound(profile, u),
+            "fourth_moment": bound * bp.fourth_moment,
+            "sup_norm": bound * bp.sup_norm,
+            "piecewise": bound * min(bp.fourth_moment, bp.sup_norm),
             "region": region,
         })
     return rows

@@ -271,9 +271,9 @@ class LipschitzMomentReport(_Verdict):
     excess: float
 
 
-def lipschitz_log_moment_check(T: IndexSet, beta: float, x, y, i: int,
-                               k: int = 4) -> LipschitzMomentReport:
-    """Check |log E_{mu_x}|l_i|^k - log E_{mu_y}|l_i|^k| <= 2 beta sup_t |<t, x-y>|.
+def lipschitz_log_moment_check(T: IndexSet, beta: float, x, y,
+                               i: int) -> LipschitzMomentReport:
+    """Check |log E_{mu_x}|l_i|^4 - log E_{mu_y}|l_i|^4| <= 2 beta sup_t |<t, x-y>|.
 
     When x - y is supported on coordinate i alone the sharper coordinate form
     2 beta Rinf |x_i - y_i| is also checked (Rinf = sup_t |t|_inf).
@@ -281,8 +281,8 @@ def lipschitz_log_moment_check(T: IndexSet, beta: float, x, y, i: int,
     beta = _require_beta(beta)
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    mx = gibbs_moment(gibbs_measure(T, beta, x), i, k, absolute=True)
-    my = gibbs_moment(gibbs_measure(T, beta, y), i, k, absolute=True)
+    mx = gibbs_moment(gibbs_measure(T, beta, x), i, 4, absolute=True)
+    my = gibbs_moment(gibbs_measure(T, beta, y), i, 4, absolute=True)
     # flushed weights can zero a moment: one zero is an honest infinite gap
     lx, ly = (math.log(m) if m != 0.0 else -math.inf for m in (mx, my))
     gap = 0.0 if mx == my == 0.0 else abs(lx - ly)

@@ -60,9 +60,10 @@ def test_crossover_identities():
 def test_piecewise_and_flags():
     p = crafted_profile()
     u1, u2 = p.u1, p.u2
-    for u in (0.5 * u1 + 1e-3, u1, 2.0 * u1):
-        assert bmod.piecewise_bound(p, u) == pytest.approx(
-            min(p.r4 * u ** 0.75, p.rinf * u))
+    grid = (0.5 * u1 + 1e-3, u1, 2.0 * u1)
+    for u, row in zip(grid, bmod.phase_curve_table(p, grid, 3.0)):
+        assert row["piecewise"] == pytest.approx(
+            3.0 * min(p.r4 * u ** 0.75, p.rinf * u))
     flags = bmod.regime_flags(p, 0.5)
     assert flags["clt_scale"] == (p.rinf * math.sqrt(0.5) <= p.r2)
     assert isinstance(flags["in_window"], bool)

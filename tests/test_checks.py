@@ -6,6 +6,7 @@ import pytest
 
 from supcompare import checks, cli
 from supcompare import index_sets as isets
+from supcompare import ou_stein as ou
 from supcompare import softmax as sm
 
 
@@ -29,6 +30,15 @@ def test_driver_rows_report_the_value_they_were_judged_by(target):
 def test_stein_battery_passes(seed):
     rows = checks.run_battery("stein", seed)
     assert all(r["passed"] for r in rows), [r for r in rows if not r["passed"]]
+
+
+def test_stein_row_verdict_follows_its_printed_numbers(monkeypatch):
+    # a report that calls itself ok does not pass a row whose observed value
+    # exceeds its threshold
+    monkeypatch.setattr(ou, "ergodic_check", lambda f, t, x: (1.0, 0.5, True))
+    rows = {r["check"]: r for r in checks.run_battery("stein", 0)}
+    assert rows["ergodic_poly"] == {"check": "ergodic_poly", "passed": False,
+                                    "observed": 1.0, "threshold": 0.5}
 
 
 @pytest.mark.parametrize("name, patches", [
@@ -69,6 +79,9 @@ def test_run_check_rule():
     row = checks.run_check(
         checks.Check("c", 3, lambda rng: 1.5, 0.9, lower=True), None)
     assert row["observed"] == 1.0  # a lower row's worst starts from 1
+    row = checks.run_check(
+        checks.Check("c", 1, lambda rng: math.nan, 0.9, lower=True), None)
+    assert not row["passed"] and math.isnan(row["observed"])
 
 
 @pytest.mark.parametrize("gap, passed", [(-5e-13, True), (1.0 + 5e-13, True),

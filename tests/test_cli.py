@@ -2,6 +2,8 @@ import csv
 import json
 import math
 import pathlib
+import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -163,6 +165,64 @@ def test_parse_config_file_merging():
     assert cfg.replicates == 300  # CLI overrides the file
 
 
+def test_a_key_given_twice_is_refused(tmp_path, capsys):
+    # each would run with one of its two values ignored
+    with pytest.raises(cli.ConfigError, match="'n' given twice"):
+        cli.parse_set("basis:n=8,n=9")
+    for argv in (["estimate", "set=basis:n=4", "replicates=200",
+                  "replicates=300"],
+                 ["estimate", "subcommand=bounds", "set=basis:n=4"],
+                 ["verify", "stein", "target=softmax"]):
+        with pytest.raises(cli.ConfigError, match="given twice"):
+            cli.parse_config(argv)
+    text = "subcommand=estimate\nset=basis:n=4\nseed=1\nseed=2\n"
+    with pytest.raises(cli.ConfigError, match="'seed' given twice"):
+        cli.parse_config([], file_text=text)
+    # one value from the file and one from the command line: the command
+    # line overrides
+    text = "subcommand=estimate\nset=basis:n=4\nseed=1\n"
+    assert cli.parse_config(["seed=2"], file_text=text).seed == 2
+    cfg = cli.parse_config(["sudakov"], file_text=text)
+    assert cfg.subcommand == "sudakov"
+    assert run_main(["estimate", "set=basis:n=8,n=9", "replicates=100",
+                     f"output_dir={tmp_path}"]) == 1
+    assert "given twice" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_diagcube_dimension_is_capped_before_the_diagonal_is_listed():
+    tracemalloc.start()
+    start = time.perf_counter()
+    with pytest.raises(cli.ConfigError, match="n must be in"):
+        cli.parse_set("diagcube:n=20000000,k=2")
+    elapsed = time.perf_counter() - start
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert elapsed < 0.1 and peak < 10 * 2 ** 20
+
+
+def test_parse_set_calls_each_builder_on_index_sets_at_call_time(monkeypatch):
+    # a wrapper set on index_sets after import (a tracer's span) must run
+    called = []
+    builders = {"basis:n=3": "make_basis_family",
+                "diagcube:d=2|1": "make_diagonal_cube",
+                "spin-quadratic:N=4": "make_spin_quadratic",
+                "spin-tensor:N=4,m=3": "make_spin_tensor",
+                "explicit:path=/nope.csv": "load_csv"}
+    for name in builders.values():
+        def recorder(*args, _name=name, _build=getattr(isets, name), **kw):
+            called.append(_name)
+            return _build(*args, **kw)
+        monkeypatch.setattr(isets, name, recorder)
+    for desc, name in builders.items():
+        called.clear()
+        try:
+            cli.parse_set(desc)
+        except cli.ConfigError:
+            assert name == "load_csv"  # the file does not exist
+        assert called[:1] == [name]
+
+
 def test_parse_set_families():
     T = cli.parse_set("basis:n=5,mode=signed")
     assert T.cardinality == 10
@@ -182,7 +242,8 @@ def test_parse_set_errors():
     for bad in ("basis", "basis:n=0", "mystery:n=2", "basis:n=2,weird=1",
                 "diagcube:n=2,alpha=0.5,k=9", "explicit:path=/nope.csv",
                 "basis:mode=signed", "basis:n=4,theta=-1",
-                "basis:n=4,mode=signed,theta=nan"):
+                "basis:n=4,mode=signed,theta=nan", "diagcube:k=2",
+                "diagcube:n=3,d=2|1", "diagcube:d=2|1,alpha=0.5"):
         with pytest.raises(cli.ConfigError):
             cli.parse_set(bad)
     for theta in ("nan", "inf", "-inf", "0", "-2"):
@@ -475,6 +536,8 @@ def test_help_prints_every_default(capsys):
         if key != "subcommand":
             assert f"  {key:13s} {cli._fmt(default) or '-'}\n" in out
     assert "n_list        16,64,256,1024,4096,16384\n" in out
+    for family, (_, keys) in cli.SETS.items():
+        assert f"  {family:15s} {' '.join(keys)}\n" in out
 
 
 def test_json_has_stable_key_order(tmp_path):

@@ -151,7 +151,7 @@ DIGESTS = {
     "verify-softmax":
         "8ab8b742b8bd40cdcd5491ab702b851f0677fbc6ac9bb29f5f8f2eb2a3acff2d",
     "verify-stein":
-        "3e58b60e0e77ccea09cec918b12915618170a1c98efcc5d5e561e05b2e76ef03",
+        "7f3ffe8a9667eb0eedfdccf4f6394caee00a7ac63c1be2b95853888b83e131e7",
     "verify-gibbs":
         "597b4d24af70f8e9fdb196360d07fa98533bdf581860ba255a051979bb13dd34",
 }
