@@ -2,12 +2,13 @@
 laws xi, by Monte-Carlo or exact enumeration.
 
 Determinism contract: for a fixed (master seed, substream) the estimate is
-a pure function of the inputs.  Samples are drawn in fixed blocks with one
-substream per block index, so the draw for block b never depends on how
-many blocks run or in which order.  Every Monte-Carlo estimate of the
-package, the Ornstein-Uhlenbeck and Stein ones of ``ou_stein`` included,
-runs its blocks through the one driver ``_blocked`` and reports its mean
-and standard error through ``mean_se``.
+a pure function of the inputs.  Samples are drawn in fixed SAMPLE_BLOCK
+blocks, one substream per block index, so the draw for block b never
+depends on how many blocks run or in which order.  Every Monte-Carlo
+estimate of the package, the Ornstein-Uhlenbeck and Stein ones of
+``ou_stein`` included, runs its blocks through the one driver ``_blocked``
+and reports its mean and standard error through ``mean_se``; every
+unpaired law-versus-Gaussian gap is ``_gap_fields``.
 
 Sup kernels: ``_sup_kernel(T)`` is the single dispatch point that maps a
 block X of draws to sup_t <x, t> per row.  A set whose constructor
@@ -26,11 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import CoordinateDistribution, RandomStream, gaussian
-from .index_sets import (POINT_CHUNK, IndexSet, _chunked_sup, dedupe,
-                         sign_patterns)
+from .index_sets import (POINT_CHUNK, SAMPLE_BLOCK, IndexSet, _chunked_sup,
+                         dedupe, sign_patterns)
 from .softmax import _require_beta, _smoothed_max_rows
 
-SAMPLE_BLOCK = 1024
 MIN_REPLICATES = 100
 MAX_ENUM_DIM = 22
 # float tolerance of the pointwise soft-max bracket sup <= F_beta <= sup + offset
@@ -142,6 +142,20 @@ def complexity(T: IndexSet, dist: CoordinateDistribution, replicates: int,
     if dist.name == "rademacher" and T.dim <= MAX_ENUM_DIM:
         return exact_rademacher_complexity(T)
     return estimate_complexity(T, dist, replicates, stream)
+
+
+def _gap_fields(T: IndexSet, dist: CoordinateDistribution, replicates: int,
+                stream: RandomStream, k: int = 0) -> dict:
+    """The unpaired gap: the law's value on T by ``complexity`` and the
+    Gaussian one, on substreams ("xi", k) and ("gauss", k), as row fields
+    with their absolute gap and its standard error."""
+    xi = complexity(T, dist, replicates, stream.substream("xi", k))
+    g = estimate_complexity(T, gaussian(), replicates,
+                            stream.substream("gauss", k))
+    return {"xi_mean": xi.mean, "xi_se": xi.std_error,
+            "gauss_mean": g.mean, "gauss_se": g.std_error,
+            "gap": abs(xi.mean - g.mean),
+            "gap_se": math.hypot(xi.std_error, g.std_error)}
 
 
 def softmax_complexity(T: IndexSet, dist: CoordinateDistribution, beta: float,

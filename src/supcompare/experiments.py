@@ -13,9 +13,8 @@ import numpy as np
 
 from .distributions import (CoordinateDistribution, RandomStream, gaussian,
                             laplace)
-from .estimator import complexity, estimate_complexity
-from .index_sets import (IndexSet, make_basis_family, make_spin_tensor,
-                         spin_tensor_shape)
+from .estimator import _gap_fields, estimate_complexity
+from .index_sets import make_basis_family, make_spin_tensor
 
 # Gaussian values of the normalized two-spin sets stay inside this band
 # for N in 4..12 (recorded from an exact-enumeration sweep)
@@ -81,19 +80,6 @@ def _universality_exponent(dist: CoordinateDistribution) -> float:
     return 0.25 if dist.third_moment == 0.0 else 1.0 / 6.0
 
 
-def _gap_fields(T: IndexSet, dist: CoordinateDistribution, replicates: int,
-                stream: RandomStream, k: int = 0) -> dict:
-    """Row fields of the law and Gaussian values on T, their absolute gap
-    and its standard error; substreams ("xi", k) and ("gauss", k)."""
-    xi = complexity(T, dist, replicates, stream.substream("xi", k))
-    g = estimate_complexity(T, gaussian(), replicates,
-                            stream.substream("gauss", k))
-    return {"xi_mean": xi.mean, "xi_se": xi.std_error,
-            "gauss_mean": g.mean, "gauss_se": g.std_error,
-            "gap": abs(xi.mean - g.mean),
-            "gap_se": math.hypot(xi.std_error, g.std_error)}
-
-
 def spin_glass_universality(N_list, dist: CoordinateDistribution,
                             replicates: int,
                             stream: RandomStream) -> ExperimentResult:
@@ -107,8 +93,8 @@ def spin_glass_universality(N_list, dist: CoordinateDistribution,
     """
     if min(N_list) < 2:
         raise ValueError(f"every N must be >= 2, got {list(N_list)}")
-    for N in N_list:  # every size against the caps before the first build
-        spin_tensor_shape(int(N), 2)
+    for N in N_list:  # declared to check the caps; nothing is built
+        make_spin_tensor(int(N), 2)
     expo = _universality_exponent(dist)
     rows = []
     for k, N in enumerate(N_list):

@@ -2,10 +2,11 @@
 
 An index set is a finite collection of points t in R^n over which suprema
 sup_t <x, t> are taken.  A set is declared by its shape and a builder of
-its point matrix; the points are built on first read and kept as a
-read-only float64 array.  Explicit, diagonal-cube and spin sets are built
-when declared.  Basis families are built only if something reads their
-points: their sup kernels and sampling need only the declared shape.
+its point matrix; declaring builds nothing, and the points are built on
+first read and kept as a read-only float64 array.  Only points from outside
+the package (explicit arrays, CSV files) are scanned for NaN and inf;
+a constructor checks its own parameters.  The dimension cap keeps one
+SAMPLE_BLOCK-row block of draws within the MAX_POINT_BYTES budget.
 Duplicate rows are retained: the declared cardinality enters
 log-cardinality bounds, and deduplication is the caller's choice.
 
@@ -36,10 +37,12 @@ from typing import Callable
 import numpy as np
 
 MAX_CARDINALITY = 2 ** 22
-MAX_DIM = 2 ** 20
 # bytes of a built point matrix (8 * cardinality * dim)
 MAX_POINT_BYTES = 2 ** 31
 POINT_CHUNK = 16384
+SAMPLE_BLOCK = 1024
+# the largest dimension whose block of draws fits the byte budget
+MAX_DIM = MAX_POINT_BYTES // (8 * SAMPLE_BLOCK)
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,8 +91,13 @@ def _check_shape(cardinality: int, dim: int, built: bool) -> None:
         raise ValueError("index set must contain at least one point")
     if cardinality > MAX_CARDINALITY:
         raise ValueError(f"cardinality {cardinality} exceeds cap {MAX_CARDINALITY}")
-    if dim < 1 or dim > MAX_DIM:
-        raise ValueError(f"dimension {dim} outside [1, {MAX_DIM}]")
+    if dim < 1:
+        raise ValueError(f"dimension {dim} must be >= 1")
+    if dim > MAX_DIM:
+        raise ValueError(f"dimension {dim} over cap {MAX_DIM}: one "
+                         f"{SAMPLE_BLOCK}-row sample block takes "
+                         f"{8 * SAMPLE_BLOCK * dim} bytes, over the budget "
+                         f"of {MAX_POINT_BYTES}")
     nbytes = 8 * cardinality * dim
     if built and nbytes > MAX_POINT_BYTES:
         raise ValueError(f"{cardinality} x {dim} points take {nbytes} bytes, "
@@ -97,25 +105,23 @@ def _check_shape(cardinality: int, dim: int, built: bool) -> None:
 
 
 def _declare(cardinality: int, dim: int, build, kind: str, sup=None,
-             logz=None, distinct: bool = False,
-             lazy: bool = False) -> IndexSet:
-    """The one constructor: caps are checked on the declared shape before
-    anything is built.  The points are built and checked finite now,
-    unless ``lazy`` leaves them to the first read."""
-    _check_shape(cardinality, dim, built=not lazy)
-    T = IndexSet(cardinality, dim, build, kind, sup, logz, distinct)
-    if not lazy and not np.all(np.isfinite(T.points)):
-        raise ValueError("points must be finite")
-    return T
+             logz=None, distinct: bool = False) -> IndexSet:
+    """The one constructor: caps are checked on the declared shape, and
+    the points are left to the first read."""
+    _check_shape(cardinality, dim, built=False)
+    return IndexSet(cardinality, dim, build, kind, sup, logz, distinct)
 
 
 def _finalize(points: np.ndarray, distinct: bool = False) -> IndexSet:
-    """Declare an ``explicit`` set from an already built point matrix."""
+    """Declare an ``explicit`` set from an already built point matrix,
+    checked against the byte budget and scanned for NaN and inf."""
     points = np.ascontiguousarray(points, dtype=np.float64)
     if points.ndim != 2:
         raise ValueError("points must be a 2d array, one point per row")
-    return _declare(*points.shape, lambda: points, "explicit",
-                    distinct=distinct)
+    T = _declare(*points.shape, lambda: points, "explicit", distinct=distinct)
+    if not np.all(np.isfinite(T.points)):  # the read checks the budget
+        raise ValueError("points must be finite")
+    return T
 
 
 def build_explicit(points) -> IndexSet:
@@ -181,21 +187,19 @@ def make_basis_family(n: int, mode: str = "canonical",
         raise ValueError(f"theta is read only by mode=negative-scaled, not {mode}")
     if mode == "canonical":
         return _declare(n, n, lambda: np.eye(n), "basis-canonical",
-                        lambda T, X: X.max(axis=1), distinct=True, lazy=True)
+                        lambda T, X: X.max(axis=1), distinct=True)
     if mode == "signed":
         def signed():
             eye = np.eye(n)
             return np.vstack([eye, -eye])
         return _declare(2 * n, n, signed, "basis-signed",
-                        lambda T, X: np.abs(X).max(axis=1), distinct=True,
-                        lazy=True)
-    # checked here: a lazy set's points are not scanned for NaN or inf
+                        lambda T, X: np.abs(X).max(axis=1), distinct=True)
+    # checked here: the points, built from theta, are never scanned
     if theta is None or not 0 < theta < math.inf:
         raise ValueError("negative-scaled mode requires a finite theta > 0")
     neg = -float(theta)
     return _declare(n, n, lambda: -theta * np.eye(n), "basis-negative-scaled",
-                    lambda T, X: (X * neg).max(axis=1), distinct=True,
-                    lazy=True)
+                    lambda T, X: (X * neg).max(axis=1), distinct=True)
 
 
 def sign_patterns(n: int, count: int | None = None,
@@ -235,8 +239,8 @@ def make_diagonal_cube(diag, k: int | None = None) -> IndexSet:
     d.setflags(write=False)
     if d.ndim != 1 or d.size < 1:
         raise ValueError("diag must be a 1d sequence")
-    if not np.all(d > 0):
-        raise ValueError("diag entries must be positive")
+    if not np.all((d > 0) & (d < math.inf)):
+        raise ValueError("diag entries must be positive and finite")
     if np.any(np.diff(d) >= 0):
         raise ValueError("diag must be strictly decreasing")
     n = d.size
@@ -276,18 +280,6 @@ def make_spin_quadratic(N: int, normalized: bool = False) -> IndexSet:
     return make_spin_tensor(N, 2, normalized)
 
 
-def spin_tensor_shape(N: int, m: int) -> tuple:
-    """(2^N, binom(N, m)), the shape of make_spin_tensor(N, m), checked
-    against every cap without building anything."""
-    if N < 2 or not 1 <= m <= N:
-        raise ValueError(f"need N >= 2 and m in [1, N], got N={N}, m={m}")
-    if (1 << N) > MAX_CARDINALITY:  # before math.comb, slow for a huge N
-        raise ValueError("2^N exceeds the cardinality cap")
-    shape = (1 << N, math.comb(N, m))
-    _check_shape(*shape, built=True)
-    return shape
-
-
 def make_spin_tensor(N: int, m: int, normalized: bool = False) -> IndexSet:
     """Order-m spin interaction index set.
 
@@ -298,7 +290,12 @@ def make_spin_tensor(N: int, m: int, normalized: bool = False) -> IndexSet:
     otherwise by N^{-(m+1)/2}, the energy-density scaling under which the
     Gaussian value converges as N grows.
     """
-    card, dim = spin_tensor_shape(N, m)
+    if N < 2 or not 1 <= m <= N:
+        raise ValueError(f"need N >= 2 and m in [1, N], got N={N}, m={m}")
+    if (1 << N) > MAX_CARDINALITY:  # before math.comb, slow for a huge N
+        raise ValueError("2^N exceeds the cardinality cap")
+    card, dim = 1 << N, math.comb(N, m)
+    _check_shape(card, dim, built=True)  # every kernel reads the points
     if normalized:
         scale = 1.0 / (math.sqrt(dim) * math.sqrt(N))
     else:

@@ -32,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import DEFAULT_STREAM, CoordinateDistribution, RandomStream
-from .estimator import SAMPLE_BLOCK, _blocked, mean_se
-from .index_sets import IndexSet, geometric_profile, sign_patterns
+from .estimator import _blocked, mean_se
+from .index_sets import SAMPLE_BLOCK, IndexSet, geometric_profile, sign_patterns
 from . import softmax as sm
 
 # Gauss-Legendre nodes of the potential integrals over u = e^{-t} in

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import pathlib
@@ -243,7 +244,8 @@ def test_parse_set_errors():
                 "diagcube:n=2,alpha=0.5,k=9", "explicit:path=/nope.csv",
                 "basis:mode=signed", "basis:n=4,theta=-1",
                 "basis:n=4,mode=signed,theta=nan", "diagcube:k=2",
-                "diagcube:n=3,d=2|1", "diagcube:d=2|1,alpha=0.5"):
+                "diagcube:n=3,d=2|1", "diagcube:d=2|1,alpha=0.5",
+                "diagcube:d=inf|1"):
         with pytest.raises(cli.ConfigError):
             cli.parse_set(bad)
     for theta in ("nan", "inf", "-inf", "0", "-2"):
@@ -278,6 +280,42 @@ def test_parse_set_refuses_over_budget_before_allocating(monkeypatch):
     for bad in ("spin-tensor:N=22,m=2", "diagcube:n=30,k=30"):
         with pytest.raises(cli.ConfigError):
             cli.parse_set(bad)
+    # a spin set's kernels read its points, so their bytes are checked
+    # when it is declared: 2^21 rows x 210 columns is 3.5 GB
+    with pytest.raises(cli.ConfigError, match="bytes"):
+        cli.parse_set("spin-tensor:N=21,m=2")
+
+
+def test_over_budget_dimension_is_refused_at_parse():
+    # one 1024-row sample block of dimension MAX_DIM + 1 is over the 2 GiB
+    # budget; basis:n=1048576 would need an 8 GiB block
+    assert isets.MAX_DIM == 2 ** 18
+    for n in (1048576, isets.MAX_DIM + 1):
+        start = time.perf_counter()
+        with pytest.raises(cli.ConfigError, match="sample block"):
+            cli.parse_set(f"basis:n={n}")
+        assert time.perf_counter() - start < 0.1
+    T = cli.parse_set(f"basis:n={isets.MAX_DIM}")
+    assert T.dim == isets.MAX_DIM and "points" not in vars(T)
+
+
+def test_cube_estimate_builds_no_points(tmp_path):
+    # the closed-form cube kernel never reads the 2^22 x 22 points (the
+    # eager build took 1.4 GiB); the CSV is the one the eager build wrote
+    cfg = cli.parse_config(["estimate", "set=diagcube:n=22,alpha=0.25",
+                            "distribution=gaussian", "replicates=1000",
+                            "seed=3"])
+    tracemalloc.start()
+    try:
+        record = cli.run(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+    (path,) = cli.emit(record, str(tmp_path), "csv")
+    with open(path, "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == (
+            "735f6c199a469ee49209456607d3009fb0516f9675aef608e66eb0b8bd4f2e46")
 
 
 def test_parse_set_explicit_round_trip(tmp_path):

@@ -66,10 +66,10 @@ def test_estimate_is_deterministic():
 
 def test_basis_estimate_builds_no_points():
     # the 1024 x 16384 sample block alone is 128 MiB; an identity of
-    # either size would add 2 GiB or 8 TiB
+    # either size would add 2 GiB or 512 GiB
     tracemalloc.start()
     try:
-        isets.make_basis_family(2 ** 20)
+        isets.make_basis_family(isets.MAX_DIM)
         T = isets.make_basis_family(16384)
         est.estimate_complexity(T, dists.gaussian(), 100,
                                 dists.RandomStream(4).substream("lazy"))
@@ -78,6 +78,8 @@ def test_basis_estimate_builds_no_points():
         tracemalloc.stop()
     assert peak < 200 * 2 ** 20
     assert "points" not in vars(T)
+    with pytest.raises(ValueError, match="sample block"):
+        isets.make_basis_family(isets.MAX_DIM + 1)
 
 
 def test_replicate_underflow():
@@ -133,6 +135,12 @@ def families(tmp_path):
                isets.make_spin_tensor(5, 4), explicit,
                isets.dedupe(explicit), isets.scale(explicit, 2.0),
                isets.load_csv(tmp_path / "set.csv")])
+
+
+def test_declaring_builds_no_points(tmp_path):
+    # only points from outside the package are read, to be scanned
+    for T in families(tmp_path):
+        assert ("points" in vars(T)) == (T.kind == "explicit")
 
 
 def test_every_kernel_has_exactly_one_case(tmp_path):

@@ -59,7 +59,7 @@ def test_sweeps_refuse_an_over_cap_size_before_any_estimate(monkeypatch):
     def estimates(*args, **kwargs):
         raise AssertionError("estimated before checking every size")
     monkeypatch.setattr(xp, "estimate_complexity", estimates)
-    monkeypatch.setattr(xp, "complexity", estimates)
+    monkeypatch.setattr(xp, "_gap_fields", estimates)
     with pytest.raises(ValueError, match="dimension"):
         xp.heavy_tail_growth((16, isets.MAX_DIM + 1), 100,
                              dists.RandomStream(1))

@@ -64,10 +64,14 @@ def test_basis_points_built_on_first_read(mode):
 
 def test_point_byte_budget(monkeypatch):
     assert isets.MAX_POINT_BYTES == 8 * 16384 * 16384  # basis:n=16384 fits
-    T = isets.make_basis_family(2 ** 20)  # declared, never built
-    assert T.cardinality == T.dim == 2 ** 20
+    # the dimension cap is the widest 1024-row sample block in the budget
+    assert isets.MAX_DIM == isets.MAX_POINT_BYTES // (8 * isets.SAMPLE_BLOCK)
+    T = isets.make_basis_family(isets.MAX_DIM)  # declared, never built
+    assert T.cardinality == T.dim == isets.MAX_DIM
     with pytest.raises(ValueError):
         T.points
+    with pytest.raises(ValueError, match="sample block"):
+        isets.make_basis_family(isets.MAX_DIM + 1)
     monkeypatch.setattr(isets, "MAX_POINT_BYTES", 8 * 6)
     isets.build_explicit(np.ones((2, 3)))  # exactly the budget
     with pytest.raises(ValueError):
@@ -140,6 +144,10 @@ def test_diagonal_cube_validation():
         isets.make_diagonal_cube([1.0, -0.5])
     with pytest.raises(ValueError):
         isets.make_diagonal_cube([0.5, 1.0])
+    # a cube's points are never scanned, so its diagonal is checked finite
+    for bad in ([math.inf, 1.0], [1.0, math.nan], [math.nan]):
+        with pytest.raises(ValueError):
+            isets.make_diagonal_cube(bad)
 
 
 def test_spin_quadratic_small():
