@@ -21,7 +21,7 @@ runs = [
     ["laplace", "n_list=16,64,256,1024", "replicates=5000", "seed=42"],
     ["sk", "N_list=4,6,8", "replicates=5000", "seed=42"],
     ["tensor", "N=6", "m=3", "replicates=5000", "seed=42"],
-    ["phase-curves", "set=diagcube:n=16,alpha=0.25,k=4", "seed=42"],
+    ["phase-curves", "set=diagcube:n=16,alpha=0.25,k=4"],
     ["verify", "softmax", "seed=1"],
 ]
 

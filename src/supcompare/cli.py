@@ -41,18 +41,18 @@ from .estimator import (BRACKET_TOL, MIN_REPLICATES, estimate_complexity,
                         softmax_complexity)
 
 # the keys each subcommand reads, "*" marking a required one; every
-# subcommand also reads COMMON_KEYS
+# subcommand also reads COMMON_KEYS, and each that draws reads seed
 SUBCOMMAND_KEYS = {
-    "estimate": ("set*", "distribution", "replicates", "beta"),
-    "bounds": ("set*", "distribution", "replicates", "paired"),
-    "sudakov": ("set*", "replicates"),
-    "laplace": ("n_list", "replicates"),
-    "sk": ("N_list", "distribution", "replicates"),
-    "tensor": ("N*", "m*", "distribution", "replicates"),
+    "estimate": ("set*", "distribution", "replicates", "beta", "seed"),
+    "bounds": ("set*", "distribution", "replicates", "paired", "seed"),
+    "sudakov": ("set*", "replicates", "seed"),
+    "laplace": ("n_list", "replicates", "seed"),
+    "sk": ("N_list", "distribution", "replicates", "seed"),
+    "tensor": ("N*", "m*", "distribution", "replicates", "seed"),
     "phase-curves": ("set*", "distribution", "u_grid"),
-    "verify": ("target*",),
+    "verify": ("target*", "seed"),
 }
-COMMON_KEYS = ("subcommand", "seed", "output_dir", "format")
+COMMON_KEYS = ("subcommand", "output_dir", "format")
 
 
 class ConfigError(ValueError):
@@ -297,9 +297,11 @@ def run(config) -> ResultRecord:
     metadata.  The record is the JSON config echo."""
     start = time.monotonic()
     record = ResultRecord(config=config._asdict())
-    stream = RandomStream(config.seed).substream(config.subcommand)
     sub = config.subcommand
-    # the set and the law are built once, by the subcommands that read them
+    # the stream, the set and the law are built once, by the subcommands
+    # that read them
+    stream = (RandomStream(config.seed).substream(sub)
+              if "seed" in config._fields else None)
     T = parse_set(config.set) if "set" in config._fields else None
     dist = (from_name(config.distribution)
             if "distribution" in config._fields else None)
@@ -495,7 +497,7 @@ USAGE = (
     "\nkeys each subcommand reads (* required):\n"
     + "".join(f"  {sub:13s} {' '.join(keys)}\n"
               for sub, keys in SUBCOMMAND_KEYS.items())
-    + "  every one     seed output_dir format={csv|json|both}\n"
+    + "  every one     output_dir format={csv|json|both}\n"
     "\ndefaults (- for none):\n"
     + "".join(f"  {key:13s} {_fmt(default) or '-'}\n"
               for key, (_, default) in KEYS.items() if key != "subcommand")

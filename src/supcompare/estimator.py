@@ -7,16 +7,16 @@ blocks, one substream per block index, so the draw for block b never
 depends on how many blocks run or in which order.  Every Monte-Carlo
 estimate of the package, the Ornstein-Uhlenbeck and Stein ones of
 ``ou_stein`` included, runs its blocks through the one driver ``_blocked``
-and reports its mean and standard error through ``mean_se``; every
-unpaired law-versus-Gaussian gap is ``_gap_fields``.
+and reports its mean and standard error through ``mean_se``.  Every
+unpaired law-versus-Gaussian gap is ``_gap_fields`` but one:
+``experiments.heavy_tail_growth`` computes its own signed Laplace gap.
 
-Sup kernels: ``_sup_kernel(T)`` is the single dispatch point that maps a
-block X of draws to sup_t <x, t> per row.  A set whose constructor
-declared a kernel ``T.sup`` runs it, and the kernel receives the set;
-every other set runs the chunked matmul over its distinct points.  A new
-fast path is declared by its set's constructor in ``index_sets``, plus a
-case in ``KERNEL_CASES`` (bitwise kernels) or ``CLOSED_FORM_CASES`` of
-tests/test_estimator.py, whose differential tests run every declared
+Sup kernels: every estimate maps a block X of draws to sup_t <x, t> per
+row through the set's own field, ``T.sup(T, X)``: the generic chunked
+matmul over every declared row unless the set's constructor in
+``index_sets`` declared a fast path.  A new fast path is that declaration,
+plus a case in ``KERNEL_CASES`` (bitwise kernels) or ``CLOSED_FORM_CASES``
+of tests/test_estimator.py, whose differential tests run every declared
 kernel against the matmul path on an untagged copy of the points.
 """
 from __future__ import annotations
@@ -27,8 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import CoordinateDistribution, RandomStream, gaussian
-from .index_sets import (POINT_CHUNK, SAMPLE_BLOCK, IndexSet, _chunked_sup,
-                         dedupe, sign_patterns)
+from .index_sets import POINT_CHUNK, SAMPLE_BLOCK, IndexSet, sign_patterns
 from .softmax import _require_beta, _smoothed_max_rows
 
 MIN_REPLICATES = 100
@@ -63,15 +62,6 @@ def mean_se(values: np.ndarray) -> tuple:
             float(np.std(values, ddof=1)) / math.sqrt(values.size))
 
 
-def _sup_kernel(T: IndexSet):
-    """X -> sup_t <x, t> for each row x of X."""
-    if T.sup is not None:
-        return lambda X: T.sup(T, X)
-    # the sup over T equals the sup over its distinct rows
-    distinct = dedupe(T).points
-    return lambda X: _chunked_sup(distinct, X)
-
-
 def _blocked(stream: RandomStream, tag: str, replicates: int, draw,
              reduce) -> np.ndarray:
     """reduce(draw(rng)[:m]) per fixed SAMPLE_BLOCK-replicate block.
@@ -100,7 +90,7 @@ def estimate_complexity(T: IndexSet, dist: CoordinateDistribution,
     """Monte-Carlo E sup_t <xi, t> with fixed 1024-replicate blocks."""
     sups = _blocked(stream, "complexity-block", replicates,
                     lambda rng: dist.sample(rng, (SAMPLE_BLOCK, T.dim)),
-                    _sup_kernel(T))
+                    lambda X: T.sup(T, X))
     return SupremumEstimate.from_samples(sups, "mc", stream.master_seed)
 
 
@@ -113,10 +103,9 @@ def paired_gap_estimate(T: IndexSet, dist: CoordinateDistribution,
     CDFs, so the per-replicate difference strips the shared variation.
     """
     gauss = gaussian()
-    sup = _sup_kernel(T)
     diffs = _blocked(stream, "paired-block", replicates,
                      lambda rng: rng.random((SAMPLE_BLOCK, T.dim)),
-                     lambda U: sup(dist.ppf(U)) - sup(gauss.ppf(U)))
+                     lambda U: T.sup(T, dist.ppf(U)) - T.sup(T, gauss.ppf(U)))
     return SupremumEstimate.from_samples(diffs, "mc-paired", stream.master_seed)
 
 
@@ -125,12 +114,11 @@ def exact_rademacher_complexity(T: IndexSet) -> SupremumEstimate:
     n = T.dim
     if n > MAX_ENUM_DIM:
         raise ValueError(f"enumeration is capped at dimension {MAX_ENUM_DIM}")
-    sup = _sup_kernel(T)
     total = 1 << n
     sups = np.empty(total)
     for lo in range(0, total, POINT_CHUNK):
         m = min(POINT_CHUNK, total - lo)
-        sups[lo:lo + m] = sup(sign_patterns(n, m, lo))
+        sups[lo:lo + m] = T.sup(T, sign_patterns(n, m, lo))
     mean = float(np.mean(sups))
     return SupremumEstimate(mean, 0.0, mean, mean, total, "exact-enumeration", 0)
 

@@ -10,21 +10,21 @@ SAMPLE_BLOCK-row block of draws within the MAX_POINT_BYTES budget.
 Duplicate rows are retained: the declared cardinality enters
 log-cardinality bounds, and deduplication is the caller's choice.
 
-A structured set's constructor declares two kernels.  ``sup(T, X)`` is the
-max over rows t of <x, t> for each row x of X; ``logz(T, X, beta)`` is the
-pair (sup, log sum_t exp(beta <x, t>)) per row, the one entry through
-which ``softmax`` evaluates every smoothed maximum beta F_beta.  Basis
-families declare only ``sup``, which never touches the points; a diagonal
-cube closes over its diagonal and free sign count (its Gibbs measure is a
-product measure, so its log partition is a sum of log 2 cosh terms), and
-a spin set of even order runs the matmul over its distinct half.  A set
-without a kernel takes the generic entry, ``_chunked_sup`` or
-``_chunked_logz``, which goes over the points in POINT_CHUNK chunks.
-Every logz but the cube's closed form, and every Gibbs weight in
-``softmax``, exponentiates its block of products in place through one
-body, ``_fused_block``.  A kernel receives the set rather than capturing
-it, so a set holds no reference to itself and is freed with its last
-reference.
+Every set carries two kernels as fields.  ``sup(T, X)`` is the max over
+rows t of <x, t> for each row x of X; ``logz(T, X, beta)`` is the pair
+(sup, log sum_t exp(beta <x, t>)) per row, the one entry through which
+``softmax`` evaluates every smoothed maximum beta F_beta.  Their defaults
+are the generic kernels, ``_chunked_sup`` and ``_chunked_logz`` over every
+declared row of ``T.points`` in POINT_CHUNK chunks; a structured set's
+constructor overrides them.  Basis families override only ``sup``, which
+never touches the points; a diagonal cube closes over its diagonal and
+free sign count (its Gibbs measure is a product measure, so its log
+partition is a sum of log 2 cosh terms), and a spin set of even order runs
+the matmul over its distinct half.  Every logz but the cube's closed form,
+and every Gibbs weight in ``softmax``, exponentiates its block of products
+in place through one body, ``_fused_block``.  A kernel receives the set
+rather than capturing it, so a set holds no reference to itself and is
+freed with its last reference.
 """
 from __future__ import annotations
 
@@ -52,10 +52,10 @@ class IndexSet:
     ``cardinality`` and ``dim`` are the declared shape; ``build`` returns
     the point matrix, and ``points`` calls it once, on first read.
     ``kind`` labels the construction; ``explicit`` means no structure is
-    assumed.  ``sup`` is the exact sup kernel ``(T, X) -> sups`` its
-    constructor declared, and ``logz`` the log-partition kernel
-    ``(T, X, beta) -> (sups, log sum_t exp(beta <x, t>))``; None selects
-    the generic chunked matmul path.
+    assumed.  ``sup`` is the exact sup kernel ``(T, X) -> sups`` and
+    ``logz`` the log-partition kernel ``(T, X, beta) -> (sups, log sum_t
+    exp(beta <x, t>))``; both default to the generic chunked matmul over
+    every declared row, and a constructor overrides them.
     ``distinct`` is true when the construction guarantees distinct rows, so
     ``dedupe`` has nothing to remove.
     """
@@ -64,10 +64,11 @@ class IndexSet:
     dim: int
     build: Callable[[], np.ndarray] = field(repr=False)
     kind: str = "explicit"
-    sup: Callable[["IndexSet", np.ndarray], np.ndarray] | None = field(
-        default=None, repr=False)
-    logz: Callable[["IndexSet", np.ndarray, float], tuple] | None = field(
-        default=None, repr=False)
+    sup: Callable[["IndexSet", np.ndarray], np.ndarray] = field(
+        default=lambda T, X: _chunked_sup(T.points, X), repr=False)
+    logz: Callable[["IndexSet", np.ndarray, float], tuple] = field(
+        default=lambda T, X, beta: _chunked_logz(T.points, X, beta),
+        repr=False)
     distinct: bool = False
 
     @cached_property
@@ -104,12 +105,14 @@ def _check_shape(cardinality: int, dim: int, built: bool) -> None:
                          f"over the budget of {MAX_POINT_BYTES}")
 
 
-def _declare(cardinality: int, dim: int, build, kind: str, sup=None,
-             logz=None, distinct: bool = False) -> IndexSet:
+def _declare(cardinality: int, dim: int, build, kind: str,
+             distinct: bool = False, **kernels) -> IndexSet:
     """The one constructor: caps are checked on the declared shape, and
-    the points are left to the first read."""
+    the points are left to the first read.  ``kernels`` overrides the
+    ``sup`` and ``logz`` defaults."""
     _check_shape(cardinality, dim, built=False)
-    return IndexSet(cardinality, dim, build, kind, sup, logz, distinct)
+    return IndexSet(cardinality, dim, build, kind, distinct=distinct,
+                    **kernels)
 
 
 def _finalize(points: np.ndarray, distinct: bool = False) -> IndexSet:
@@ -187,19 +190,19 @@ def make_basis_family(n: int, mode: str = "canonical",
         raise ValueError(f"theta is read only by mode=negative-scaled, not {mode}")
     if mode == "canonical":
         return _declare(n, n, lambda: np.eye(n), "basis-canonical",
-                        lambda T, X: X.max(axis=1), distinct=True)
+                        distinct=True, sup=lambda T, X: X.max(axis=1))
     if mode == "signed":
         def signed():
             eye = np.eye(n)
             return np.vstack([eye, -eye])
-        return _declare(2 * n, n, signed, "basis-signed",
-                        lambda T, X: np.abs(X).max(axis=1), distinct=True)
+        return _declare(2 * n, n, signed, "basis-signed", distinct=True,
+                        sup=lambda T, X: np.abs(X).max(axis=1))
     # checked here: the points, built from theta, are never scanned
     if theta is None or not 0 < theta < math.inf:
         raise ValueError("negative-scaled mode requires a finite theta > 0")
     neg = -float(theta)
     return _declare(n, n, lambda: -theta * np.eye(n), "basis-negative-scaled",
-                    lambda T, X: (X * neg).max(axis=1), distinct=True)
+                    distinct=True, sup=lambda T, X: (X * neg).max(axis=1))
 
 
 def sign_patterns(n: int, count: int | None = None,
@@ -244,11 +247,14 @@ def make_diagonal_cube(diag, k: int | None = None) -> IndexSet:
     if np.any(np.diff(d) >= 0):
         raise ValueError("diag must be strictly decreasing")
     n = d.size
-    if n > 22 and k is None:
-        raise ValueError("full cube beyond n=22 exceeds the cardinality cap; pass k")
-    if k is not None and (k < 0 or k > n):
+    if k is not None and not 0 <= k <= n:
         raise ValueError("k must be in [0, n]")
     free = n if k is None else k
+    # before 2^free is formed: a huge one takes long even to print
+    max_free = MAX_CARDINALITY.bit_length() - 1
+    if free > max_free:
+        raise ValueError(f"2^{free} sign vectors exceed the cardinality cap "
+                         f"2^{max_free}; pass k <= {max_free}")
     count = 1 << free
     lo = n - free
 
@@ -268,7 +274,7 @@ def make_diagonal_cube(diag, k: int | None = None) -> IndexSet:
         return sup(T, X), free - np.einsum("ij,j->i", X[:, :lo],
                                            beta * d[:lo])
     return _declare(count, n, lambda: sign_patterns(n, count) * d[None, :],
-                    "diagonal-cube", sup, logz, distinct=True)
+                    "diagonal-cube", distinct=True, sup=sup, logz=logz)
 
 
 def make_spin_quadratic(N: int, normalized: bool = False) -> IndexSet:
@@ -312,8 +318,8 @@ def make_spin_tensor(N: int, m: int, normalized: bool = False) -> IndexSet:
 
     kind = "spin-quadratic" if m == 2 else "spin-tensor"
     if m % 2 == 0:
-        return _declare(card, dim, build, kind, _half_orbit_sup,
-                        _half_orbit_logz)
+        return _declare(card, dim, build, kind, sup=_half_orbit_sup,
+                        logz=_half_orbit_logz)
     # for odd m < N distinct sigma give distinct rows; m = N gives two rows
     return _declare(card, dim, build, kind, distinct=m < N)
 

@@ -10,12 +10,13 @@ coordinate are central moments of the coordinate functional l_i(t) = t_i
 under the Gibbs measure with weights proportional to exp(beta <x, t>).
 
 Every evaluation runs in rows form; a scalar entry point is its rows form
-at one row.  ``_smoothed_max_rows`` is the one dispatch point for (max,
-F_beta): it runs the log-partition kernel ``T.logz`` the set declared (see
-``index_sets``; ``LOGZ_CASES`` in tests/test_estimator.py checks each), or
-the generic ``index_sets._chunked_logz``.  ``gibbs_weight_rows`` is the
-one Gibbs normalizer; it and the generic path run the one exp body,
-``index_sets._fused_block``, in place on the block of products.
+at one row.  ``_smoothed_max_rows`` is the one entry for (max, F_beta): it
+runs the set's log-partition field ``T.logz``, the generic
+``index_sets._chunked_logz`` unless the set's constructor declared a fast
+path (see ``index_sets``; ``LOGZ_CASES`` in tests/test_estimator.py checks
+each).  ``gibbs_weight_rows`` is the one Gibbs normalizer; it and the
+generic path run the one exp body, ``index_sets._fused_block``, in place
+on the block of products.
 ``_partial_rows`` is the one Gibbs-moment pass behind every partial, its
 centred powers built by in-place products.  ``log_laplace`` alone keeps
 scipy's ``logsumexp``, the independent reference that the uniform-measure
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .index_sets import IndexSet, _chunked_logz, _fused_block, geometric_profile
+from .index_sets import IndexSet, _fused_block, geometric_profile
 from . import numdiff
 
 WEIGHT_FLUSH = 1e-300
@@ -59,10 +60,7 @@ def _smoothed_max_rows(T: IndexSet, beta: float, X: np.ndarray):
     """(max_t <x, t>, F_beta(x)) at each row of X, shape (m, n) -> two (m,);
     F_beta sums over every declared row of T, duplicates included."""
     beta = _require_beta(beta)
-    if T.logz is not None:
-        sups, logz = T.logz(T, X, beta)
-    else:
-        sups, logz = _chunked_logz(T.points, X, beta)
+    sups, logz = T.logz(T, X, beta)
     return sups, logz / beta
 
 

@@ -322,7 +322,7 @@ CLI_RUNS = [
     ["laplace", "n_list=16,64,256", "replicates=2000", "seed=7"],
     ["sk", "N_list=4,6", "replicates=2000", "seed=7"],
     ["tensor", "N=6", "m=2", "replicates=2000", "seed=7"],
-    ["phase-curves", "set=diagcube:n=16,alpha=0.25,k=4", "seed=7"],
+    ["phase-curves", "set=diagcube:n=16,alpha=0.25,k=4"],
     ["verify", "softmax", "seed=1"],
     ["verify", "gibbs", "seed=1"],
     ["verify", "stein", "seed=1"],

@@ -56,6 +56,7 @@ def test_parse_config_errors():
                  ["laplace", "beta=3"], ["laplace", "paired=1"],
                  ["laplace", "set=basis:n=3"], ["laplace", "u_grid=1"],
                  ["phase-curves", "set=basis:n=4", "replicates=10"],
+                 ["phase-curves", "set=basis:n=4", "seed=1"],
                  ["sk", "N=4"]):
         with pytest.raises(cli.ConfigError, match="does not read"):
             cli.parse_config(argv)
@@ -200,6 +201,18 @@ def test_diagcube_dimension_is_capped_before_the_diagonal_is_listed():
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert elapsed < 0.1 and peak < 10 * 2 ** 20
+
+
+def test_diagcube_free_signs_are_capped_before_two_to_the_k(tmp_path,
+                                                           capsys):
+    # 2^20000 would be formed, and would fail to print, without the cap
+    start = time.perf_counter()
+    with pytest.raises(cli.ConfigError, match="cardinality cap"):
+        cli.parse_set("diagcube:n=20000,k=20000")
+    assert time.perf_counter() - start < 0.1
+    assert run_main(["estimate", "set=diagcube:n=20000,k=20000",
+                     f"output_dir={tmp_path}"]) == 1
+    assert "cardinality cap" in capsys.readouterr().err
 
 
 def test_parse_set_calls_each_builder_on_index_sets_at_call_time(monkeypatch):
@@ -507,9 +520,10 @@ SMALL_RUNS = {
 def test_json_config_is_the_parsed_record(tmp_path):
     assert {argv[0] for argv in SMALL_RUNS.values()} == set(cli.SUBCOMMAND_KEYS)
     for stem, argv in SMALL_RUNS.items():
-        argv = argv + ["seed=4", f"output_dir={tmp_path / stem}", "format=json"]
+        keys = cli.SUBCOMMAND_KEYS[argv[0]]
+        argv = argv + (["seed=4"] if "seed" in keys else []) + [
+            f"output_dir={tmp_path / stem}", "format=json"]
         cfg = cli.parse_config(argv)
-        keys = cli.SUBCOMMAND_KEYS[cfg.subcommand]
         assert cfg._fields == cli.COMMON_KEYS + tuple(k.rstrip("*") for k in keys)
         assert run_main(argv) in (0, 2)
         config = json.loads((tmp_path / stem / f"{stem}.json").read_text())["config"]

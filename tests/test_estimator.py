@@ -11,13 +11,14 @@ from supcompare import distributions as dists
 from supcompare import estimator as est
 from supcompare import index_sets as isets
 from supcompare import softmax as sm
+from test_golden_csv import EXPLICIT_POINTS
 
 SQRT_2_OVER_PI = 0.7978845608028654  # E|g| for standard Gaussian
 
 
 def exact_sup(T, x):
     """max_t <x, t> at one x, through the set's sup kernel."""
-    return float(est._sup_kernel(T)(np.asarray(x)[None, :])[0])
+    return float(T.sup(T, np.asarray(x)[None, :])[0])
 
 
 def test_exact_sup_brute_force():
@@ -144,9 +145,53 @@ def test_declaring_builds_no_points(tmp_path):
 
 
 def test_every_kernel_has_exactly_one_case(tmp_path):
-    declared = {T.kind for T in families(tmp_path) if T.sup is not None}
+    declared = {T.kind for T in families(tmp_path)
+                if T.sup is not isets.IndexSet.sup}
     assert not set(KERNEL_CASES) & set(CLOSED_FORM_CASES)
     assert set(KERNEL_CASES) | set(CLOSED_FORM_CASES) == declared
+
+
+def test_every_set_carries_callable_kernels(tmp_path):
+    for T in families(tmp_path):
+        assert callable(T.sup) and callable(T.logz)
+
+
+def test_no_estimate_reaches_unique(monkeypatch):
+    # the generic kernels run over every declared row: a repeated row
+    # changes no sup, so no estimate dedupes first
+    T = isets.build_explicit(EXPLICIT_POINTS)
+    D = isets.dedupe(T)
+    assert D.cardinality < T.cardinality
+
+    def unique(*args, **kwargs):
+        raise AssertionError("np.unique reached from an estimate")
+    monkeypatch.setattr(isets.np, "unique", unique)
+    stream = dists.RandomStream(3).substream("no-unique")
+    law = dists.laplace(True)
+    assert (est.estimate_complexity(T, law, 300, stream).mean
+            == est.estimate_complexity(D, law, 300, stream).mean)
+    assert (est.paired_gap_estimate(T, law, 300, stream).mean
+            == est.paired_gap_estimate(D, law, 300, stream).mean)
+    assert (est.exact_rademacher_complexity(T).mean
+            == est.exact_rademacher_complexity(D).mean)
+    slack = est.softmax_complexity(T, law, 0.7, 300, stream)[2]
+    assert slack >= -est.BRACKET_TOL
+
+
+def test_generic_sup_holds_no_copy_of_the_points():
+    # 2^20 x 16 points take 128 MiB; at 100 replicates the estimate holds
+    # one 100 x POINT_CHUNK block of products (12.5 MiB) and no copy of
+    # the points
+    rng = np.random.default_rng(23)
+    T = isets.build_explicit(rng.standard_normal((1 << 20, 16)))
+    stream = dists.RandomStream(4).substream("big-explicit")
+    tracemalloc.start()
+    try:
+        est.estimate_complexity(T, dists.gaussian(), 100, stream)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
 
 
 def test_sets_are_freed_without_the_cycle_collector(tmp_path):
@@ -157,7 +202,7 @@ def test_sets_are_freed_without_the_cycle_collector(tmp_path):
         sets = families(tmp_path)
         for T in sets:
             T.points
-            est._sup_kernel(T)(np.ones((8, T.dim)))
+            T.sup(T, np.ones((8, T.dim)))
             sm._smoothed_max_rows(T, 1.0, np.ones((8, T.dim)))
         refs = [weakref.ref(T) for T in sets]
         del sets, T
@@ -171,10 +216,10 @@ def test_diagonal_cube_copies_its_diagonal():
     T = isets.make_diagonal_cube(d, k=3)
     pts = T.points.copy()
     X = np.random.default_rng(11).standard_normal((200, 6))
-    sups = est._sup_kernel(T)(X)
+    sups = T.sup(T, X)
     d *= 2.0
     assert np.array_equal(T.points, pts)
-    assert np.array_equal(est._sup_kernel(T)(X), sups)
+    assert np.array_equal(T.sup(T, X), sups)
 
 
 def test_fast_paths_match_generic_bitwise():
@@ -184,7 +229,7 @@ def test_fast_paths_match_generic_bitwise():
         assert T.kind == kind
         G = isets.build_explicit(T.points)  # same points, no structure tag
         X = np.random.default_rng(3).standard_normal((300, T.dim))
-        assert np.array_equal(est._sup_kernel(T)(X), est._sup_kernel(G)(X))
+        assert np.array_equal(T.sup(T, X), G.sup(G, X))
         a = est.estimate_complexity(T, dists.uniform_symmetric(), 2000, stream)
         b = est.estimate_complexity(G, dists.uniform_symmetric(), 2000, stream)
         assert a.mean == b.mean and a.std_error == b.std_error
@@ -221,7 +266,7 @@ def test_closed_form_kernels_match_matmul_path(kind, n, k):
     rng = np.random.default_rng(n + k)
     for X in (rng.standard_normal((300, n)),
               rng.choice([-1.0, 1.0], size=(300, n))):
-        a, b = est._sup_kernel(T)(X), est._sup_kernel(G)(X)
+        a, b = T.sup(T, X), G.sup(G, X)
         # rounding of two length-n sums of terms |x_i| max_t |t_i|
         assert np.all(np.abs(a - b) <= 8 * n * eps * (np.abs(X) @ colmax))
     stream = dists.RandomStream(5).substream("closed")
@@ -257,7 +302,8 @@ LOGZ_CASES = {
 
 
 def test_every_logz_kernel_has_a_case(tmp_path):
-    declared = {T.kind for T in families(tmp_path) if T.logz is not None}
+    declared = {T.kind for T in families(tmp_path)
+                if T.logz is not isets.IndexSet.logz}
     assert set(LOGZ_CASES) == declared
 
 
@@ -338,7 +384,7 @@ def test_explicit_sign_cube_takes_matmul_path():
     T = isets.build_explicit(isets.sign_patterns(n)[-4:] * d)
     assert T.kind == "explicit"
     X = np.random.default_rng(8).standard_normal((300, n))
-    sups = est._sup_kernel(T)(X)
+    sups = T.sup(T, X)
     assert np.array_equal(sups, (X @ T.points.T).max(axis=1))
     prefix = np.abs(X[:, n - 2:]) @ d[n - 2:] - X[:, :n - 2] @ d[:n - 2]
     assert not np.allclose(sups, prefix)
@@ -355,8 +401,8 @@ def test_two_spin_half_orbit(N, normalized):
     rng = np.random.default_rng(N)
     for X in (rng.standard_normal((500, T.dim)),
               rng.choice([-1.0, 1.0], size=(500, T.dim))):
-        assert np.array_equal(est._sup_kernel(T)(X),
-                              est._chunked_sup(T.points, X))
+        assert np.array_equal(T.sup(T, X),
+                              isets._chunked_sup(T.points, X))
 
 
 def test_duplicates_do_not_change_estimates():

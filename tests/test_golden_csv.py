@@ -20,7 +20,7 @@ import pytest
 from supcompare import cli
 from supcompare import index_sets as isets
 
-# an explicit set with repeated rows, so the generic kernel dedupes
+# an explicit set with repeated rows, which the generic kernels run over
 EXPLICIT_POINTS = np.vstack([np.eye(3), -np.eye(3)[:2], np.eye(3)[1:],
                              [[0.5, -0.25, 0.75]]])
 

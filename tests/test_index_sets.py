@@ -148,6 +148,10 @@ def test_diagonal_cube_validation():
     for bad in ([math.inf, 1.0], [1.0, math.nan], [math.nan]):
         with pytest.raises(ValueError):
             isets.make_diagonal_cube(bad)
+    d = [1.0 / j for j in range(1, 24)]
+    with pytest.raises(ValueError, match="cardinality cap"):
+        isets.make_diagonal_cube(d)  # 23 entries, k omitted
+    assert isets.make_diagonal_cube(d, k=22).cardinality == 1 << 22
 
 
 def test_spin_quadratic_small():
@@ -180,7 +184,7 @@ def test_spin_tensor_row_multiplicity(N):
         if m % 2 == 1 and m < N:
             assert T.distinct
         if m % 2 == 0:
-            assert T.sup is not None
+            assert T.sup is not isets.IndexSet.sup
             assert np.array_equal(T.points, T.points[::-1])
             assert rows == (2 if m == N else T.cardinality // 2)
 
