@@ -14,16 +14,19 @@ Subcommands:
 Config keys are flat `key=value` tokens, each parsed and defaulted by KEYS;
 `--config FILE` loads the same syntax (CLI tokens override); a key given
 twice in one source, or one the subcommand does not read, is an error.
-Fixed-seed reruns write byte-identical CSV; JSON adds the wall time.
+Fixed-seed reruns write byte-identical CSV; JSON adds the wall time and
+the provenance (versions, kernel workers and tile bytes).
 """
 from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
 import os
+import platform
 import sys
 import time
 from collections import namedtuple
@@ -457,10 +460,27 @@ def _json_value(value):
     return value
 
 
+@functools.cache
+def _scipy_version() -> str:
+    # from the installed metadata, so that scipy is not imported; the
+    # lookup scans the installed distributions, about 5 ms a call
+    from importlib.metadata import version
+    return version("scipy")
+
+
+def _provenance() -> dict:
+    """What a run's numbers depend on beyond its config: the Python, numpy
+    and scipy versions, and the generic kernels' worker count and tile
+    byte budget."""
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "scipy": _scipy_version(), "workers": isets.WORKERS,
+            "tile_bytes": isets.TILE_BYTES}
+
+
 def emit(record: ResultRecord, output_dir: str, fmt: str) -> list:
     """Write the record; returns written paths.  CSV is byte-deterministic,
-    JSON additionally carries elapsed_seconds and writes a non-finite value
-    as null."""
+    JSON additionally carries elapsed_seconds and the provenance, and
+    writes a non-finite value as null."""
     os.makedirs(output_dir, exist_ok=True)
     sub = record.config["subcommand"]
     stem = sub if sub != "verify" else f"verify-{record.config['target']}"
@@ -475,6 +495,7 @@ def emit(record: ResultRecord, output_dir: str, fmt: str) -> list:
     if fmt in ("json", "both"):
         doc = {
             "version": __version__,
+            "provenance": _provenance(),
             "config": record.config,
             "tables": {name: {"headers": h, "rows": r}
                        for name, (h, r) in record.tables.items()},

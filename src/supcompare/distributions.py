@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import special
 
 # seeds and substream ids are 64-bit: each fills one half of a Philox key
 SEED_LIMIT = 1 << 64
@@ -132,11 +131,18 @@ def rademacher() -> CoordinateDistribution:
             rng.integers(0, 2, size=size).astype(np.float64) * 2.0 - 1.0)
 
 
+def _ndtri(u: np.ndarray) -> np.ndarray:
+    """scipy's Gaussian quantile; scipy.special, a quarter second to import,
+    loads on the first call."""
+    from scipy.special import ndtri
+    return ndtri(u)
+
+
 def gaussian() -> CoordinateDistribution:
     # E|g|^3 = 2 sqrt(2/pi)
     return CoordinateDistribution(
         "gaussian", 1.0, 0.0, 2.0 * math.sqrt(2.0 / math.pi), 3.0, None,
-        quantile=special.ndtri,
+        quantile=_ndtri,
         draw=lambda rng, size: rng.standard_normal(size))
 
 

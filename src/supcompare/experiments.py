@@ -65,14 +65,27 @@ def heavy_tail_growth(n_list, replicates: int,
     r_34 = [r["ratio_log34"] for r in rows]
     rho = None
     if len(rows) >= 3:
-        from scipy import stats  # ~0.6 s to import; only this rank test needs it
-        rho = float(stats.spearmanr(np.log([r["n"] for r in rows]), r_34).statistic)
+        rho = _spearman(np.log([r["n"] for r in rows]), r_34)
     summary = {
         "ratio_log_max_over_min": max(r_log) / min(r_log) if min(r_log) > 0
         else float("inf"),
         "ratio_log34_spearman": rho,
     }
     return ExperimentResult(rows, summary)
+
+
+def _average_ranks(values) -> np.ndarray:
+    """Ranks 1..n of values, each group of ties at its average rank: a
+    group of c equal values ending at rank r takes r - (c - 1) / 2."""
+    _, group, counts = np.unique(np.asarray(values, dtype=np.float64),
+                                 return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[group]
+
+
+def _spearman(x, y) -> float:
+    """Spearman's rank correlation: the Pearson correlation of average
+    ranks, as scipy.stats.spearmanr computes it, without importing scipy."""
+    return float(np.corrcoef(_average_ranks(x), _average_ranks(y))[0, 1])
 
 
 def _universality_exponent(dist: CoordinateDistribution) -> float:

@@ -15,23 +15,29 @@ rows t of <x, t> for each row x of X; ``logz(T, X, beta)`` is the pair
 (sup, log sum_t exp(beta <x, t>)) per row, the one entry through which
 ``softmax`` evaluates every smoothed maximum beta F_beta.  Their defaults
 are the generic kernels, ``_chunked_sup`` and ``_chunked_logz`` over every
-declared row of ``T.points`` in POINT_CHUNK chunks; a structured set's
-constructor overrides them.  Basis families override only ``sup``, which
-never touches the points; a diagonal cube closes over its diagonal and
-free sign count (its Gibbs measure is a product measure, so its log
-partition is a sum of log 2 cosh terms), and a spin set of even order runs
-the matmul over its distinct half.  Every logz but the cube's closed form,
-and every Gibbs weight in ``softmax``, exponentiates its block of products
-in place through one body, ``_fused_block``.  A kernel receives the set
-rather than capturing it, so a set holds no reference to itself and is
-freed with its last reference.
+declared row of ``T.points`` in POINT_CHUNK chunks, and over row tiles of X
+of TILE_BYTES of products each, which run on a pool of WORKERS threads and
+round the same at any worker count; a structured set's constructor
+overrides them.  Basis families override only ``sup``, which never touches
+the points; a diagonal cube closes over its diagonal and free sign count
+(its Gibbs measure is a product measure, so its log partition is a sum of
+log 2 cosh terms), and a spin set of even order runs the matmul over its
+distinct half.  Every logz but the cube's closed form, and every Gibbs
+weight in ``softmax``, exponentiates its block of products in place through
+one body, ``_fused_block``.  A kernel receives the set rather than
+capturing it, so a set holds no reference to itself and is freed with its
+last reference.
 """
 from __future__ import annotations
 
+import contextvars
 import itertools
 import math
+import os
+import queue
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
@@ -43,6 +49,24 @@ POINT_CHUNK = 16384
 SAMPLE_BLOCK = 1024
 # the largest dimension whose block of draws fits the byte budget
 MAX_DIM = MAX_POINT_BYTES // (8 * SAMPLE_BLOCK)
+# bytes of the block of products one row tile of the generic kernels holds
+TILE_BYTES = 4 * 2 ** 20
+# threads the generic kernels run their row tiles on, one per CPU the
+# process may run on; the pool starts its threads on first use
+WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+           else os.cpu_count() or 1)
+
+
+def _new_pool() -> None:
+    # a forked child inherits the pool but none of its threads, and would
+    # wait forever on its first tile: it gets a pool of its own
+    global _POOL
+    _POOL = ThreadPoolExecutor(WORKERS, thread_name_prefix="supcompare-tile")
+
+
+_new_pool()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_new_pool)
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,14 +159,68 @@ def build_explicit(points) -> IndexSet:
     return _finalize(arr)
 
 
-def _chunked_sup(points: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """max over rows t of points of <x, t>, for each row x of X; points go
-    in POINT_CHUNK chunks."""
+def _tiled(kernel, points: np.ndarray, X: np.ndarray) -> list:
+    """kernel(points, tile, buf) over row tiles of X, results in row order.
+
+    A tile holds at most max(1, TILE_BYTES // (8 * min(len(points),
+    POINT_CHUNK))) rows, so its block of products fits TILE_BYTES; the rows
+    are split evenly among the tiles, so that of two or more tiles each
+    holds half that or more: a lone trailing row would be multiplied by
+    BLAS gemv, and a few rows by a small-matrix kernel, each of which sums
+    in another order than the whole block's gemm.  The tiles follow from
+    the shapes and TILE_BYTES alone, so the result does not depend on
+    WORKERS; it is bitwise the untiled one but where a chunk's point count
+    leaves a ragged gemm edge, whose products the last rows of each tile
+    round by another path.  With WORKERS > 1 the tiles run on the pool,
+    each in its own copy of the caller's context: numpy keeps its errstate
+    in a context variable, which pool threads do not inherit.  A running
+    tile writes its products into one of min(WORKERS, tiles) buffers,
+    allocated on the calling thread, so the products held are at most
+    WORKERS x TILE_BYTES.
+    """
+    cols = min(points.shape[0], POINT_CHUNK)
+    step = max(1, TILE_BYTES // (8 * cols))
+    count = max(1, -(-X.shape[0] // step))
+    cuts = [X.shape[0] * i // count for i in range(count + 1)]
+    tiles = [X[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+    lanes = min(WORKERS, count)
+    free = queue.SimpleQueue()
+    for buf in np.empty((lanes, -(-X.shape[0] // count) * cols)):
+        free.put(buf)
+
+    def run(tile):
+        buf = free.get()
+        try:
+            return kernel(points, tile, buf)
+        finally:
+            free.put(buf)
+    if lanes == 1:
+        return list(map(run, tiles))
+    contexts = [contextvars.copy_context() for _ in tiles]
+    return list(_POOL.map(lambda ctx, tile: ctx.run(run, tile),
+                          contexts, tiles))
+
+
+def _products(X: np.ndarray, chunk: np.ndarray,
+              buf: np.ndarray) -> np.ndarray:
+    """X @ chunk.T, written into the front of the flat buffer buf."""
+    shape = (X.shape[0], chunk.shape[0])
+    return np.matmul(X, chunk.T, out=buf[:shape[0] * shape[1]].reshape(shape))
+
+
+def _sup_tile(points: np.ndarray, X: np.ndarray,
+              buf: np.ndarray) -> np.ndarray:
     out = np.full(X.shape[0], -np.inf)
     for lo in range(0, points.shape[0], POINT_CHUNK):
-        np.maximum(out, (X @ points[lo:lo + POINT_CHUNK].T).max(axis=1),
-                   out=out)
+        Z = _products(X, points[lo:lo + POINT_CHUNK], buf)
+        np.maximum(out, Z.max(axis=1), out=out)
     return out
+
+
+def _chunked_sup(points: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """max over rows t of points of <x, t>, for each row x of X; points go
+    in POINT_CHUNK chunks, rows of X in _tiled's tiles."""
+    return np.concatenate(_tiled(_sup_tile, points, X))
 
 
 def _fused_block(Z: np.ndarray, beta: float) -> tuple:
@@ -156,19 +234,27 @@ def _fused_block(Z: np.ndarray, beta: float) -> tuple:
     return s, beta * s + np.log(Z.sum(axis=1))
 
 
+def _logz_tile(points: np.ndarray, X: np.ndarray, buf: np.ndarray,
+               beta: float) -> tuple:
+    sups = np.full(X.shape[0], -np.inf)
+    logz = np.full(X.shape[0], -np.inf)
+    for lo in range(0, points.shape[0], POINT_CHUNK):
+        s, z = _fused_block(_products(X, points[lo:lo + POINT_CHUNK], buf),
+                            beta)
+        np.maximum(sups, s, out=sups)
+        np.logaddexp(logz, z, out=logz)
+    return sups, logz
+
+
 def _chunked_logz(points: np.ndarray, X: np.ndarray, beta: float) -> tuple:
     """(max_t <x, t>, log sum_t exp(beta <x, t>)) for each row x of X, over
     POINT_CHUNK chunks of points, each reduced in place by _fused_block and
     combined by np.maximum and np.logaddexp (the online-normalizer
-    logsumexp): one chunk of products is held at a time, and a set of one
-    chunk gets the block's value exactly."""
-    sups = np.full(X.shape[0], -np.inf)
-    logz = np.full(X.shape[0], -np.inf)
-    for lo in range(0, points.shape[0], POINT_CHUNK):
-        s, z = _fused_block(X @ points[lo:lo + POINT_CHUNK].T, beta)
-        np.maximum(sups, s, out=sups)
-        np.logaddexp(logz, z, out=logz)
-    return sups, logz
+    logsumexp), and over _tiled's row tiles of X: a tile holds one chunk of
+    products at a time, and a set of one chunk gets the block's value
+    exactly."""
+    tiles = _tiled(partial(_logz_tile, beta=beta), points, X)
+    return tuple(np.concatenate(part) for part in zip(*tiles))
 
 
 BASIS_MODES = ("canonical", "signed", "negative-scaled")

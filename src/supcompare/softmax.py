@@ -20,7 +20,7 @@ on the block of products.
 ``_partial_rows`` is the one Gibbs-moment pass behind every partial, its
 centred powers built by in-place products.  ``log_laplace`` alone keeps
 scipy's ``logsumexp``, the independent reference that the uniform-measure
-identity compares F_beta against.
+identity compares F_beta against; scipy loads on its first call.
 """
 from __future__ import annotations
 
@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .index_sets import IndexSet, _fused_block, geometric_profile
 from . import numdiff
@@ -234,6 +233,7 @@ def _tilt_logits(mu: WeightedMeasure, x) -> np.ndarray:
 
 def log_laplace(mu: WeightedMeasure, x) -> float:
     """Lambda_mu(x) = log E_mu exp(<x, l>), computed stably."""
+    from scipy.special import logsumexp
     return float(logsumexp(_tilt_logits(mu, x)))
 
 

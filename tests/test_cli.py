@@ -2,13 +2,18 @@ import csv
 import hashlib
 import json
 import math
+import os
 import pathlib
+import platform
+import subprocess
+import sys
 import time
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+import scipy
 
 import supcompare
 from supcompare import cli, experiments
@@ -466,6 +471,25 @@ def test_version_has_one_source(tmp_path):
     run_main(["sudakov", "set=basis:n=4", f"output_dir={out}"])
     doc = json.loads((out / "sudakov.json").read_text())
     assert doc["version"] == supcompare.__version__
+
+
+def test_json_records_its_provenance_without_importing_scipy(tmp_path):
+    # in a fresh interpreter: an estimate drawn by `sample` loads no scipy,
+    # and the record reads scipy's version from its installed metadata
+    src = pathlib.Path(supcompare.__file__).resolve().parents[1]
+    code = ("import sys; from supcompare import cli; "
+            "cli.main(['estimate', 'set=basis:n=4', 'distribution=gaussian', "
+            f"'replicates=200', 'format=json', 'output_dir={tmp_path}']); "
+            "print('scipy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], check=True, text=True,
+                         capture_output=True,
+                         env=dict(os.environ, PYTHONPATH=str(src)))
+    assert out.stdout.strip().splitlines()[-1] == "False"
+    doc = strict_json(tmp_path / "estimate.json")
+    assert doc["provenance"] == {
+        "python": platform.python_version(), "numpy": np.__version__,
+        "scipy": scipy.__version__, "workers": isets.WORKERS,
+        "tile_bytes": isets.TILE_BYTES}
 
 
 def test_phase_curves_crossover_row(tmp_path):

@@ -107,11 +107,33 @@ def test_tensor_bound_scale_shrinks_with_order():
     assert s4 < s2
 
 
-def test_package_import_leaves_scipy_stats_out():
-    # scipy.stats takes ~0.6 s to import; only heavy_tail_growth needs it
+def test_cli_import_leaves_scipy_out():
+    # scipy.special takes ~0.25 s to import and scipy.stats ~0.6 s: the
+    # Gaussian quantile and log_laplace's reference logsumexp load
+    # scipy.special on their first call, and no module needs scipy.stats
     src = os.path.dirname(os.path.dirname(supcompare.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, supcompare; print('scipy.stats' in sys.modules)"
+    code = ("import sys, supcompare.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "[]"
+
+
+def test_spearman_matches_scipy_on_ties():
+    from scipy import stats
+    assert xp._average_ranks([3.0, 1.0, 2.0, 2.0, 3.0]).tolist() == [
+        4.5, 1.0, 2.5, 2.5, 4.5]
+    rng = np.random.default_rng(30)
+    checked = 0
+    for _ in range(300):
+        n = int(rng.integers(3, 12))
+        x = rng.integers(0, 4, n).astype(float)
+        y = rng.integers(0, 5, n).astype(float)
+        if np.ptp(x) == 0 or np.ptp(y) == 0:
+            continue  # a constant input has no rank correlation
+        assert np.array_equal(xp._average_ranks(x), stats.rankdata(x))
+        assert xp._spearman(x, y) == pytest.approx(
+            stats.spearmanr(x, y).statistic, rel=0, abs=1e-12)
+        checked += 1
+    assert checked >= 250
