@@ -11,10 +11,9 @@ from .index_sets import (IndexSet, GeometricProfile, build_explicit,
                          geometric_profile, save_csv, load_csv, dedupe,
                          sign_patterns)
 from .distributions import (CoordinateDistribution, RandomStream,
-                            MomentCheckReport, DEFAULT_SEED, rademacher,
-                            gaussian, uniform_symmetric, laplace,
-                            scaled_rademacher, two_point, from_name,
-                            empirical_moment_check)
+                            DEFAULT_SEED, rademacher, gaussian,
+                            uniform_symmetric, laplace, scaled_rademacher,
+                            two_point, from_name)
 from .softmax import (WeightedMeasure, log_partition,
                       sandwich_gap, gibbs_measure, gibbs_weights,
                       gibbs_moment, log_partition_grad,

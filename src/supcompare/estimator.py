@@ -9,12 +9,17 @@ estimate of the package, the Ornstein-Uhlenbeck and Stein ones of
 ``ou_stein`` included, runs its blocks through the one driver ``_blocked``
 and reports its mean and standard error through ``mean_se``.  Every
 unpaired law-versus-Gaussian gap is ``_gap_fields`` but one:
-``experiments.heavy_tail_growth`` computes its own signed Laplace gap.
+``experiments.heavy_tail_growth`` computes its own signed Laplace gap,
+both laws on one substream.
 
 Sup kernels: every estimate maps a block X of draws to sup_t <x, t> per
 row through the set's own field, ``T.sup(T, X)``: the generic chunked
 matmul over every declared row unless the set's constructor in
-``index_sets`` declared a fast path.  A new fast path is that declaration,
+``index_sets`` declared a fast path.  ``estimate_complexity`` takes X
+from the set's own sampler ``T.draw(T, dist, rng)``: SAMPLE_BLOCK x dim
+draws, unless the constructor declared a smaller block that ``T.sup``
+reduces to the same law of sups (the canonical basis's column of
+maxima).  A new fast path is that declaration,
 plus a case in ``KERNEL_CASES`` (bitwise kernels) or ``CLOSED_FORM_CASES``
 of tests/test_estimator.py, whose differential tests run every declared
 kernel against the matmul path on an untagged copy of the points.
@@ -87,10 +92,10 @@ def _blocked(stream: RandomStream, tag: str, replicates: int, draw,
 def estimate_complexity(T: IndexSet, dist: CoordinateDistribution,
                         replicates: int,
                         stream: RandomStream) -> SupremumEstimate:
-    """Monte-Carlo E sup_t <xi, t> with fixed 1024-replicate blocks."""
+    """Monte-Carlo E sup_t <xi, t> with fixed 1024-replicate blocks, each
+    drawn by the set's own sampler."""
     sups = _blocked(stream, "complexity-block", replicates,
-                    lambda rng: dist.sample(rng, (SAMPLE_BLOCK, T.dim)),
-                    lambda X: T.sup(T, X))
+                    lambda rng: T.draw(T, dist, rng), lambda X: T.sup(T, X))
     return SupremumEstimate.from_samples(sups, "mc", stream.master_seed)
 
 

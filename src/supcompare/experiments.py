@@ -36,6 +36,12 @@ def heavy_tail_growth(n_list, replicates: int,
     while gap/(log n)^{3/4} drifts upward; the summary reports the max/min
     of the first ratio and the Spearman trend of the second, which is None
     (not evaluated) with fewer than 3 sizes.
+
+    Both laws take one substream per n, so each replicate's two maxima are
+    order statistics of one uniform: comonotone, and so positively
+    correlated.  The coupling holds the noise of the gap ratios under
+    that of independent draws; gap_se, which adds the two standard errors
+    in quadrature, is an upper bound on the gap's.
     """
     if min(n_list) < 2:
         raise ValueError(f"every n must be >= 2, got {list(n_list)}")
@@ -43,10 +49,9 @@ def heavy_tail_growth(n_list, replicates: int,
     sets = [make_basis_family(int(n)) for n in n_list]
     rows = []
     for k, (n, T) in enumerate(zip(n_list, sets)):
-        lap = estimate_complexity(T, laplace(False), replicates,
-                                  stream.substream("laplace", k))
-        gau = estimate_complexity(T, gaussian(), replicates,
-                                  stream.substream("gaussian", k))
+        maxima = stream.substream("maxima", k)
+        lap = estimate_complexity(T, laplace(False), replicates, maxima)
+        gau = estimate_complexity(T, gaussian(), replicates, maxima)
         gap = lap.mean - gau.mean
         gap_se = math.hypot(lap.std_error, gau.std_error)
         logn = math.log(n)

@@ -10,23 +10,30 @@ SAMPLE_BLOCK-row block of draws within the MAX_POINT_BYTES budget.
 Duplicate rows are retained: the declared cardinality enters
 log-cardinality bounds, and deduplication is the caller's choice.
 
-Every set carries two kernels as fields.  ``sup(T, X)`` is the max over
-rows t of <x, t> for each row x of X; ``logz(T, X, beta)`` is the pair
-(sup, log sum_t exp(beta <x, t>)) per row, the one entry through which
-``softmax`` evaluates every smoothed maximum beta F_beta.  Their defaults
-are the generic kernels, ``_chunked_sup`` and ``_chunked_logz`` over every
-declared row of ``T.points`` in POINT_CHUNK chunks, and over row tiles of X
-of TILE_BYTES of products each, which run on a pool of WORKERS threads and
-round the same at any worker count; a structured set's constructor
-overrides them.  Basis families override only ``sup``, which never touches
-the points; a diagonal cube closes over its diagonal and free sign count
-(its Gibbs measure is a product measure, so its log partition is a sum of
-log 2 cosh terms), and a spin set of even order runs the matmul over its
-distinct half.  Every logz but the cube's closed form, and every Gibbs
-weight in ``softmax``, exponentiates its block of products in place through
-one body, ``_fused_block``.  A kernel receives the set rather than
-capturing it, so a set holds no reference to itself and is freed with its
-last reference.
+Every set carries two kernels and a sampler as fields.  ``sup(T, X)`` is
+the max over rows t of <x, t> for each row x of X; ``logz(T, X, beta)`` is
+the pair (sup, log sum_t exp(beta <x, t>)) per row, the one entry through
+which ``softmax`` evaluates every smoothed maximum beta F_beta.  Their
+defaults are the generic kernels, ``_chunked_sup`` and ``_chunked_logz``
+over every declared row of ``T.points`` in POINT_CHUNK chunks, and over
+row tiles of X of TILE_BYTES of products each, which run on a pool of
+WORKERS threads and round the same at any worker count; a structured
+set's constructor overrides them.  Basis families override only ``sup``,
+which never touches the points; a diagonal cube closes over its diagonal
+and free sign count (its Gibbs measure is a product measure, so its log
+partition is a sum of log 2 cosh terms), and a spin set of even order
+runs the matmul over its distinct half.  Every logz but the cube's closed
+form, and every Gibbs weight in ``softmax``, exponentiates its block of
+products in place through one body, ``_fused_block``.  A kernel receives
+the set rather than capturing it, so a set holds no reference to itself
+and is freed with its last reference.
+
+``draw(T, dist, rng)`` is the block X that ``estimator.estimate_complexity``
+hands to ``sup``: by default SAMPLE_BLOCK rows of T.dim coordinates
+drawn from ``dist``.  The canonical basis's sup is the max of the
+coordinates, so it declares a block of one column, each value the maximum
+of T.dim coordinates drawn as one order statistic (``dist.sample`` with
+``max_of``), and its sup passes that column through: no 1024 x n block.
 """
 from __future__ import annotations
 
@@ -79,7 +86,9 @@ class IndexSet:
     assumed.  ``sup`` is the exact sup kernel ``(T, X) -> sups`` and
     ``logz`` the log-partition kernel ``(T, X, beta) -> (sups, log sum_t
     exp(beta <x, t>))``; both default to the generic chunked matmul over
-    every declared row, and a constructor overrides them.
+    every declared row, and a constructor overrides them.  ``draw`` is the
+    sampler ``(T, dist, rng) -> X`` of one block of rows for ``sup``, by
+    default SAMPLE_BLOCK x dim draws of ``dist``.
     ``distinct`` is true when the construction guarantees distinct rows, so
     ``dedupe`` has nothing to remove.
     """
@@ -92,6 +101,10 @@ class IndexSet:
         default=lambda T, X: _chunked_sup(T.points, X), repr=False)
     logz: Callable[["IndexSet", np.ndarray, float], tuple] = field(
         default=lambda T, X, beta: _chunked_logz(T.points, X, beta),
+        repr=False)
+    draw: Callable[["IndexSet", object, np.random.Generator],
+                   np.ndarray] = field(
+        default=lambda T, dist, rng: dist.sample(rng, (SAMPLE_BLOCK, T.dim)),
         repr=False)
     distinct: bool = False
 
@@ -133,7 +146,7 @@ def _declare(cardinality: int, dim: int, build, kind: str,
              distinct: bool = False, **kernels) -> IndexSet:
     """The one constructor: caps are checked on the declared shape, and
     the points are left to the first read.  ``kernels`` overrides the
-    ``sup`` and ``logz`` defaults."""
+    ``sup``, ``logz`` and ``draw`` defaults."""
     _check_shape(cardinality, dim, built=False)
     return IndexSet(cardinality, dim, build, kind, distinct=distinct,
                     **kernels)
@@ -275,8 +288,11 @@ def make_basis_family(n: int, mode: str = "canonical",
     if theta is not None and mode != "negative-scaled":
         raise ValueError(f"theta is read only by mode=negative-scaled, not {mode}")
     if mode == "canonical":
+        # one column of maxima; the sup's max over it passes it through
         return _declare(n, n, lambda: np.eye(n), "basis-canonical",
-                        distinct=True, sup=lambda T, X: X.max(axis=1))
+                        distinct=True, sup=lambda T, X: X.max(axis=1),
+                        draw=lambda T, dist, rng: dist.sample(
+                            rng, (SAMPLE_BLOCK, 1), max_of=T.dim))
     if mode == "signed":
         def signed():
             eye = np.eye(n)

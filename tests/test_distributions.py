@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate, special
 
 from supcompare import distributions as dists
 
@@ -10,6 +11,33 @@ from supcompare import distributions as dists
 GAUSS_ABS_THIRD = 1.5957691216057308      # 2 sqrt(2/pi)
 UNIFORM_ABS_THIRD = 1.299038105676658     # 3 sqrt(3)/4
 LAPLACE_NORM_ABS_THIRD = 2.1213203435596424  # 3/sqrt(2)
+
+# moment_violations flags a moment this many standard errors off
+MOMENT_Z = 5.0
+
+
+def moment_violations(dist, sample_count: int, stream) -> list:
+    """The declared moments (mean zero, variance, third, fourth) and bound
+    that a sample of ``dist`` contradicts: a moment MOMENT_Z standard
+    errors off, or, where its sampling variance is exactly zero (lattice
+    laws), off at all; a draw past the declared bound."""
+    x = dist.sample(stream.generator(), sample_count)
+    m1, m2, m3, m4, m6, m8 = (float(np.mean(x ** k))
+                              for k in (1, 2, 3, 4, 6, 8))
+    violations = []
+    for label, emp, decl, var in (
+            ("mean", m1, 0.0, m2 - m1 ** 2),
+            ("variance", m2, dist.variance, m4 - m2 ** 2),
+            ("third", m3, dist.third_moment, m6 - m3 ** 2),
+            ("fourth", m4, dist.fourth, m8 - m4 ** 2)):
+        se = math.sqrt(max(var, 0.0) / sample_count)
+        diff = abs(emp - decl)
+        if diff > MOMENT_Z * se or (se == 0.0 and diff != 0.0):
+            violations.append(label)
+    if (dist.bound is not None
+            and float(np.max(np.abs(x))) > dist.bound * (1 + 1e-12)):
+        violations.append("bound")
+    return violations
 
 
 def test_declared_moments():
@@ -98,9 +126,8 @@ def test_parametric_draws_are_pinned():
                                   "scaled-rademacher:2.5", "two-point:2"])
 def test_empirical_moment_check_passes(name):
     dist = dists.from_name(name)
-    rep = dists.empirical_moment_check(dist, 200000,
-                                       dists.RandomStream(11).substream(name))
-    assert rep.ok, rep.violations
+    assert moment_violations(dist, 200000,
+                             dists.RandomStream(11).substream(name)) == []
 
 
 def test_sample_support():
@@ -184,5 +211,102 @@ def test_substream_mix_is_published():
 def test_moment_check_rejects_wrong_declaration():
     # a deliberately wrong variance must be flagged
     bad = dataclasses.replace(dists.gaussian(), variance=2.0)
-    rep = dists.empirical_moment_check(bad, 50000, dists.RandomStream(3))
-    assert "variance" in rep.violations
+    assert "variance" in moment_violations(bad, 50000, dists.RandomStream(3))
+
+
+def test_gaussian_isf_matches_ndtri():
+    # the stdlib upper-tail quantile, against scipy's, from the far tail
+    # (where 1 - q rounds to 1) to the other side of the median
+    q = np.concatenate([np.logspace(-300, -1, 600),
+                        np.linspace(0.1, 0.999, 300)])
+    got = dists.gaussian().isf(q)
+    want = -special.ndtri(q)
+    assert np.all(np.abs(got - want) <= 2e-15 * np.abs(want) + 1e-15)
+    assert np.all(np.diff(got) <= 0)
+    assert dists.gaussian().isf(np.array([[0.5]])).shape == (1, 1)
+
+
+def _continuous_max(log_cdf, n: int) -> float:
+    """E max of n iid draws, int_0^inf (1 - F^n) - int_-inf^0 F^n, by
+    quadrature over unit pieces of [-60, 60]; F^n is exp(n log F), and
+    beyond 60 both tails are below 1e-13 for every law here."""
+    upper = sum(integrate.quad(lambda x: -math.expm1(n * log_cdf(x)),
+                               a, a + 1.0, epsabs=1e-13)[0]
+                for a in range(60))
+    lower = sum(integrate.quad(lambda x: math.exp(n * log_cdf(x)),
+                               -a - 1.0, -a, epsabs=1e-13)[0]
+                for a in range(60))
+    return upper - lower
+
+
+def _lattice_max(atoms: dict, n: int) -> float:
+    """E max of n iid draws of a law on finitely many atoms {x: P(x)}:
+    x_1 + sum_j (x_{j+1} - x_j) P(max > x_j), P(max > x_j) = 1 - F(x_j)^n."""
+    xs = sorted(atoms)
+    cdf = np.cumsum([atoms[x] for x in xs])
+    return xs[0] + sum((b - a) * -math.expm1(n * math.log(F))
+                       for a, b, F in zip(xs, xs[1:], cdf))
+
+
+def _laplace_log_cdf(b: float):
+    return lambda x: (math.log1p(-0.5 * math.exp(-x / b)) if x >= 0
+                      else math.log(0.5) + x / b)
+
+
+def _uniform_log_cdf(x: float) -> float:
+    r3 = math.sqrt(3.0)
+    return math.log(min(max((x + r3) / (2.0 * r3), 1e-300), 1.0))
+
+
+# the exact E max of n iid draws of every law in LAWS (parametric ones at
+# 2.0): a log-CDF for quadrature, or the atoms of a lattice law
+EXPECTED_MAX = {
+    "rademacher": ("rademacher", {-1.0: 0.5, 1.0: 0.5}),
+    "gaussian": ("gaussian", lambda x: float(special.log_ndtr(x))),
+    "uniform": ("uniform", _uniform_log_cdf),
+    "laplace": ("laplace", _laplace_log_cdf(1.0)),
+    "laplace-normalized": ("laplace-normalized",
+                           _laplace_log_cdf(1.0 / math.sqrt(2.0))),
+    "scaled-rademacher:": ("scaled-rademacher:2",
+                           {-2.0: 0.125, 0.0: 0.75, 2.0: 0.125}),
+    "two-point:": ("two-point:2", {-0.5: 0.8, 2.0: 0.2}),
+}
+
+
+def test_expected_max_covers_every_law():
+    assert set(EXPECTED_MAX) == set(dists.LAWS)
+    assert _lattice_max({-1.0: 0.5, 1.0: 0.5}, 5) == 1.0 - 2.0 ** -4
+    # the uniform maximum has E max = sqrt(3) (n - 1) / (n + 1)
+    assert _continuous_max(_uniform_log_cdf, 7) == pytest.approx(
+        math.sqrt(3.0) * 6.0 / 8.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 16, 1024, 16384])
+@pytest.mark.parametrize("kind", sorted(EXPECTED_MAX))
+def test_max_of_matches_the_exact_expected_maximum(kind, n):
+    name, law = EXPECTED_MAX[kind]
+    dist = dists.from_name(name)
+    exact = (_lattice_max(law, n) if isinstance(law, dict)
+             else _continuous_max(law, n))
+    x = dist.sample(dists.RandomStream(31).substream(name, n).generator(),
+                    100000, max_of=n)
+    se = float(np.std(x, ddof=1)) / math.sqrt(x.size)
+    # a lattice maximum at large n is its top atom in every draw: se = 0
+    assert abs(float(np.mean(x)) - exact) <= 5.0 * se + 1e-12
+
+
+class _ExtremeUniforms:
+    """A generator stand-in whose integer draws are the least and the
+    greatest that the sampler may ask for, its two extreme uniforms."""
+
+    def integers(self, low, high, size):
+        assert size == 2
+        return np.array([low, high - 1])
+
+
+@pytest.mark.parametrize("kind", sorted(EXPECTED_MAX))
+def test_max_of_is_finite_at_the_extreme_uniforms(kind):
+    dist = dists.from_name(EXPECTED_MAX[kind][0])
+    for n in (2, 16384, 2 ** 62):
+        lo, hi = dist.sample(_ExtremeUniforms(), 2, max_of=n)
+        assert math.isfinite(lo) and math.isfinite(hi) and lo <= hi

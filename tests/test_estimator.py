@@ -66,19 +66,21 @@ def test_estimate_is_deterministic():
 
 
 def test_basis_estimate_builds_no_points():
-    # the 1024 x 16384 sample block alone is 128 MiB; an identity of
-    # either size would add 2 GiB or 512 GiB
+    # an identity of dimension 2^18 would be 512 GiB, and a 1024 x 2^18
+    # block of draws 2 GiB; the canonical basis's sampler draws 1024
+    # maxima per block
+    T = isets.make_basis_family(isets.MAX_DIM)
     tracemalloc.start()
     try:
-        isets.make_basis_family(isets.MAX_DIM)
-        T = isets.make_basis_family(16384)
-        est.estimate_complexity(T, dists.gaussian(), 100,
-                                dists.RandomStream(4).substream("lazy"))
+        r = est.estimate_complexity(T, dists.laplace(), 2048,
+                                    dists.RandomStream(4).substream("lazy"))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 200 * 2 ** 20
+    assert peak < 2 ** 20
     assert "points" not in vars(T)
+    # E max of n unit Laplace draws is log(n / 2) + Euler's gamma + O(1/n)
+    assert abs(r.mean - (17 * math.log(2.0) + 0.5772157)) <= 5 * r.std_error
     with pytest.raises(ValueError, match="sample block"):
         isets.make_basis_family(isets.MAX_DIM + 1)
 
@@ -232,7 +234,14 @@ def test_fast_paths_match_generic_bitwise():
         assert np.array_equal(T.sup(T, X), G.sup(G, X))
         a = est.estimate_complexity(T, dists.uniform_symmetric(), 2000, stream)
         b = est.estimate_complexity(G, dists.uniform_symmetric(), 2000, stream)
-        assert a.mean == b.mean and a.std_error == b.std_error
+        # the canonical basis alone declares its own sampler, a column of
+        # maxima, so its draws differ from the generic block's
+        assert (T.draw is G.draw) == (kind != "basis-canonical")
+        if kind == "basis-canonical":
+            z = (a.mean - b.mean) / math.hypot(a.std_error, b.std_error)
+            assert abs(z) <= 5.0
+        else:
+            assert a.mean == b.mean and a.std_error == b.std_error
         a = est.paired_gap_estimate(T, dists.laplace(True), 1500, stream)
         b = est.paired_gap_estimate(G, dists.laplace(True), 1500, stream)
         assert a == b

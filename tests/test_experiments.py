@@ -30,6 +30,15 @@ def test_heavy_tail_growth_small():
         xp.heavy_tail_growth((1,), 4000, dists.RandomStream(1))
 
 
+def test_heavy_tail_laws_share_their_uniforms(monkeypatch):
+    # each size draws both laws from one substream, so each replicate's
+    # two maxima come from one uniform: with one law on both sides every
+    # gap is exactly 0
+    monkeypatch.setattr(xp, "laplace", lambda normalized: dists.gaussian())
+    res = xp.heavy_tail_growth((16, 4096), 200, dists.RandomStream(3))
+    assert [r["gap"] for r in res.rows] == [0.0, 0.0]
+
+
 def test_spin_glass_universality_small():
     res = xp.spin_glass_universality((4, 6), dists.rademacher(), 4000,
                                      dists.RandomStream(2).substream("sk"))

@@ -101,7 +101,7 @@ CONFIGS = {
 
 DIGESTS = {
     "estimate-basis-canonical":
-        "171eda8a69e3b87f26015433f13e1d8dda542acfc20f2564a9038d602e70f78f",
+        "ce9d176bd3a5282b67c91c64c6c1db692dcf86259ee401a0cfe81a83cf761ae4",
     "estimate-basis-signed":
         "accee6799e18d13a57a7f6f6d76578d59e4abb3f2a5235767524e40b58f3107a",
     "estimate-basis-negative-scaled":
@@ -131,7 +131,7 @@ DIGESTS = {
     "bounds-spin-tensor-even-paired":
         "8487bc60ea86b212a5eeaf8ed3153b5199d25f79dce2f52ecc29675030cbde43",
     "bounds-basis-rademacher":
-        "95dfefb58cb1735cb7c4049765cb0d9316b39a94e34e745e41ff4118a5c01a12",
+        "6b621ae6796c2838488294ce13941d831a19c804fe0f9888d2134f82ab3e2063",
     "sudakov-basis":
         "6ad7aa9e64900b0a934a60ba8d097b750d62de310ca779aff202738190e6ec70",
     "sudakov-diagcube":
@@ -139,7 +139,7 @@ DIGESTS = {
     "sudakov-explicit":
         "07274361c44e8b41cfc8eb32b5e410391d0bb7cf86337f573ea3ee86da21992e",
     "laplace":
-        "d87d0f18f6886f22dafd5a380297144c9e3d807f8eb78756d9758802606a6cda",
+        "d6b77019522ed9d976115bc83ea00d45a82f784b08633b08c98bdca7eaa23cb6",
     "sk":
         "2824144427bef419318663a9c2be9b6a1876bf8402bff155136de520a5b5f7ac",
     "sk-rademacher":
