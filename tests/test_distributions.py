@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import statistics
 
 import numpy as np
 import pytest
@@ -215,8 +216,8 @@ def test_moment_check_rejects_wrong_declaration():
 
 
 def test_gaussian_isf_matches_ndtri():
-    # the stdlib upper-tail quantile, against scipy's, from the far tail
-    # (where 1 - q rounds to 1) to the other side of the median
+    # the upper-tail quantile, against scipy's, from the far tail (where
+    # 1 - q rounds to 1) to the other side of the median
     q = np.concatenate([np.logspace(-300, -1, 600),
                         np.linspace(0.1, 0.999, 300)])
     got = dists.gaussian().isf(q)
@@ -224,6 +225,15 @@ def test_gaussian_isf_matches_ndtri():
     assert np.all(np.abs(got - want) <= 2e-15 * np.abs(want) + 1e-15)
     assert np.all(np.diff(got) <= 0)
     assert dists.gaussian().isf(np.array([[0.5]])).shape == (1, 1)
+    # the numpy AS241 keeps NormalDist.inv_cdf's order of operations, so
+    # every piece (|q - 1/2| <= 0.425, the near tail, the far tail past
+    # sqrt(-log q) = 5) and both sides of each boundary agree in all bits
+    edges = [0.075, 0.925, math.exp(-25.0)]
+    q = np.concatenate([q, np.linspace(1e-6, 1 - 1e-6, 2001), edges,
+                        [np.nextafter(e, d) for e in edges for d in (0, 1)]])
+    inv_cdf = statistics.NormalDist().inv_cdf
+    assert np.array_equal(dists.gaussian().isf(q),
+                          [-inv_cdf(v) for v in q.tolist()])
 
 
 def _continuous_max(log_cdf, n: int) -> float:
