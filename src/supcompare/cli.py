@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import functools
 import io
 import json
 import math
@@ -460,21 +459,12 @@ def _json_value(value):
     return value
 
 
-@functools.cache
-def _scipy_version() -> str:
-    # from the installed metadata, so that scipy is not imported; the
-    # lookup scans the installed distributions, about 5 ms a call
-    from importlib.metadata import version
-    return version("scipy")
-
-
 def _provenance() -> dict:
-    """What a run's numbers depend on beyond its config: the Python, numpy
-    and scipy versions, and the generic kernels' worker count and tile
+    """Exactly what a run's numbers depend on beyond its config: the Python
+    and numpy versions, and the generic kernels' worker count and tile
     byte budget."""
     return {"python": platform.python_version(), "numpy": np.__version__,
-            "scipy": _scipy_version(), "workers": isets.WORKERS,
-            "tile_bytes": isets.TILE_BYTES}
+            "workers": isets.WORKERS, "tile_bytes": isets.TILE_BYTES}
 
 
 def emit(record: ResultRecord, output_dir: str, fmt: str) -> list:

@@ -5,7 +5,8 @@ A law is declared once, in its constructor: its moments, bound, quantile,
 upper-tail quantile and sampler, and its name, which is its CLI spelling
 for `from_name`.  `CoordinateDistribution.sample` is the one draw entry;
 with ``max_of=n`` it draws the maximum of n iid coordinates as one order
-statistic, without the n draws.
+statistic, without the n draws.  The Gaussian has one quantile, Wichura's
+AS241 in numpy (``_gaussian_ppf``), and its ``isf(q)`` is ``-quantile(q)``.
 
 Stream scheme: a master seed plus a substream id key a Philox counter
 generator.  Substream ids are derived statelessly from (parent id, tag,
@@ -149,81 +150,86 @@ def rademacher() -> CoordinateDistribution:
             rng.integers(0, 2, size=size).astype(np.float64) * 2.0 - 1.0)
 
 
-def _ndtri(u: np.ndarray) -> np.ndarray:
-    """scipy's Gaussian quantile; scipy.special, a quarter second to import,
-    loads on the first call."""
-    from scipy.special import ndtri
-    return ndtri(u)
+# Wichura's AS241 (PPND16), the rational approximations to Phi^{-1} that
+# NormalDist.inv_cdf uses, as (numerator, denominator) coefficients, highest
+# power first: the centre |u - 1/2| <= 0.425 in r = 0.180625 - (u - 1/2)^2,
+# the tails in r = sqrt(-log min(u, 1 - u)) less 1.6 to r = 5, less 5 beyond.
+_AS241_MID = (
+    (2.5090809287301226727e+3, 3.3430575583588128105e+4,
+     6.7265770927008700853e+4, 4.5921953931549871457e+4,
+     1.3731693765509461125e+4, 1.9715909503065514427e+3,
+     1.3314166789178437745e+2, 3.3871328727963666080e+0),
+    (5.2264952788528545610e+3, 2.8729085735721942674e+4,
+     3.9307895800092710610e+4, 2.1213794301586595867e+4,
+     5.3941960214247511077e+3, 6.8718700749205790830e+2,
+     4.2313330701600911252e+1, 1.0))
+_AS241_NEAR = (
+    (7.7454501427834140764e-4, 2.2723844989269184583e-2,
+     2.4178072517745061177e-1, 1.2704582524523683826e+0,
+     3.6478483247632046050e+0, 5.7694972214606914055e+0,
+     4.6303378461565452959e+0, 1.4234371107496835773e+0),
+    (1.0507500716444168432e-9, 5.4759380849953449460e-4,
+     1.5198666563616457197e-2, 1.4810397642748007459e-1,
+     6.8976733498510000455e-1, 1.6763848301838038494e+0,
+     2.0531916266377588219e+0, 1.0))
+_AS241_FAR = (
+    (2.0103343992922881327e-7, 2.7115555687434875782e-5,
+     1.2426609473880784386e-3, 2.6532189526576123093e-2,
+     2.9656057182850489123e-1, 1.7848265399172913358e+0,
+     5.4637849111641143699e+0, 6.6579046435011037772e+0),
+    (2.0442631033899397856e-15, 1.4215117583164458887e-7,
+     1.8463183175100546818e-5, 7.8686913114561325910e-4,
+     1.4875361290850614853e-2, 1.3692988092273580531e-1,
+     5.9983220655588793769e-1, 1.0))
 
 
-# Wichura's AS241 (PPND16) rational approximations to Phi^{-1}, the ones
-# the standard library's NormalDist.inv_cdf uses, one column per piece:
-# |u - 1/2| <= 0.425, then the tails with r = sqrt(-log min(u, 1 - u)) - 1.6
-# for r <= 5 and r - 5 beyond.  Rows 2k and 2k + 1 hold the k-th numerator
-# and denominator coefficients, highest power first; row 16 the shift of r.
-_AS241 = np.array([
-    (2.5090809287301226727e+3, 7.7454501427834140764e-4,
-     2.0103343992922881327e-7),
-    (5.2264952788528545610e+3, 1.0507500716444168432e-9,
-     2.0442631033899397856e-15),
-    (3.3430575583588128105e+4, 2.2723844989269184583e-2,
-     2.7115555687434875782e-5),
-    (2.8729085735721942674e+4, 5.4759380849953449460e-4,
-     1.4215117583164458887e-7),
-    (6.7265770927008700853e+4, 2.4178072517745061177e-1,
-     1.2426609473880784386e-3),
-    (3.9307895800092710610e+4, 1.5198666563616457197e-2,
-     1.8463183175100546818e-5),
-    (4.5921953931549871457e+4, 1.2704582524523683826e+0,
-     2.6532189526576123093e-2),
-    (2.1213794301586595867e+4, 1.4810397642748007459e-1,
-     7.8686913114561325910e-4),
-    (1.3731693765509461125e+4, 3.6478483247632046050e+0,
-     2.9656057182850489123e-1),
-    (5.3941960214247511077e+3, 6.8976733498510000455e-1,
-     1.4875361290850614853e-2),
-    (1.9715909503065514427e+3, 5.7694972214606914055e+0,
-     1.7848265399172913358e+0),
-    (6.8718700749205790830e+2, 1.6763848301838038494e+0,
-     1.3692988092273580531e-1),
-    (1.3314166789178437745e+2, 4.6303378461565452959e+0,
-     5.4637849111641143699e+0),
-    (4.2313330701600911252e+1, 2.0531916266377588219e+0,
-     5.9983220655588793769e-1),
-    (3.3871328727963666080e+0, 1.4234371107496835773e+0,
-     6.6579046435011037772e+0),
-    (1.0, 1.0, 1.0),
-    (0.0, 1.6, 5.0),
-])
-
-
-def _gaussian_isf(q: np.ndarray) -> np.ndarray:
-    """-Phi^{-1}(q) by AS241 in numpy, in its order of operations, so the
-    bits are NormalDist's wherever numpy's log rounds as the C library's
-    does: full precision in either tail (the tails take log q itself,
-    never 1 - q), and no scipy import.  Each value gathers its piece's
-    column, so one Horner pass serves all three pieces."""
-    q = np.asarray(q, dtype=np.float64)
-    shape, q = q.shape, q.ravel()
-    h = q - 0.5
-    mid = np.abs(h) <= 0.425
-    r = np.sqrt(-np.log(np.minimum(q, 1.0 - q)))
-    c = _AS241.take(np.add(~mid, r > 5.0, dtype=np.intp), axis=1)
-    r = np.where(mid, 0.180625 - h * h, r - c[16])
-    y = c[0:2].copy()  # numerator and denominator
-    for k in range(2, 16, 2):
+def _horner(r: np.ndarray, coeffs: tuple) -> np.ndarray:
+    """The polynomial with these coefficients, highest power first, at r."""
+    y = coeffs[0] * r + coeffs[1]
+    for c in coeffs[2:]:
         y *= r
-        y += c[k:k + 2]
-    x = y[0] * np.where(mid, h, np.copysign(1.0, h)) / y[1]
-    return -x.reshape(shape)
+        y += c
+    return y
+
+
+def _gaussian_ppf(u: np.ndarray) -> np.ndarray:
+    """Phi^{-1}(u) by AS241 in numpy, in its order of operations: the bits
+    of NormalDist.inv_cdf wherever numpy's log rounds as the C library's,
+    full precision in either tail (which takes log u, never 1 - u), and
+    Phi^{-1}(0) = -inf, Phi^{-1}(1) = inf.  The centre runs over the whole
+    array, which costs less than gathering it, and is finite on [0, 1]: its
+    denominator's nearest root is at r = -0.0729 < -0.069375.  The tails
+    overwrite their values, each over its own indices, and alone take logs."""
+    u = np.asarray(u, dtype=np.float64)
+    shape, u = u.shape, u.ravel()
+    h = u - 0.5
+    mid = np.abs(h) <= 0.425
+    if mid.any():
+        r = 0.180625 - h * h
+        x = _horner(r, _AS241_MID[0]) * h
+        x /= _horner(r, _AS241_MID[1])
+    else:
+        x = np.empty_like(u)
+    i = np.flatnonzero(~mid)
+    if i.size:
+        t = u[i]
+        with np.errstate(divide="ignore"):  # t = 0 or 1: r = inf = |x|
+            r = np.sqrt(-np.log(np.minimum(t, 1.0 - t)))
+        for sel, piece, shift in ((r <= 5.0, _AS241_NEAR, 1.6),
+                                  ((r > 5.0) & (r < np.inf), _AS241_FAR, 5.0)):
+            if sel.any():
+                rs = r[sel] - shift
+                r[sel] = _horner(rs, piece[0]) / _horner(rs, piece[1])
+        x[i] = np.copysign(r, t - 0.5)  # r is |x| now
+    return x.reshape(shape)
 
 
 def gaussian() -> CoordinateDistribution:
-    # E|g|^3 = 2 sqrt(2/pi); the quantile stays scipy's ndtri, so the
-    # paired estimates keep their values
+    # E|g|^3 = 2 sqrt(2/pi); one AS241 serves both quantiles, and the
+    # sampler draws rng.standard_normal, which no quantile has to match
     return CoordinateDistribution(
         "gaussian", 1.0, 0.0, 2.0 * math.sqrt(2.0 / math.pi), 3.0, None,
-        quantile=_ndtri, isf=_gaussian_isf,
+        quantile=_gaussian_ppf, isf=lambda q: -_gaussian_ppf(q),
         draw=lambda rng, size: rng.standard_normal(size))
 
 

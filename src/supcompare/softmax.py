@@ -18,9 +18,9 @@ each).  ``gibbs_weight_rows`` is the one Gibbs normalizer; it and the
 generic path run the one exp body, ``index_sets._fused_block``, in place
 on the block of products.
 ``_partial_rows`` is the one Gibbs-moment pass behind every partial, its
-centred powers built by in-place products.  ``log_laplace`` alone keeps
-scipy's ``logsumexp``, the independent reference that the uniform-measure
-identity compares F_beta against; scipy loads on its first call.
+centred powers built by in-place products.  ``log_laplace`` keeps its own
+max-shifted log-sum-exp, outside ``_fused_block``: the independent
+reference that the uniform-measure identity compares F_beta against.
 """
 from __future__ import annotations
 
@@ -232,9 +232,11 @@ def _tilt_logits(mu: WeightedMeasure, x) -> np.ndarray:
 
 
 def log_laplace(mu: WeightedMeasure, x) -> float:
-    """Lambda_mu(x) = log E_mu exp(<x, l>), computed stably."""
-    from scipy.special import logsumexp
-    return float(logsumexp(_tilt_logits(mu, x)))
+    """Lambda_mu(x) = log E_mu exp(<x, l>) = m + log sum exp(z - m) over the
+    tilted logits z, m their maximum (a zero weight's logit is -inf)."""
+    z = _tilt_logits(mu, x)
+    m = z.max()
+    return float(m + np.log(np.sum(np.exp(z - m))))
 
 
 def tilted_measure(mu: WeightedMeasure, x) -> WeightedMeasure:

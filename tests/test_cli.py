@@ -1,5 +1,7 @@
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -13,7 +15,6 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy
 
 import supcompare
 from supcompare import cli, experiments
@@ -474,23 +475,59 @@ def test_version_has_one_source(tmp_path):
     assert doc["version"] == supcompare.__version__
 
 
-def test_json_records_its_provenance_without_importing_scipy(tmp_path):
-    # in a fresh interpreter: an estimate drawn by `sample` loads no scipy,
-    # and the record reads scipy's version from its installed metadata
-    src = pathlib.Path(supcompare.__file__).resolve().parents[1]
-    code = ("import sys; from supcompare import cli; "
-            "cli.main(['estimate', 'set=basis:n=4', 'distribution=gaussian', "
-            f"'replicates=200', 'format=json', 'output_dir={tmp_path}']); "
-            "print('scipy' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code], check=True, text=True,
-                         capture_output=True,
-                         env=dict(os.environ, PYTHONPATH=str(src)))
-    assert out.stdout.strip().splitlines()[-1] == "False"
+def test_json_records_its_provenance(tmp_path):
+    run_main(["estimate", "set=basis:n=4", "distribution=gaussian",
+              "replicates=200", "format=json", f"output_dir={tmp_path}"])
     doc = strict_json(tmp_path / "estimate.json")
     assert doc["provenance"] == {
         "python": platform.python_version(), "numpy": np.__version__,
-        "scipy": scipy.__version__, "workers": isets.WORKERS,
-        "tile_bytes": isets.TILE_BYTES}
+        "workers": isets.WORKERS, "tile_bytes": isets.TILE_BYTES}
+
+
+# runs that between them reach the Gaussian quantile by ppf (paired bounds)
+# and by isf (Gaussian basis maxima) and the log-Laplace identity (verify
+# softmax), besides every other subcommand that draws
+SCIPY_FREE_RUNS = {
+    "bounds": ["bounds", "set=diagcube:n=6", "distribution=uniform",
+               "replicates=600", "seed=9", "paired=1"],
+    "estimate": ["estimate", "set=basis:n=8", "distribution=gaussian",
+                 "replicates=2500", "seed=1"],
+    "laplace": ["laplace", "n_list=16,256", "replicates=1100", "seed=15"],
+    "sk": ["sk", "N_list=4,6", "replicates=300", "seed=16"],
+    "verify-softmax": ["verify", "softmax", "seed=19"],
+    "verify-stein": ["verify", "stein", "seed=20"],
+    "verify-gibbs": ["verify", "gibbs", "seed=21"],
+}
+
+
+def test_runs_need_no_scipy(tmp_path):
+    # in a fresh interpreter with every scipy import refused by a
+    # sys.meta_path finder, the package imports, and each run writes its
+    # JSON and the CSV bytes of an unblocked run
+    src = pathlib.Path(supcompare.__file__).resolve().parents[1]
+    code = ("import sys\n"
+            "class Block:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name.partition('.')[0] == 'scipy':\n"
+            "            raise ImportError(f'{name} is blocked')\n"
+            "sys.meta_path.insert(0, Block())\n"
+            "from supcompare import cli\n"
+            f"for name, argv in {SCIPY_FREE_RUNS!r}.items():\n"
+            f"    out = {str(tmp_path / 'blocked')!r} + '/' + name\n"
+            "    assert cli.main(argv + ['output_dir=' + out]) == 0, name\n")
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   stdout=subprocess.DEVNULL,
+                   env=dict(os.environ, PYTHONPATH=str(src)))
+    for name, argv in SCIPY_FREE_RUNS.items():
+        blocked = tmp_path / "blocked" / name
+        out = tmp_path / "unblocked" / name
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run_main(argv + [f"output_dir={out}", "format=csv"]) == 0
+        csvs = sorted(p.name for p in out.iterdir())
+        assert csvs and sorted(p.name for p in blocked.glob("*.csv")) == csvs
+        assert len(list(blocked.glob("*.json"))) == 1
+        for fname in csvs:
+            assert (blocked / fname).read_bytes() == (out / fname).read_bytes()
 
 
 def test_phase_curves_crossover_row(tmp_path):

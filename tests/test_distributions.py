@@ -234,6 +234,18 @@ def test_gaussian_isf_matches_ndtri():
     inv_cdf = statistics.NormalDist().inv_cdf
     assert np.array_equal(dists.gaussian().isf(q),
                           [-inv_cdf(v) for v in q.tolist()])
+    # one quantile serves both: ppf(u) is -isf(u) in every bit, the sign of
+    # a zero included, at the median, both sides of each piece boundary,
+    # the smallest subnormal and the endpoints, which rng.random can
+    # return; there isf(0) = inf and isf(1) = -inf with no floating-point
+    # error raised
+    u = np.array([0.5, *edges, *(np.nextafter(e, d) for e in edges
+                                 for d in (0, 1)), 5e-324, 0.0, 1.0])
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        isf, ppf = dists.gaussian().isf(u), dists.gaussian().ppf(u)
+    assert np.array_equal(ppf.view(np.int64), (-isf).view(np.int64))
+    assert isf[-2:].tolist() == [math.inf, -math.inf]
+    assert np.isfinite(isf[:-2]).all()
 
 
 def _continuous_max(log_cdf, n: int) -> float:

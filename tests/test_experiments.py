@@ -1,12 +1,8 @@
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
-import supcompare
 from supcompare import distributions as dists
 from supcompare import estimator as est
 from supcompare import experiments as xp
@@ -114,19 +110,6 @@ def test_tensor_bound_scale_shrinks_with_order():
     s4 = xp.tensor_universality(8, 4, dists.rademacher(), 200,
                                 dists.RandomStream(5)).rows[0]["bound_scale"]
     assert s4 < s2
-
-
-def test_cli_import_leaves_scipy_out():
-    # scipy.special takes ~0.25 s to import and scipy.stats ~0.6 s: the
-    # Gaussian quantile and log_laplace's reference logsumexp load
-    # scipy.special on their first call, and no module needs scipy.stats
-    src = os.path.dirname(os.path.dirname(supcompare.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    code = ("import sys, supcompare.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
 
 
 def test_spearman_matches_scipy_on_ties():

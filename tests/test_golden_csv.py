@@ -123,13 +123,13 @@ DIGESTS = {
     "bounds-diagcube":
         "045142507d1fcd91c756de903b7493d367b3e631651168261c9c278b76f594e4",
     "bounds-diagcube-paired":
-        "c9adab8f66a053442b7d81173ff7e423daa1b65fc04885ef3227841c0d3af4ee",
+        "3a70de26ae065c8425f92ad62b2be9cc8636a83d14106edad8de57694cccbf4a",
     "bounds-basis-signed-paired":
-        "bbf3d4cfbca8578b9c16c9a8e7d7492e6b86c0d903c6521650bc389407b7d771",
+        "02aaf879b545f1e060bd2c2cad35a743c8853d10cceb3eb8d7d1eaa699c6ee08",
     "bounds-big-dim-paired":
-        "2019b10e5c7640ceea37e10126f20a59b08845f48283be2af34a8d5aca4c39e8",
+        "d21382d2d52bc67e20bd873eb01573e11d0328cec3a8b231fbf69750d4f65dd4",
     "bounds-spin-tensor-even-paired":
-        "8487bc60ea86b212a5eeaf8ed3153b5199d25f79dce2f52ecc29675030cbde43",
+        "748bfad3c7478b297d9ba8d747b4d6f59f9544a9eb8142fa0a0d8e131b3018e4",
     "bounds-basis-rademacher":
         "6b621ae6796c2838488294ce13941d831a19c804fe0f9888d2134f82ab3e2063",
     "sudakov-basis":

@@ -281,3 +281,25 @@ def test_gibbs_moment_validation():
     with pytest.raises(ValueError):
         sm.gibbs_moment(mu, 0, -1)
     assert sm.gibbs_moment(mu, 0, 0) == pytest.approx(1.0)
+
+
+def test_log_laplace_matches_scipy_logsumexp():
+    # the numpy log-sum-exp against scipy's, a test-only reference: on a
+    # tilted measure whose flushed zero weights make some logits -inf, and
+    # on logits near -1e3 and +1e3, where exp alone underflows or overflows
+    from scipy.special import logsumexp
+    rng = np.random.default_rng(29)
+    T = isets.build_explicit(rng.standard_normal((400, 3)))
+    mu = sm.tilted_measure(sm.uniform_measure(T), 100.0 * rng.standard_normal(3))
+    assert 2 <= np.count_nonzero(mu.weights) < T.cardinality
+    cases = [(mu, 3.0 * rng.standard_normal(3)) for _ in range(20)]
+    for sign in (-1.0, 1.0):
+        z = sign * 1e3 + rng.uniform(-5.0, 5.0, 300)
+        cases.append((sm.uniform_measure(isets.build_explicit(z[:, None])),
+                      np.ones(1)))
+    for nu, x in cases:
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            got = sm.log_laplace(nu, x)
+        with np.errstate(divide="ignore"):
+            logits = nu.base.points @ x + np.log(nu.weights)
+        assert got == pytest.approx(logsumexp(logits), rel=1e-15, abs=0.0)
