@@ -24,7 +24,7 @@ and free sign count (its Gibbs measure is a product measure, so its log
 partition is a sum of log 2 cosh terms), and a spin set of even order
 runs the matmul over its distinct half.  Every logz but the cube's closed
 form, and every Gibbs weight in ``softmax``, exponentiates its block of
-products in place through one body, ``_fused_block``.  A kernel receives
+products in place through one body, ``_exp_block``.  A kernel receives
 the set rather than capturing it, so a set holds no reference to itself
 and is freed with its last reference.
 
@@ -172,26 +172,31 @@ def build_explicit(points) -> IndexSet:
     return _finalize(arr)
 
 
-def _tiled(kernel, points: np.ndarray, X: np.ndarray) -> list:
+def _tiled(kernel, points: np.ndarray, X: np.ndarray,
+           cols: int | None = None) -> list:
     """kernel(points, tile, buf) over row tiles of X, results in row order.
 
-    A tile holds at most max(1, TILE_BYTES // (8 * min(len(points),
-    POINT_CHUNK))) rows, so its block of products fits TILE_BYTES; the rows
-    are split evenly among the tiles, so that of two or more tiles each
-    holds half that or more: a lone trailing row would be multiplied by
-    BLAS gemv, and a few rows by a small-matrix kernel, each of which sums
-    in another order than the whole block's gemm.  The tiles follow from
-    the shapes and TILE_BYTES alone, so the result does not depend on
-    WORKERS; it is bitwise the untiled one but where a chunk's point count
-    leaves a ragged gemm edge, whose products the last rows of each tile
-    round by another path.  With WORKERS > 1 the tiles run on the pool,
-    each in its own copy of the caller's context: numpy keeps its errstate
-    in a context variable, which pool threads do not inherit.  A running
-    tile writes its products into one of min(WORKERS, tiles) buffers,
-    allocated on the calling thread, so the products held are at most
-    WORKERS x TILE_BYTES.
+    A tile of r rows may hold r x cols float64 values in buf; cols defaults
+    to min(len(points), POINT_CHUNK), the products of one chunk of points,
+    and a caller that holds more blocks per tile (``softmax``'s Gibbs
+    passes) says so.  A tile holds at most max(1, TILE_BYTES // (8 * cols))
+    rows, so that its values fit TILE_BYTES; the rows are split evenly
+    among the tiles, so that of two or more tiles each holds half that or
+    more: a lone trailing row would be multiplied by BLAS gemv, and a few
+    rows by a small-matrix kernel, each of which sums in another order than
+    the whole block's gemm.  The tiles follow from the shapes, cols and
+    TILE_BYTES alone, so the result does not depend on WORKERS; it is
+    bitwise the untiled one but where a chunk's point count leaves a ragged
+    gemm edge, whose products the last rows of each tile round by another
+    path.  A block of one tile runs inline on the calling thread; with
+    WORKERS > 1, two or more tiles run on the pool, each in its own copy of
+    the caller's context: numpy keeps its errstate in a context variable,
+    which pool threads do not inherit.  A running tile writes into one of
+    min(WORKERS, tiles) buffers, allocated on the calling thread, so the
+    values held are at most WORKERS x TILE_BYTES.
     """
-    cols = min(points.shape[0], POINT_CHUNK)
+    if cols is None:
+        cols = min(points.shape[0], POINT_CHUNK)
     step = max(1, TILE_BYTES // (8 * cols))
     count = max(1, -(-X.shape[0] // step))
     cuts = [X.shape[0] * i // count for i in range(count + 1)]
@@ -236,14 +241,21 @@ def _chunked_sup(points: np.ndarray, X: np.ndarray) -> np.ndarray:
     return np.concatenate(_tiled(_sup_tile, points, X))
 
 
-def _fused_block(Z: np.ndarray, beta: float) -> tuple:
-    """(max, log sum exp(beta Z)) along each row of a block of products Z,
-    in place: with s the row max, Z becomes exp(beta (Z - s)), the
-    unnormalized Gibbs weights, and the log sum is beta s + log sum Z."""
+def _exp_block(Z: np.ndarray, beta: float) -> np.ndarray:
+    """The max s along each row of a block of products Z, which becomes
+    exp(beta (Z - s)) in place, the unnormalized Gibbs weights: the one exp
+    body over a block of products."""
     s = Z.max(axis=1)
     Z -= s[:, None]
     Z *= beta
     np.exp(Z, out=Z)
+    return s
+
+
+def _fused_block(Z: np.ndarray, beta: float) -> tuple:
+    """(max, log sum exp(beta Z)) along each row of a block of products Z,
+    in place through _exp_block: the log sum is beta s + log sum Z."""
+    s = _exp_block(Z, beta)
     return s, beta * s + np.log(Z.sum(axis=1))
 
 

@@ -139,6 +139,7 @@ class Polynomial:
         return max((sum(e) for e in self.terms), default=0)
 
     def partial(self, i: int, order: int = 1) -> "Polynomial":
+        sm._require_coordinate(i, self.n)
         p = self
         for _ in range(order):
             terms = {}
@@ -337,7 +338,8 @@ def ou_potential(f, x, samples: int = 2048,
 
 def potential_partial(f, x, i: int, k: int, samples: int = 2048,
                       stream: RandomStream = DEFAULT_STREAM) -> OperatorEstimate:
-    """d_i^{(k)} PP f(x) for k >= 0; k = 0 gives PP f(x), whatever i.
+    """d_i^{(k)} PP f(x) for k >= 0; k = 0 gives PP f(x), and i must
+    still index a coordinate.
 
     d_i^{(k)} P_t = e^{-kt} P_t d_i^{(k)}, so u = e^{-t} makes the integral
     int_0^1 u^{k-1} (P_{-log u} d_i^{(k)} f(x) - [k = 0] E f(G)) du, with no
@@ -348,6 +350,7 @@ def potential_partial(f, x, i: int, k: int, samples: int = 2048,
     """
     if k < 0:
         raise ValueError("k must be >= 0")
+    sm._require_coordinate(i, f.n)
     x = np.asarray(x, dtype=np.float64)
     if isinstance(f, Polynomial):
         return _closed_form_potential(f.partial(i, k), x, k)

@@ -15,21 +15,30 @@ runs the set's log-partition field ``T.logz``, the generic
 ``index_sets._chunked_logz`` unless the set's constructor declared a fast
 path (see ``index_sets``; ``LOGZ_CASES`` in tests/test_estimator.py checks
 each).  ``gibbs_weight_rows`` is the one Gibbs normalizer; it and the
-generic path run the one exp body, ``index_sets._fused_block``, in place
+generic path run the one exp body, ``index_sets._exp_block``, in place
 on the block of products.
+A Gibbs block is point-major: the products are ``T.points @ X.T``, shape
+(|T|, m), handed on as their (m, |T|) transposed view, so every reduction
+over points runs as |T| contiguous passes over m values.  The partials
+and the generator run in ``index_sets._tiled``'s row tiles of X, each
+holding its blocks within TILE_BYTES on the kernels' pool; a call whose
+blocks fit one tile runs inline.  ``gibbs_weight_rows`` returns the whole
+block.  The ``sup`` and ``logz`` kernels stay row-major, where the
+products of a chunk are reduced along rows of up to POINT_CHUNK points.
 ``_partial_rows`` is the one Gibbs-moment pass behind every partial, its
 centred powers built by in-place products.  ``log_laplace`` keeps its own
-max-shifted log-sum-exp, outside ``_fused_block``: the independent
+max-shifted log-sum-exp, outside ``_exp_block``: the independent
 reference that the uniform-measure identity compares F_beta against.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .index_sets import IndexSet, _fused_block, geometric_profile
+from .index_sets import IndexSet, _exp_block, _tiled, geometric_profile
 from . import numdiff
 
 WEIGHT_FLUSH = 1e-300
@@ -95,16 +104,36 @@ def uniform_measure(T: IndexSet) -> WeightedMeasure:
 
 def _normalized_exp(Z: np.ndarray, beta: float) -> np.ndarray:
     """exp(beta Z) normalized along each row of Z in place, through
-    _fused_block; weights below WEIGHT_FLUSH flush to exact zero."""
-    _fused_block(Z, beta)
+    _exp_block; weights below WEIGHT_FLUSH flush to exact zero."""
+    _exp_block(Z, beta)
     Z[Z < WEIGHT_FLUSH] = 0.0
     Z /= Z.sum(axis=1, keepdims=True)
     return Z
 
 
+def _point_major(m: int, card: int, buf=None, k: int = 0) -> np.ndarray:
+    """An (m, card) array laid out point-major, the transposed view of a
+    C-contiguous (card, m) block: the k-th block of that size in the flat
+    buffer buf, or a new one.  A reduction over its points runs as card
+    contiguous passes over m values."""
+    if buf is None:
+        return np.empty((card, m)).T
+    return buf[k * m * card:(k + 1) * m * card].reshape(card, m).T
+
+
+def _weights(points: np.ndarray, X: np.ndarray, beta: float,
+             buf=None) -> np.ndarray:
+    """Gibbs weights at each row of X, shape (m, |T|), point-major: block 0
+    of the flat buffer buf, or a new block."""
+    W = _point_major(X.shape[0], len(points), buf)
+    np.matmul(points, X.T, out=W.T)
+    return _normalized_exp(W, beta)
+
+
 def gibbs_weight_rows(T: IndexSet, beta: float, X: np.ndarray) -> np.ndarray:
-    """Gibbs weights at each row of X, shape (m, n) -> (m, |T|)."""
-    return _normalized_exp(X @ T.points.T, _require_beta(beta))
+    """Gibbs weights at each row of X, shape (m, n) -> (m, |T|), one
+    point-major block."""
+    return _weights(T.points, X, _require_beta(beta))
 
 
 def gibbs_measure(T: IndexSet, beta: float, x) -> WeightedMeasure:
@@ -119,12 +148,19 @@ def gibbs_weights(T: IndexSet, beta: float, x) -> np.ndarray:
     return gibbs_measure(T, beta, x).weights
 
 
+def _require_coordinate(i: int, dim: int) -> int:
+    """i, if it indexes a coordinate of R^dim; a negative i would wrap."""
+    if not 0 <= i < dim:
+        raise ValueError(f"coordinate index {i} is outside [0, {dim})")
+    return i
+
+
 def gibbs_moment(mu: WeightedMeasure, i: int, k: int,
                  absolute: bool = False) -> float:
     """E_mu[l_i^k] (or E_mu|l_i|^k), l_i(t) = t_i."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    li = mu.base.points[:, i]
+    li = mu.base.points[:, _require_coordinate(i, mu.base.dim)]
     return float(mu.weights @ (np.abs(li) ** k if absolute else li ** k))
 
 
@@ -133,21 +169,28 @@ def log_partition_grad(T: IndexSet, beta: float, x) -> np.ndarray:
     return gibbs_weights(T, beta, x) @ T.points
 
 
-def _partial_rows(W: np.ndarray, li: np.ndarray, beta: float,
-                  order: int) -> np.ndarray:
+# point-major blocks a partial of each order holds: the weights W, the
+# centred values C, and at order 3 their square beside C
+_PARTIAL_BLOCKS = {1: 1, 2: 2, 3: 3, 4: 2}
+
+
+def _partial_rows(W: np.ndarray, li: np.ndarray, beta: float, order: int,
+                  buf=None) -> np.ndarray:
     """Order-k coordinate partial of F_beta under each row of the Gibbs
     weights W, shape (m, |T|) -> (m,): the mean of l_i at k = 1, else
-    beta^(k-1) times the k-th cumulant of l_i."""
-    if order not in (1, 2, 3, 4):
-        raise ValueError("order must be in 1..4")
+    beta^(k-1) times the k-th cumulant of l_i.  The centred powers are
+    built by in-place products in W's point-major layout, as blocks 1 and
+    2 of the flat buffer buf (new blocks if None)."""
     m1 = W @ li
     if order == 1:
         return m1
-    # centred powers by in-place products: at most W, C and one more block
-    C = li[None, :] - m1[:, None]
-    P = C * C
+    C = np.subtract(li, m1[:, None], out=_point_major(*W.shape, buf, 1))
     if order == 3:
+        P = np.multiply(C, C, out=_point_major(*W.shape, buf, 2))
         P *= C
+    else:  # C is read no more: square it in place
+        P = C
+        P *= P
     cumulant = np.einsum("bt,bt->b", W, P)
     if order == 4:
         P *= P
@@ -167,22 +210,41 @@ def log_partition_partial(T: IndexSet, beta: float, x, i: int,
                                              order)[0])
 
 
+def _partial_tile(points: np.ndarray, X: np.ndarray, buf: np.ndarray,
+                  beta: float, i: int, order: int) -> np.ndarray:
+    return _partial_rows(_weights(points, X, beta, buf), points[:, i], beta,
+                         order, buf)
+
+
 def log_partition_partials_rows(T: IndexSet, beta: float, X: np.ndarray,
                                 i: int, order: int) -> np.ndarray:
-    """log_partition_partial at each row of X in one vectorized pass."""
-    W = gibbs_weight_rows(T, beta, X)
-    return _partial_rows(W, T.points[:, i], float(beta), order)
+    """log_partition_partial at each row of X, in index_sets._tiled's row
+    tiles, each of whose point-major blocks fits TILE_BYTES."""
+    beta = _require_beta(beta)
+    _require_coordinate(i, T.dim)
+    if order not in _PARTIAL_BLOCKS:
+        raise ValueError("order must be in 1..4")
+    kernel = partial(_partial_tile, beta=beta, i=i, order=order)
+    return np.concatenate(_tiled(kernel, T.points, X,
+                                 _PARTIAL_BLOCKS[order] * T.cardinality))
+
+
+def _generator_tile(points: np.ndarray, X: np.ndarray, buf: np.ndarray,
+                    beta: float, squares: np.ndarray) -> np.ndarray:
+    W = _weights(points, X, beta, buf)
+    M1 = W @ points
+    lap = beta * (W @ squares - M1 ** 2).sum(axis=1)
+    return lap - (X * M1).sum(axis=1)
 
 
 def log_partition_generator_rows(T: IndexSet, beta: float,
                                  X: np.ndarray) -> np.ndarray:
     """L F_beta = Laplacian F_beta - <x, grad F_beta> at each row of X, the
     Ornstein-Uhlenbeck generator: beta times the summed Gibbs coordinate
-    variances, minus <x, E_mu t>."""
-    W = gibbs_weight_rows(T, beta, X)
-    M1 = W @ T.points
-    lap = float(beta) * (W @ T.points ** 2 - M1 ** 2).sum(axis=1)
-    return lap - (X * M1).sum(axis=1)
+    variances, minus <x, E_mu t>; in row tiles as the partials."""
+    kernel = partial(_generator_tile, beta=_require_beta(beta),
+                     squares=T.points ** 2)
+    return np.concatenate(_tiled(kernel, T.points, X, T.cardinality))
 
 
 class _Verdict:
@@ -212,6 +274,7 @@ def derivative_bound_check(T: IndexSet, beta: float, x,
     """Check 0 <= d2 <= beta E[l_i^2], |d3| <= 6 beta^2 E|l_i|^3,
     |d4| <= 26 beta^3 E[l_i^4], moments under the Gibbs measure."""
     beta = _require_beta(beta)
+    _require_coordinate(i, T.dim)
     mu = gibbs_measure(T, beta, x)
     W, li = mu.weights[None, :], T.points[:, i]
     d2, d3, d4 = (float(_partial_rows(W, li, beta, k)[0]) for k in (2, 3, 4))
@@ -279,6 +342,7 @@ def lipschitz_log_moment_check(T: IndexSet, beta: float, x, y,
     2 beta Rinf |x_i - y_i| is also checked (Rinf = sup_t |t|_inf).
     """
     beta = _require_beta(beta)
+    _require_coordinate(i, T.dim)
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     mx = gibbs_moment(gibbs_measure(T, beta, x), i, 4, absolute=True)
@@ -313,6 +377,8 @@ def collapse_weight(T: IndexSet, x) -> float:
     """Gibbs weight of the maximizing row at beta = COLLAPSE_MARGIN_FACTOR /
     margin, margin = gap between the best and second-best inner products.
     Requires a unique maximizer among distinct values."""
+    if T.cardinality < 2:
+        raise ValueError("a one-row set has no second-best row")
     z = T.points @ np.asarray(x, dtype=np.float64)
     order = np.argsort(z)
     top, second = z[order[-1]], z[order[-2]]

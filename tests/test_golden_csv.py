@@ -151,7 +151,7 @@ DIGESTS = {
     "verify-softmax":
         "8ab8b742b8bd40cdcd5491ab702b851f0677fbc6ac9bb29f5f8f2eb2a3acff2d",
     "verify-stein":
-        "7f3ffe8a9667eb0eedfdccf4f6394caee00a7ac63c1be2b95853888b83e131e7",
+        "85917244195f41f36cc85f425e0a598f7d627db6db57c007b6a9c7a26f7c77f4",
     "verify-gibbs":
         "597b4d24af70f8e9fdb196360d07fa98533bdf581860ba255a051979bb13dd34",
 }

@@ -6,6 +6,7 @@ import pytest
 
 from supcompare import checks
 from supcompare import index_sets as isets
+from supcompare import ou_stein as ou
 from supcompare import softmax as sm
 
 
@@ -273,6 +274,36 @@ def test_collapse_weight():
         hits += 1
         assert w >= 1.0 - 1e-6
     assert hits >= 40
+
+
+def test_collapse_weight_refuses_a_one_row_set():
+    T = isets.build_explicit([[1.0, 2.0]])
+    with pytest.raises(ValueError, match="one-row set"):
+        sm.collapse_weight(T, np.ones(2))
+
+
+def test_coordinate_index_outside_the_dimension_is_refused():
+    # i = -1 would wrap to the last coordinate, i = dim would index past it
+    T = isets.build_explicit([[1.0, 2.0]])
+    x, y = np.zeros(2), np.array([0.0, 0.5])
+    f = ou.SoftmaxFunction(T, 1.0)
+    poly = ou.Polynomial.coordinate_power(2, 0, 3)
+    for i in (-1, 2, 7):
+        calls = [
+            lambda: sm.log_partition_partial(T, 1.0, x, i, 2),
+            lambda: sm.log_partition_partials_rows(T, 1.0, x[None, :], i, 1),
+            lambda: sm.gibbs_moment(sm.gibbs_measure(T, 1.0, x), i, 2),
+            lambda: sm.derivative_bound_check(T, 1.0, x, i),
+            lambda: sm.lipschitz_log_moment_check(T, 1.0, x, y, i),
+            lambda: f.partial_rows(x[None, :], i, 3),
+            lambda: ou.potential_partial(f, x, i, 2, samples=64),
+            lambda: ou.potential_partial(f, x, i, 0, samples=64),
+            lambda: ou.potential_partial(poly, x, i, 1),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=rf"index {i} is outside "
+                                                 r"\[0, 2\)"):
+                call()
 
 
 def test_gibbs_moment_validation():

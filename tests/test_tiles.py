@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from supcompare import index_sets as isets
+from supcompare import softmax as sm
 from test_golden_csv import CONFIGS, DIGESTS, csv_digest
 
 
@@ -134,11 +135,19 @@ def test_products_held_are_within_workers_tile_bytes(workers, monkeypatch):
     assert peak < workers * isets.TILE_BYTES + 2 ** 20
 
 
+def _kernels(T, X, beta):
+    # the sup and logz kernels, and the Gibbs passes whose tiles hold two
+    # and three point-major blocks in each buffer
+    return [T.sup(T, X), *T.logz(T, X, beta),
+            sm.log_partition_partials_rows(T, beta, X, 1, 3),
+            sm.log_partition_generator_rows(T, beta, X)]
+
+
 def _inline(T, X, beta, monkeypatch):
     # the same tiles run one after another on the calling thread
     with monkeypatch.context() as m:
         m.setattr(isets, "WORKERS", 1)
-        return [T.sup(T, X), *T.logz(T, X, beta)]
+        return _kernels(T, X, beta)
 
 
 def test_more_threads_than_buffers_share_none(monkeypatch):
@@ -159,14 +168,14 @@ def test_more_threads_than_buffers_share_none(monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         worker = threading.Thread(target=lambda: got.extend(
-            [T.sup(T, X), *T.logz(T, X, 2.0)]))
+            _kernels(T, X, 2.0)))
         worker.start()
         worker.join(60.0)
     finally:
         sys.setswitchinterval(interval)
         pool.shutdown(wait=False, cancel_futures=True)
     assert not worker.is_alive()
-    assert len(got) == 3
+    assert len(got) == len(expected)
     for part, ref in zip(got, expected):
         assert np.array_equal(part, ref)
 
