@@ -16,7 +16,7 @@ runs = [
     ["estimate", "set=basis:n=6", "distribution=rademacher", "beta=auto",
      "replicates=5000", "seed=42"],
     ["bounds", "set=diagcube:n=8,alpha=0.3", "distribution=uniform",
-     "paired=1", "replicates=5000", "seed=42"],
+     "replicates=5000", "seed=42"],
     ["sudakov", "set=basis:n=8,mode=signed", "seed=42"],
     ["laplace", "n_list=16,64,256,1024", "replicates=5000", "seed=42"],
     ["sk", "N_list=4,6,8", "replicates=5000", "seed=42"],

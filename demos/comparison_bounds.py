@@ -37,7 +37,7 @@ stream = dists.RandomStream(dists.DEFAULT_SEED).substream("demo-bounds")
 for name in ("rademacher", "uniform", "laplace-normalized",
              "scaled-rademacher:2"):
     law = dists.from_name(name)
-    rep = bnd.error_report(T, law, 20_000, stream.substream(name), paired=True)
+    rep = bnd.error_report(T, law, 20_000, stream.substream(name))
     tightest = min((v, k) for k, v in rep.ratios.items())
     print(f"{name:22s} gap={rep.gap:.5f} (+-{rep.gap_std_error:.5f})  "
           f"tightest curve: {tightest[1]} at ratio {tightest[0]:.4f}")

@@ -26,9 +26,9 @@ import numpy as np
 
 from .distributions import (DEFAULT_STREAM, CoordinateDistribution,
                             RandomStream, rademacher)
-# unused here, but perfbench's tracer test checks this binding
-from .estimator import (SupremumEstimate, _gap_fields, complexity,
-                        estimate_complexity, paired_gap_estimate)
+# perfbench's tracer test checks the unused estimate_complexity binding
+from .estimator import (SupremumEstimate, _enumerates, _gap_fields,
+                        complexity, estimate_complexity)
 from .index_sets import GeometricProfile, IndexSet, dedupe, geometric_profile
 
 
@@ -141,22 +141,14 @@ class ComparisonReport:
 
 
 def error_report(T: IndexSet, dist: CoordinateDistribution, replicates: int,
-                 stream: RandomStream, paired: bool = False) -> ComparisonReport:
-    """Estimate |c_xi(T) - g(T)| and compare it to each bound curve.
-
-    paired=True estimates the gap with common random numbers (same uniforms
-    through both inverse CDFs), which tightens its standard error; the two
-    one-sided estimates are then not reported separately.  A Rademacher
-    law's own value is enumerated exactly where ``complexity`` allows it.
-    """
+                 stream: RandomStream) -> ComparisonReport:
+    """Estimate |c_xi(T) - g(T)| by ``_gap_fields`` on ``stream`` and
+    compare it to each bound curve; ``paired`` records whether the gap came
+    from the paired pass or from an enumerated Rademacher value."""
     profile = geometric_profile(T)
     u = T.log_cardinality
-    if paired:
-        diff = paired_gap_estimate(T, dist, replicates, stream)
-        gap, gap_se = abs(diff.mean), diff.std_error
-    else:
-        fields = _gap_fields(T, dist, replicates, stream)
-        gap, gap_se = fields["gap"], fields["gap_se"]
+    fields = _gap_fields(T, dist, replicates, stream)
+    gap, gap_se = fields["gap"], fields["gap_se"]
     bp = bound_profile(profile, u, dist.sigma3, dist.sigma4, dist.bound)
     ratios = {}
     for name, val in dataclasses.asdict(bp).items():
@@ -164,7 +156,7 @@ def error_report(T: IndexSet, dist: CoordinateDistribution, replicates: int,
             continue
         ratios[name] = gap / val if val > 0 else math.inf if gap > 0 else 0.0
     return ComparisonReport(dist.name, u, gap, gap_se, bp, ratios,
-                            regime_flags(profile, u), paired)
+                            regime_flags(profile, u), not _enumerates(T, dist))
 
 
 @dataclass(frozen=True)

@@ -141,6 +141,13 @@ def _flag(value: str, key: str) -> bool:
     return value == "1"
 
 
+def _paired(value: str, key: str) -> bool:
+    if value != "1":  # the key stays for configs that pass paired=1
+        raise ConfigError(f"{key} must be 1, got {value!r}: the unpaired "
+                          "gap estimate was removed")
+    return True
+
+
 def _list(kind, lo):
     def parse(value: str, key: str) -> tuple:
         try:
@@ -187,7 +194,7 @@ KEYS = {
     "replicates": (_int(MIN_REPLICATES), 100000),
     "seed": (_int(0, SEED_LIMIT), DEFAULT_SEED),
     "beta": (_beta, None),
-    "paired": (_flag, False),
+    "paired": (_paired, True),
     # a sweep size is at least 2, and all are checked before the first runs
     "n_list": (_list(int, lo=2), (16, 64, 256, 1024, 4096, 16384)),
     "N_list": (_list(int, lo=2), (4, 6, 8, 10, 12, 14)),
@@ -330,8 +337,7 @@ def run(config) -> ResultRecord:
         record.tables["main"] = _table_from_dicts(rows)
 
     elif sub == "bounds":
-        rep = bounds_mod.error_report(T, dist, config.replicates, stream,
-                                      config.paired)
+        rep = bounds_mod.error_report(T, dist, config.replicates, stream)
         row = {
             "set": config.set, "distribution": rep.dist_name,
             "u": rep.u, "gap": rep.gap, "gap_std_error": rep.gap_std_error,

@@ -8,20 +8,15 @@ depends on how many blocks run or in which order.  Every Monte-Carlo
 estimate of the package, the Ornstein-Uhlenbeck and Stein ones of
 ``ou_stein`` included, runs its blocks through the one driver ``_blocked``
 and reports its mean and standard error through ``mean_se``.  Every
-unpaired law-versus-Gaussian gap is ``_gap_fields`` but one:
-``experiments.heavy_tail_growth`` computes its own signed Laplace gap,
-both laws on one substream.
+law-versus-Gaussian gap is ``_gap_fields``, one paired pass unless the
+law's value is enumerated, but one: ``experiments.heavy_tail_growth``
+computes its signed Laplace gap from two estimates on one substream.
 
-Sup kernels: every estimate maps a block X of draws to sup_t <x, t> per
-row through the set's own field, ``T.sup(T, X)``: the generic chunked
-matmul over every declared row unless the set's constructor in
-``index_sets`` declared a fast path.  ``estimate_complexity`` takes X
-from the set's own sampler ``T.draw(T, dist, rng)``: SAMPLE_BLOCK x dim
-draws, unless the constructor declared a smaller block that ``T.sup``
-reduces to the same law of sups (the canonical basis's column of
-maxima).  A new fast path is that declaration,
-plus a case in ``KERNEL_CASES`` (bitwise kernels) or ``CLOSED_FORM_CASES``
-of tests/test_estimator.py, whose differential tests run every declared
+Sup kernels: every estimate maps draws to sup_t <x, t> per row through
+the set's own fields, ``T.sup(T, X)`` on blocks from ``T.draw(T, laws,
+rng)`` (see ``index_sets``).  A new fast path is a declared field, plus a
+case in ``KERNEL_CASES`` (bitwise kernels) or ``CLOSED_FORM_CASES`` of
+tests/test_estimator.py, whose differential tests run every declared
 kernel against the matmul path on an untagged copy of the points.
 """
 from __future__ import annotations
@@ -69,10 +64,10 @@ def mean_se(values: np.ndarray) -> tuple:
 
 def _blocked(stream: RandomStream, tag: str, replicates: int, draw,
              reduce) -> np.ndarray:
-    """reduce(draw(rng)[:m]) per fixed SAMPLE_BLOCK-replicate block.
+    """reduce(draw(rng)[..., :m, :]) per fixed SAMPLE_BLOCK-replicate block.
 
-    Block b takes its generator from substream (tag, b); draw returns a
-    full block of SAMPLE_BLOCK rows, and the last block keeps its first m.
+    Block b takes its generator from substream (tag, b); draw returns
+    SAMPLE_BLOCK rows, or a stack of such blocks; the last keeps m rows.
     reduce returns one value per row, or one row of columns per row; the
     result stacks them, shape (replicates,) or (replicates, columns).
     """
@@ -82,7 +77,7 @@ def _blocked(stream: RandomStream, tag: str, replicates: int, draw,
     for b, lo in enumerate(range(0, replicates, SAMPLE_BLOCK)):
         m = min(SAMPLE_BLOCK, replicates - lo)
         rng = stream.substream(tag, b).generator()
-        vals = reduce(draw(rng)[:m])
+        vals = reduce(draw(rng)[..., :m, :])
         if out is None:
             out = np.empty((replicates,) + np.shape(vals)[1:])
         out[lo:lo + m] = vals
@@ -95,23 +90,23 @@ def estimate_complexity(T: IndexSet, dist: CoordinateDistribution,
     """Monte-Carlo E sup_t <xi, t> with fixed 1024-replicate blocks, each
     drawn by the set's own sampler."""
     sups = _blocked(stream, "complexity-block", replicates,
-                    lambda rng: T.draw(T, dist, rng), lambda X: T.sup(T, X))
+                    lambda rng: T.draw(T, (dist,), rng),
+                    lambda X: T.sup(T, X[0]))
     return SupremumEstimate.from_samples(sups, "mc", stream.master_seed)
 
 
 def paired_gap_estimate(T: IndexSet, dist: CoordinateDistribution,
-                        replicates: int,
-                        stream: RandomStream) -> SupremumEstimate:
-    """Signed gap sup(xi) - sup(gaussian) with common random numbers.
-
-    Each block draws uniforms once and pushes them through both inverse
-    CDFs, so the per-replicate difference strips the shared variation.
-    """
-    gauss = gaussian()
-    diffs = _blocked(stream, "paired-block", replicates,
-                     lambda rng: rng.random((SAMPLE_BLOCK, T.dim)),
-                     lambda U: T.sup(T, dist.ppf(U)) - T.sup(T, gauss.ppf(U)))
-    return SupremumEstimate.from_samples(diffs, "mc-paired", stream.master_seed)
+                        replicates: int, stream: RandomStream) -> tuple:
+    """(xi, gaussian, gap): E sup <xi, t>, E sup <g, t> and the signed gap,
+    from one pass of blocks that the set's own sampler draws for both laws
+    with common random numbers; the gap's standard error is that of the
+    per-replicate difference, which strips the variation the two share."""
+    sups = _blocked(stream, "paired-block", replicates,
+                    lambda rng: T.draw(T, (dist, gaussian()), rng),
+                    lambda X: np.array([T.sup(T, x) for x in X]).T)
+    return tuple(SupremumEstimate.from_samples(v, method, stream.master_seed)
+                 for v, method in ((sups[:, 0], "mc"), (sups[:, 1], "mc"),
+                                   (sups[:, 0] - sups[:, 1], "mc-paired")))
 
 
 def exact_rademacher_complexity(T: IndexSet) -> SupremumEstimate:
@@ -128,27 +123,37 @@ def exact_rademacher_complexity(T: IndexSet) -> SupremumEstimate:
     return SupremumEstimate(mean, 0.0, mean, mean, total, "exact-enumeration", 0)
 
 
+def _enumerates(T: IndexSet, dist: CoordinateDistribution) -> bool:
+    """Whether ``complexity`` enumerates E sup_t <xi, t> exactly."""
+    return dist.name == "rademacher" and T.dim <= MAX_ENUM_DIM
+
+
 def complexity(T: IndexSet, dist: CoordinateDistribution, replicates: int,
                stream: RandomStream) -> SupremumEstimate:
     """E sup_t <xi, t>: enumerated exactly for a Rademacher law while
     T.dim <= MAX_ENUM_DIM, else the Monte-Carlo estimate on ``stream``."""
-    if dist.name == "rademacher" and T.dim <= MAX_ENUM_DIM:
+    if _enumerates(T, dist):
         return exact_rademacher_complexity(T)
     return estimate_complexity(T, dist, replicates, stream)
 
 
 def _gap_fields(T: IndexSet, dist: CoordinateDistribution, replicates: int,
-                stream: RandomStream, k: int = 0) -> dict:
-    """The unpaired gap: the law's value on T by ``complexity`` and the
-    Gaussian one, on substreams ("xi", k) and ("gauss", k), as row fields
-    with their absolute gap and its standard error."""
-    xi = complexity(T, dist, replicates, stream.substream("xi", k))
-    g = estimate_complexity(T, gaussian(), replicates,
-                            stream.substream("gauss", k))
+                stream: RandomStream) -> dict:
+    """The law's value on T, the Gaussian one and their absolute gap, each
+    with its standard error, as row fields.  An enumerated law's value is
+    exact, and the gap's error is that of the Gaussian estimate on
+    substream "gauss"; any other law runs the paired pass on ``stream``."""
+    if _enumerates(T, dist):
+        xi = exact_rademacher_complexity(T)
+        g = estimate_complexity(T, gaussian(), replicates,
+                                stream.substream("gauss"))
+        gap, gap_se = xi.mean - g.mean, g.std_error
+    else:
+        xi, g, diff = paired_gap_estimate(T, dist, replicates, stream)
+        gap, gap_se = diff.mean, diff.std_error
     return {"xi_mean": xi.mean, "xi_se": xi.std_error,
             "gauss_mean": g.mean, "gauss_se": g.std_error,
-            "gap": abs(xi.mean - g.mean),
-            "gap_se": math.hypot(xi.std_error, g.std_error)}
+            "gap": abs(gap), "gap_se": gap_se}
 
 
 def softmax_complexity(T: IndexSet, dist: CoordinateDistribution, beta: float,

@@ -104,20 +104,19 @@ def spin_glass_universality(N_list, dist: CoordinateDistribution,
     """Gap between a coordinate law and the Gaussian for two-spin sets at
     energy-density scaling, rescaled by N^{1/4} (N^{1/6} for skewed laws).
 
-    Rademacher disorder is enumerated exactly up to the dimension cap; the
-    comparison Gaussian is always estimated.  Duplicate spin configurations
-    (sigma and -sigma index the same point) stay in the set; suprema are
-    unchanged.
+    Each size runs ``_gap_fields`` on its own substream ("size", k).
+    Duplicate spin configurations (sigma and -sigma index the same point)
+    stay in the set; suprema are unchanged.
     """
     if min(N_list) < 2:
         raise ValueError(f"every N must be >= 2, got {list(N_list)}")
-    for N in N_list:  # declared to check the caps; nothing is built
-        make_spin_tensor(int(N), 2)
+    # declaring checks every size against the caps; nothing is built
+    sets = [make_spin_tensor(int(N), 2) for N in N_list]
     expo = _universality_exponent(dist)
     rows = []
-    for k, N in enumerate(N_list):
-        row = {"N": int(N), **_gap_fields(make_spin_tensor(int(N), 2), dist,
-                                           replicates, stream, k)}
+    for k, (N, T) in enumerate(zip(N_list, sets)):
+        row = {"N": int(N), **_gap_fields(T, dist, replicates,
+                                           stream.substream("size", k))}
         row["scaled_gap"] = row["gap"] * float(N) ** expo
         rows.append(row)
     scaled = [r["scaled_gap"] for r in rows]

@@ -28,12 +28,11 @@ products in place through one body, ``_exp_block``.  A kernel receives
 the set rather than capturing it, so a set holds no reference to itself
 and is freed with its last reference.
 
-``draw(T, dist, rng)`` is the block X that ``estimator.estimate_complexity``
-hands to ``sup``: by default SAMPLE_BLOCK rows of T.dim coordinates
-drawn from ``dist``.  The canonical basis's sup is the max of the
-coordinates, so it declares a block of one column, each value the maximum
-of T.dim coordinates drawn as one order statistic (``dist.sample`` with
-``max_of``), and its sup passes that column through: no 1024 x n block.
+``draw(T, laws, rng)`` stacks one block X[k] of rows per law laws[k] for
+``sup``, the laws paired by common random numbers (``_draw_blocks``).
+The canonical basis's sup is the max of the coordinates, so its blocks
+are one column of order-statistic maxima (``_draw_maxima``), which its
+sup passes through: no 1024 x n block.
 """
 from __future__ import annotations
 
@@ -76,6 +75,15 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_new_pool)
 
 
+def _draw_blocks(T: IndexSet, laws: tuple, rng) -> np.ndarray:
+    """One SAMPLE_BLOCK x T.dim block per law, stacked: a lone law's own
+    sampler, or one block of uniforms through every law's ``ppf``."""
+    if len(laws) == 1:
+        return laws[0].sample(rng, (SAMPLE_BLOCK, T.dim))[None]
+    U = rng.random((SAMPLE_BLOCK, T.dim))
+    return np.array([law.ppf(U) for law in laws])
+
+
 @dataclass(frozen=True, eq=False)
 class IndexSet:
     """A finite set of points in R^n, one point per row of ``points``.
@@ -83,14 +91,10 @@ class IndexSet:
     ``cardinality`` and ``dim`` are the declared shape; ``build`` returns
     the point matrix, and ``points`` calls it once, on first read.
     ``kind`` labels the construction; ``explicit`` means no structure is
-    assumed.  ``sup`` is the exact sup kernel ``(T, X) -> sups`` and
-    ``logz`` the log-partition kernel ``(T, X, beta) -> (sups, log sum_t
-    exp(beta <x, t>))``; both default to the generic chunked matmul over
-    every declared row, and a constructor overrides them.  ``draw`` is the
-    sampler ``(T, dist, rng) -> X`` of one block of rows for ``sup``, by
-    default SAMPLE_BLOCK x dim draws of ``dist``.
-    ``distinct`` is true when the construction guarantees distinct rows, so
-    ``dedupe`` has nothing to remove.
+    assumed.  ``sup``, ``logz`` and ``draw`` are the kernels and sampler of
+    the module docstring, each given the set first and overridable by a
+    constructor.  ``distinct`` is true when the construction guarantees
+    distinct rows, so ``dedupe`` has nothing to remove.
     """
 
     cardinality: int
@@ -102,10 +106,8 @@ class IndexSet:
     logz: Callable[["IndexSet", np.ndarray, float], tuple] = field(
         default=lambda T, X, beta: _chunked_logz(T.points, X, beta),
         repr=False)
-    draw: Callable[["IndexSet", object, np.random.Generator],
-                   np.ndarray] = field(
-        default=lambda T, dist, rng: dist.sample(rng, (SAMPLE_BLOCK, T.dim)),
-        repr=False)
+    draw: Callable[["IndexSet", tuple, np.random.Generator],
+                   np.ndarray] = field(default=_draw_blocks, repr=False)
     distinct: bool = False
 
     @cached_property
@@ -120,6 +122,16 @@ class IndexSet:
     @property
     def log_cardinality(self) -> float:
         return math.log(self.cardinality)
+
+
+def _draw_maxima(T: IndexSet, laws: tuple, rng) -> np.ndarray:
+    """One column of maxima of T.dim coordinates per law, stacked, every
+    law from one generator state: one V per replicate through each isf."""
+    state, X = rng.bit_generator.state, []
+    for law in laws:
+        rng.bit_generator.state = state
+        X.append(law.sample(rng, (SAMPLE_BLOCK, 1), max_of=T.dim))
+    return np.array(X)
 
 
 def _check_shape(cardinality: int, dim: int, built: bool) -> None:
@@ -303,8 +315,7 @@ def make_basis_family(n: int, mode: str = "canonical",
         # one column of maxima; the sup's max over it passes it through
         return _declare(n, n, lambda: np.eye(n), "basis-canonical",
                         distinct=True, sup=lambda T, X: X.max(axis=1),
-                        draw=lambda T, dist, rng: dist.sample(
-                            rng, (SAMPLE_BLOCK, 1), max_of=T.dim))
+                        draw=_draw_maxima)
     if mode == "signed":
         def signed():
             eye = np.eye(n)

@@ -102,7 +102,7 @@ def test_error_report_gaussian_self():
     assert set(rep.ratios) == {"trivial", "mixed", "fourth_moment",
                                "sup_norm", "l3_column", "l4_column"}
     paired = bmod.error_report(T, dists.gaussian(), 1000,
-                               dists.RandomStream(4), paired=True)
+                               dists.RandomStream(4))
     assert paired.gap == 0.0 and paired.gap_std_error == 0.0
 
 

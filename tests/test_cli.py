@@ -279,17 +279,28 @@ def test_flags_accept_only_0_or_1(tmp_path, capsys):
                  "spin-tensor:N=4,m=3,normalized=2"):
         with pytest.raises(cli.ConfigError, match="normalized must be 0 or 1"):
             cli.parse_set(desc)
-    for flag in ("7", "-1", "yes", ""):
-        with pytest.raises(cli.ConfigError, match="paired must be 0 or 1"):
+    # paired takes one value: the unpaired gap estimate was removed
+    for flag in ("0", "7", "-1", "yes", ""):
+        with pytest.raises(cli.ConfigError, match="paired must be 1, got "
+                           ".*unpaired gap estimate was removed"):
             cli.parse_config(["bounds", "set=basis:n=4", f"paired={flag}"])
-    assert not cli.parse_config(["bounds", "set=basis:n=4",
-                                 "paired=0"]).paired
+    assert cli.parse_config(["bounds", "set=basis:n=4"]).paired
     out = str(tmp_path)
     assert run_main(["estimate", "set=spin-quadratic:N=4,normalized=true",
                      "replicates=100", f"output_dir={out}"]) == 1
-    assert run_main(["bounds", "set=basis:n=4", "paired=7",
-                     "replicates=100", f"output_dir={out}"]) == 1
     assert "must be 0 or 1" in capsys.readouterr().err
+    assert run_main(["bounds", "set=basis:n=4", "paired=0",
+                     "replicates=100", f"output_dir={out}"]) == 1
+    assert "unpaired gap estimate was removed" in capsys.readouterr().err
+
+
+def test_bounds_without_paired_writes_the_paired_csv(tmp_path):
+    argv = ["bounds", "set=diagcube:n=6", "distribution=uniform",
+            "replicates=600", "seed=9", "format=csv"]
+    assert run_main(argv + [f"output_dir={tmp_path / 'default'}"]) == 0
+    assert run_main(argv + ["paired=1", f"output_dir={tmp_path / 'one'}"]) == 0
+    assert ((tmp_path / "default" / "bounds.csv").read_bytes()
+            == (tmp_path / "one" / "bounds.csv").read_bytes())
 
 
 def test_parse_set_refuses_over_budget_before_allocating(monkeypatch):

@@ -11,6 +11,7 @@ from supcompare import distributions as dists
 from supcompare import estimator as est
 from supcompare import index_sets as isets
 from supcompare import softmax as sm
+from test_distributions import EXPECTED_MAX, _continuous_max
 from test_golden_csv import EXPLICIT_POINTS
 
 SQRT_2_OVER_PI = 0.7978845608028654  # E|g| for standard Gaussian
@@ -172,8 +173,8 @@ def test_no_estimate_reaches_unique(monkeypatch):
     law = dists.laplace(True)
     assert (est.estimate_complexity(T, law, 300, stream).mean
             == est.estimate_complexity(D, law, 300, stream).mean)
-    assert (est.paired_gap_estimate(T, law, 300, stream).mean
-            == est.paired_gap_estimate(D, law, 300, stream).mean)
+    assert (est.paired_gap_estimate(T, law, 300, stream)
+            == est.paired_gap_estimate(D, law, 300, stream))
     assert (est.exact_rademacher_complexity(T).mean
             == est.exact_rademacher_complexity(D).mean)
     slack = est.softmax_complexity(T, law, 0.7, 300, stream)[2]
@@ -244,7 +245,12 @@ def test_fast_paths_match_generic_bitwise():
             assert a.mean == b.mean and a.std_error == b.std_error
         a = est.paired_gap_estimate(T, dists.laplace(True), 1500, stream)
         b = est.paired_gap_estimate(G, dists.laplace(True), 1500, stream)
-        assert a == b
+        if kind == "basis-canonical":
+            z = (a[2].mean - b[2].mean) / math.hypot(a[2].std_error,
+                                                     b[2].std_error)
+            assert abs(z) <= 5.0
+        else:
+            assert a == b
 
 
 @pytest.mark.parametrize("kind", sorted(KERNEL_CASES))
@@ -283,8 +289,8 @@ def test_closed_form_kernels_match_matmul_path(kind, n, k):
     b = est.estimate_complexity(G, dists.uniform_symmetric(), 1100, stream)
     assert a.mean == pytest.approx(b.mean, rel=1e-12)
     assert a.std_error == pytest.approx(b.std_error, rel=1e-9)
-    a = est.paired_gap_estimate(T, dists.laplace(True), 1100, stream)
-    b = est.paired_gap_estimate(G, dists.laplace(True), 1100, stream)
+    a = est.paired_gap_estimate(T, dists.laplace(True), 1100, stream)[2]
+    b = est.paired_gap_estimate(G, dists.laplace(True), 1100, stream)[2]
     assert a.mean == pytest.approx(b.mean, rel=1e-9, abs=1e-12)
 
 
@@ -495,16 +501,19 @@ def test_complexity_enumerates_rademacher_up_to_the_cap(monkeypatch):
 
 
 def test_paired_gap_gaussian_self_is_zero():
-    T = isets.make_basis_family(4)
-    diff = est.paired_gap_estimate(T, dists.gaussian(), 1000,
-                                   dists.RandomStream(11).substream("pair"))
-    assert diff.mean == 0.0 and diff.std_error == 0.0
+    # both laws draw the same numbers on every kind of set, the canonical
+    # basis's column of maxima included
+    for kind in KERNEL_CASES:
+        T = KERNEL_CASES[kind][0](4)
+        xi, g, diff = est.paired_gap_estimate(
+            T, dists.gaussian(), 1000, dists.RandomStream(11).substream(kind))
+        assert xi == g and diff.mean == 0.0 and diff.std_error == 0.0
 
 
 def test_paired_gap_matches_independent_estimate():
     T = isets.make_basis_family(6)
     paired = est.paired_gap_estimate(T, dists.laplace(True), 50000,
-                                     dists.RandomStream(12).substream("p"))
+                                     dists.RandomStream(12).substream("p"))[2]
     a = est.estimate_complexity(T, dists.laplace(True), 50000,
                                 dists.RandomStream(13).substream("a"))
     b = est.estimate_complexity(T, dists.gaussian(), 50000,
@@ -514,6 +523,57 @@ def test_paired_gap_matches_independent_estimate():
     assert abs(paired.mean - indep) <= 5.0 * se
     # pairing strictly tightens the error here
     assert paired.std_error < math.hypot(a.std_error, b.std_error)
+
+
+@pytest.mark.parametrize("name", ["explicit", "spin-quadratic",
+                                  "diagonal-cube"])
+def test_paired_pass_columns_match_their_own_estimates(name, monkeypatch):
+    T = {"explicit": isets.build_explicit(
+             np.random.default_rng(8).standard_normal((40, 6))),
+         "spin-quadratic": isets.make_spin_quadratic(8),
+         "diagonal-cube": isets.make_diagonal_cube(_cube_diag(8), k=5)}[name]
+    law, stream = dists.uniform_symmetric(), dists.RandomStream(41)
+    blocked, stacks = est._blocked, []
+
+    def keep(*args):
+        stacks.append(blocked(*args))
+        return stacks[-1]
+    monkeypatch.setattr(est, "_blocked", keep)
+    xi, g, gap = est.paired_gap_estimate(T, law, 20000,
+                                         stream.substream("pair"))
+    (sups,) = stacks
+    assert sups.shape == (20000, 2)
+    for paired, alone in ((xi, law), (g, dists.gaussian())):
+        e = est.estimate_complexity(T, alone, 20000, stream.substream(name))
+        z = (paired.mean - e.mean) / math.hypot(paired.std_error, e.std_error)
+        assert abs(z) <= 5.0
+    assert (gap.mean, gap.std_error) == est.mean_se(sups[:, 0] - sups[:, 1])
+    assert (xi.mean, xi.std_error) == est.mean_se(sups[:, 0])
+    assert (g.mean, g.std_error) == est.mean_se(sups[:, 1])
+    if name == "spin-quadratic":
+        # the pairing strips the variation the two sups share
+        assert gap.std_error < math.hypot(xi.std_error, g.std_error)
+
+
+def test_paired_pass_on_a_large_basis_draws_one_column_per_law():
+    # a 1024 x 16384 block of uniforms, and one per law, is 128 MiB; the
+    # canonical basis's sampler draws one column of maxima per law
+    n = 16384
+    T = isets.make_basis_family(n)
+    law = dists.laplace()
+    tracemalloc.start()
+    try:
+        xi, g, gap = est.paired_gap_estimate(
+            T, law, 2048, dists.RandomStream(42).substream("big-basis"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+    assert "points" not in vars(T)
+    exact = (_continuous_max(EXPECTED_MAX["laplace"][1], n)
+             - _continuous_max(EXPECTED_MAX["gaussian"][1], n))
+    assert abs(gap.mean - exact) <= 5.0 * gap.std_error
+    assert gap.mean == pytest.approx(xi.mean - g.mean, rel=1e-12)
 
 
 def test_estimate_ci_brackets_mean():

@@ -121,7 +121,7 @@ DIGESTS = {
     "estimate-explicit-duplicates":
         "cc2146da4cd086ab15d837af89b99103dbe73421ab643a9df1b2f2a137837554",
     "bounds-diagcube":
-        "045142507d1fcd91c756de903b7493d367b3e631651168261c9c278b76f594e4",
+        "3a70de26ae065c8425f92ad62b2be9cc8636a83d14106edad8de57694cccbf4a",
     "bounds-diagcube-paired":
         "3a70de26ae065c8425f92ad62b2be9cc8636a83d14106edad8de57694cccbf4a",
     "bounds-basis-signed-paired":
@@ -141,11 +141,11 @@ DIGESTS = {
     "laplace":
         "d6b77019522ed9d976115bc83ea00d45a82f784b08633b08c98bdca7eaa23cb6",
     "sk":
-        "2824144427bef419318663a9c2be9b6a1876bf8402bff155136de520a5b5f7ac",
+        "aa8c91546508ca76c09a4d02965609745d2b75c869002e55188bc9c9d261bfc2",
     "sk-rademacher":
-        "86199ee31dcc53df2e10624d570a521bd0f58ed74f8a2a6e6fd80700a56ee747",
+        "c79751b8fe040ccfd8f29bb987dcaed7bef4b61adb8ec9fe706949716734a9c7",
     "tensor":
-        "474f7e11980dc8d5cf65671a0fe8995cd5445edd4c474de43e9eca8ca14c7008",
+        "21b9487c8e3cd3727fbc01acfdf9dbba3d12f4f5968214fc6364d9719b66b4ca",
     "phase-curves":
         "c6ecf69e0f1b348b0eff5a8c7c05a14140e51c908945b025d084aec915c6cc26",
     "verify-softmax":
