@@ -22,7 +22,7 @@ from .softmax import (WeightedMeasure, log_partition,
                       lipschitz_log_moment_check, uniform_identity_gap,
                       collapse_weight, gibbs_weight_rows)
 from .ou_stein import (Polynomial, SoftmaxFunction, OperatorEstimate,
-                       PoissonReport, SteinReport, HypothesisViolation,
+                       Agreement, HypothesisViolation,
                        ou_apply, ou_potential, potential_partial,
                        poisson_identity_check, stein_representation_check,
                        semigroup_check, ergodic_check)

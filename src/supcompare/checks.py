@@ -3,8 +3,10 @@ identities behind the comparison bounds, on fixed budgets (deterministic
 given the seed).
 
 `softmax` and `gibbs` are tables of `Check` rows, measured by `run_check`;
-`stein` is built from library reports.  Every row's verdict is `_row`'s,
-made from the observed value and the threshold the row prints.
+`stein` is one ordered table of `ou_stein.Agreement` results, each row
+observing the agreement's `diff` against its `tolerance`, beside the three
+rows that are no agreement.  Every row's verdict is `_row`'s, made from
+the observed value and the threshold the row prints.
 """
 from __future__ import annotations
 
@@ -218,54 +220,47 @@ def _refuses(f, dist, variant, moment) -> bool:
 
 
 def _stein_rows(stream: RandomStream) -> list:
-    rows = []
+    """One row per table entry: a (name, Agreement) pair observes its diff
+    against its tolerance, and the other three rows are made in place."""
     rng = stream.substream("stein-battery").generator()
-
-    # smoothed maximum, exhaustive rademacher, both variants
+    # smoothed maximum on a random set, and a point for its operator rows
     T = isets.build_explicit(rng.standard_normal((6, 5)))
     f = ou.SoftmaxFunction(T, 0.7)
-    for variant in ("third", "fourth"):
-        rep = ou.stein_representation_check(f, rademacher(), variant)
-        rows.append(_row(f"softmax_{variant}_exhaustive", rep.diff,
-                         rep.tolerance))
-
-    # univariate x^4 against the fourth-order representation
-    f4 = ou.Polynomial.coordinate_power(1, 0, 4)
-    rep = ou.stein_representation_check(f4, rademacher(), "fourth")
-    rows.append(_row("quartic_exhaustive", rep.diff, rep.tolerance))
-    rows.append(_row("quartic_lhs_value", abs(rep.lhs - 8.0), 1e-10))
-
-    # Monte-Carlo path for a continuous law
-    rep = ou.stein_representation_check(f, uniform_symmetric(), "fourth",
-                                        stream.substream("stein-mc"),
-                                        replicates=4000)
-    rows.append(_row("softmax_fourth_mc", rep.diff, rep.tolerance))
-
-    # hypothesis refusal: variance 2 and skewed laws must be rejected by name
-    rows.append(_row("refuses_variance_2", _refuses(
-        f, laplace(False), "third", "second moment"), 1.0, lower=True))
-    rows.append(_row("refuses_skewed_fourth", _refuses(
-        f, two_point(2.0), "fourth", "third moment"), 1.0, lower=True))
-
+    x5 = rng.standard_normal(5) * 0.5
+    # univariate x^4 against the fourth-order representation: E L f = 8
+    quartic = ou.stein_representation_check(
+        ou.Polynomial.coordinate_power(1, 0, 4), rademacher(), "fourth")
     # operator identities on a polynomial
     fp = ou.Polynomial(3, {(2, 0, 0): 1.0, (0, 1, 2): 0.5, (1, 1, 0): -2.0,
                            (0, 0, 4): 0.25, (0, 0, 0): 1.5})
     x = np.array([0.3, -1.1, 0.7])
-    rep = ou.poisson_identity_check(fp, x)
-    rows.append(_row("poisson_identity_poly", rep.diff, rep.tolerance))
-    lhs, rhs, tol, _ = ou.semigroup_check(fp, 0.4, 0.9, x)
-    rows.append(_row("semigroup_poly", abs(lhs - rhs), tol))
-    dev, threshold, _ = ou.ergodic_check(fp, 3.0, x)
-    rows.append(_row("ergodic_poly", dev, threshold))
-
-    x5 = rng.standard_normal(5) * 0.5
-    lhs, rhs, tol, _ = ou.semigroup_check(f, 0.5, 0.8, x5,
-                                          stream=stream.substream("semigroup"))
-    rows.append(_row("semigroup_softmax_mc", abs(lhs - rhs), tol))
-    rep = ou.poisson_identity_check(f, x5, samples=2048,
-                                    stream=stream.substream("poisson"))
-    rows.append(_row("poisson_identity_softmax_mc", rep.diff, rep.tolerance))
-    return rows
+    table = (
+        ("softmax_third_exhaustive",
+         ou.stein_representation_check(f, rademacher(), "third")),
+        ("softmax_fourth_exhaustive",
+         ou.stein_representation_check(f, rademacher(), "fourth")),
+        ("quartic_exhaustive", quartic),
+        _row("quartic_lhs_value", abs(quartic.lhs - 8.0), 1e-10),
+        # Monte-Carlo path for a continuous law
+        ("softmax_fourth_mc", ou.stein_representation_check(
+            f, uniform_symmetric(), "fourth", stream.substream("stein-mc"),
+            replicates=4000)),
+        # variance 2 and skewed laws must be refused by name
+        _row("refuses_variance_2", _refuses(
+            f, laplace(False), "third", "second moment"), 1.0, lower=True),
+        _row("refuses_skewed_fourth", _refuses(
+            f, two_point(2.0), "fourth", "third moment"), 1.0, lower=True),
+        ("poisson_identity_poly", ou.poisson_identity_check(fp, x)),
+        ("semigroup_poly", ou.semigroup_check(fp, 0.4, 0.9, x)),
+        ("ergodic_poly", ou.ergodic_check(fp, 3.0, x)),
+        ("semigroup_softmax_mc", ou.semigroup_check(
+            f, 0.5, 0.8, x5, stream=stream.substream("semigroup"))),
+        ("poisson_identity_softmax_mc", ou.poisson_identity_check(
+            f, x5, samples=2048, stream=stream.substream("poisson"))),
+    )
+    return [entry if isinstance(entry, dict)
+            else _row(entry[0], entry[1].diff, entry[1].tolerance)
+            for entry in table]
 
 
 def run_battery(target: str, seed: int) -> list:

@@ -27,6 +27,16 @@ class ExperimentResult:
     summary: dict
 
 
+def _sizes(values, name: str, least: int = 1) -> list:
+    """values as ints, each >= least; a non-integral size is refused, not
+    truncated."""
+    sizes = [int(v) for v in values]
+    if sizes != list(values) or min(sizes) < least:
+        raise ValueError(f"{name} must be integers >= {least}, "
+                         f"got {list(values)}")
+    return sizes
+
+
 def heavy_tail_growth(n_list, replicates: int,
                       stream: RandomStream) -> ExperimentResult:
     """Gap between Laplace (literal scale, variance 2) and Gaussian expected
@@ -43,10 +53,9 @@ def heavy_tail_growth(n_list, replicates: int,
     that of independent draws; gap_se, which adds the two standard errors
     in quadrature, is an upper bound on the gap's.
     """
-    if min(n_list) < 2:
-        raise ValueError(f"every n must be >= 2, got {list(n_list)}")
+    n_list = _sizes(n_list, "n_list", 2)
     # declaring checks every size against the caps; no basis set is built
-    sets = [make_basis_family(int(n)) for n in n_list]
+    sets = [make_basis_family(n) for n in n_list]
     rows = []
     for k, (n, T) in enumerate(zip(n_list, sets)):
         maxima = stream.substream("maxima", k)
@@ -56,7 +65,7 @@ def heavy_tail_growth(n_list, replicates: int,
         gap_se = math.hypot(lap.std_error, gau.std_error)
         logn = math.log(n)
         rows.append({
-            "n": int(n),
+            "n": n,
             "laplace_mean": lap.mean,
             "laplace_se": lap.std_error,
             "gaussian_mean": gau.mean,
@@ -108,15 +117,14 @@ def spin_glass_universality(N_list, dist: CoordinateDistribution,
     Duplicate spin configurations (sigma and -sigma index the same point)
     stay in the set; suprema are unchanged.
     """
-    if min(N_list) < 2:
-        raise ValueError(f"every N must be >= 2, got {list(N_list)}")
+    N_list = _sizes(N_list, "N_list", 2)
     # declaring checks every size against the caps; nothing is built
-    sets = [make_spin_tensor(int(N), 2) for N in N_list]
+    sets = [make_spin_tensor(N, 2) for N in N_list]
     expo = _universality_exponent(dist)
     rows = []
     for k, (N, T) in enumerate(zip(N_list, sets)):
-        row = {"N": int(N), **_gap_fields(T, dist, replicates,
-                                           stream.substream("size", k))}
+        row = {"N": N, **_gap_fields(T, dist, replicates,
+                                     stream.substream("size", k))}
         row["scaled_gap"] = row["gap"] * float(N) ** expo
         rows.append(row)
     scaled = [r["scaled_gap"] for r in rows]
@@ -139,8 +147,9 @@ def tensor_universality(N: int, m: int, dist: CoordinateDistribution,
     sigma4 (N / binom(N,m))^{1/4}, which shrinks as the order grows; for
     m = 2 the Gaussian value is also checked against the recorded band.
     """
-    T = make_spin_tensor(int(N), int(m), normalized=True)
-    row = {"N": int(N), "m": int(m),
+    N, m = _sizes((N, m), "(N, m)")
+    T = make_spin_tensor(N, m, normalized=True)
+    row = {"N": N, "m": m,
            **_gap_fields(T, dist, replicates, stream)}
     # the comparison bound scale: sigma4 * (N / binom)^{1/4} up to constants
     bound_scale = dist.sigma4 * (float(N) / T.dim) ** 0.25

@@ -20,8 +20,10 @@ driver ``estimator._blocked``: each SAMPLE_BLOCK-replicate block draws
 from its own keyed substream, memory is bounded by one block, and every
 Monte-Carlo entry point needs at least MIN_REPLICATES samples.  The
 semigroup, Gaussian mean and potentials share one quadrature reducer,
-``_ou_quadrature``, with common random numbers across its nodes; every
-check applies one agreement rule, ``_tolerance``.
+``_ou_quadrature``, with common random numbers across its nodes.  Points
+are read by ``_point`` and times by ``_time``.  Every check returns one
+``Agreement``, with ``_tolerance``'s rule as its tolerance, or for the
+ergodic check its decay bound.
 """
 from __future__ import annotations
 
@@ -65,17 +67,18 @@ class Polynomial:
     __slots__ = ("n", "terms")
 
     def __init__(self, n: int, terms=None):
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        self.n = n
+        if n < 1 or int(n) != n:
+            raise ValueError(f"n must be an integer >= 1, got {n}")
+        self.n = int(n)
         self.terms = {}
         if isinstance(terms, dict):
             terms = terms.items()
         if terms:
             for expo, coeff in terms:
-                expo = tuple(int(e) for e in expo)
-                if len(expo) != n or any(e < 0 for e in expo):
+                expo = tuple(expo)
+                if len(expo) != n or any(e < 0 or int(e) != e for e in expo):
                     raise ValueError(f"bad exponent tuple {expo}")
+                expo = tuple(int(e) for e in expo)
                 c = self.terms.get(expo, 0.0) + float(coeff)
                 if c == 0.0:
                     self.terms.pop(expo, None)
@@ -97,7 +100,7 @@ class Polynomial:
     def coordinate_power(cls, n: int, i: int, k: int) -> "Polynomial":
         """The monomial x_i^k."""
         e = [0] * n
-        e[i] = k
+        e[sm._require_coordinate(i, n)] = k
         return cls(n, {tuple(e): 1.0})
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
@@ -140,6 +143,8 @@ class Polynomial:
 
     def partial(self, i: int, order: int = 1) -> "Polynomial":
         sm._require_coordinate(i, self.n)
+        if order < 0:
+            raise ValueError("order must be >= 0")
         p = self
         for _ in range(order):
             terms = {}
@@ -160,9 +165,7 @@ class Polynomial:
     def ou_smoothed(self, t: float) -> "Polynomial":
         """P_t f, exactly: each x_i^k expands binomially against Gaussian
         moments of the sqrt(1 - e^{-2t}) component."""
-        if t < 0:
-            raise ValueError("t must be >= 0")
-        a = math.exp(-t)
+        a = math.exp(-_time(t))
         b2 = max(0.0, 1.0 - a * a)
         out_terms = {}
         for expo, c in self.terms.items():
@@ -263,12 +266,26 @@ def _ou_quadrature(g, x: np.ndarray, u, w, samples: int,
                     reduce)
 
 
+def _point(f, x) -> np.ndarray:
+    """x as a point of f's domain: a finite float vector of length f.n."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (f.n,) or not np.isfinite(x).all():
+        raise ValueError(f"x must be a finite vector of length {f.n}: {x}")
+    return x
+
+
+def _time(t) -> float:
+    """t as an OU time: a float >= 0 (inf allowed, NaN refused)."""
+    t = float(t)
+    if not t >= 0.0:
+        raise ValueError(f"t must be >= 0, got {t}")
+    return t
+
+
 def ou_apply(f, t: float, x, samples: int = 4096,
              stream: RandomStream = DEFAULT_STREAM) -> OperatorEstimate:
     """Monte-Carlo P_t f(x); exact (zero-error) at t = 0."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    x = np.asarray(x, dtype=np.float64)
+    t, x = _time(t), _point(f, x)
     if t == 0.0:
         return OperatorEstimate(float(f.value_rows(x[None, :])[0]), 0.0, 0, 0,
                                 "exact-t0")
@@ -351,7 +368,7 @@ def potential_partial(f, x, i: int, k: int, samples: int = 2048,
     if k < 0:
         raise ValueError("k must be >= 0")
     sm._require_coordinate(i, f.n)
-    x = np.asarray(x, dtype=np.float64)
+    x = _point(f, x)
     if isinstance(f, Polynomial):
         return _closed_form_potential(f.partial(i, k), x, k)
     u, w = _gauss_legendre(POTENTIAL_NODES, 0.0, 1.0)
@@ -375,48 +392,53 @@ def _tolerance(exact: bool, std_error: float) -> float:
 
 
 @dataclass(frozen=True)
-class PoissonReport:
-    """Both sides of f - E f(G) = -L PP f (and = -PP L f when closed-form)."""
+class Agreement:
+    """Both sides of one OU/Stein identity: lhs, every right-hand side the
+    check computed, and the tolerance the largest |lhs - r| must keep.
+    samples counts Monte-Carlo draws or enumerated points, 0 if closed."""
 
     lhs: float
-    rhs_generator_of_potential: float
-    rhs_potential_of_generator: float | None
+    rhs: tuple
     std_error: float
     tolerance: float
     exact: bool
-    # the larger |lhs - rhs| over the right-hand sides computed
-    diff: float
-    ok: bool
+    samples: int = 0
+
+    @property
+    def diff(self) -> float:
+        # np.max propagates NaN, so a NaN side fails
+        return float(np.max([abs(self.lhs - r) for r in self.rhs]))
+
+    @property
+    def ok(self) -> bool:
+        return self.diff <= self.tolerance
 
 
 def poisson_identity_check(f, x, samples: int = 2048,
-                           stream: RandomStream = DEFAULT_STREAM) -> PoissonReport:
+                           stream: RandomStream = DEFAULT_STREAM) -> Agreement:
     """Check f(x) - E f(G) = -L PP f(x); polynomials also check -PP L f(x).
 
     -L PP f = sum_i x_i d_i PP f - sum_i d_i^2 PP f, each partial through
-    potential_partial.  Both sides agree by the rule of ``_tolerance``.
+    potential_partial.  The tolerance is ``_tolerance``'s.
     """
-    x = np.asarray(x, dtype=np.float64)
-    n = x.size
-    mg, mg_se = _gaussian_mean_estimate(f, n, samples,
+    x = _point(f, x)
+    mg, mg_se = _gaussian_mean_estimate(f, f.n, samples,
                                         stream.substream("poisson-mean"))
     lhs = float(f.value_rows(x[None, :])[0]) - mg
     rhs = 0.0
     var = mg_se ** 2
     exact = isinstance(f, Polynomial)
-    for i in range(n):
+    for i in range(f.n):
         d1 = potential_partial(f, x, i, 1, samples,
                                stream.substream("poisson-d1", i))
         d2 = potential_partial(f, x, i, 2, samples,
                                stream.substream("poisson-d2", i))
         rhs += float(x[i]) * d1.value - d2.value
         var += (float(x[i]) * d1.std_error) ** 2 + d2.std_error ** 2
-    rhs2 = -ou_potential(f.generator(), x).value if exact else None
+    rhs = (rhs, -ou_potential(f.generator(), x).value) if exact else (rhs,)
     se = math.sqrt(var)
-    tolerance = _tolerance(exact, se)
-    diff = float(np.max([abs(lhs - r) for r in (rhs, rhs2) if r is not None]))
-    return PoissonReport(lhs, rhs, rhs2, se, tolerance, exact, diff,
-                         diff <= tolerance)
+    return Agreement(lhs, rhs, se, _tolerance(exact, se), exact,
+                     0 if exact else samples)
 
 
 class HypothesisViolation(ValueError):
@@ -426,24 +448,6 @@ class HypothesisViolation(ValueError):
     def __init__(self, moment: str, detail: str):
         super().__init__(f"hypothesis violated ({moment}): {detail}")
         self.moment = moment
-
-
-@dataclass(frozen=True)
-class SteinReport:
-    """Both sides of a discrete integral representation of E L f(xi)."""
-
-    variant: str
-    lhs: float
-    rhs: float
-    std_error: float
-    tolerance: float
-    exact: bool
-    replicates: int
-    ok: bool
-
-    @property
-    def diff(self) -> float:
-        return abs(self.lhs - self.rhs)
 
 
 VARIANTS = ("third", "fourth")
@@ -479,15 +483,15 @@ def _stein_terms(f, X: np.ndarray, variant: str, s: np.ndarray,
 def stein_representation_check(f, dist: CoordinateDistribution,
                                variant: str = "fourth",
                                stream: RandomStream = DEFAULT_STREAM,
-                               replicates: int = 2000) -> SteinReport:
-    """Check E L f(xi) against its integral representation.
+                               replicates: int = 2000) -> Agreement:
+    """Check E L f(xi) (lhs) against its integral representation (rhs).
 
     variant 'third' uses third partials and needs E xi^2 = 1, E|xi|^3 < inf;
     variant 'fourth' uses fourth partials and additionally needs E xi^3 = 0.
     A violated hypothesis raises HypothesisViolation naming the moment.
-    Rademacher coordinates with n <= 12 are enumerated exactly; other laws
-    go through Monte-Carlo with common random numbers.  Both sides agree by
-    the rule of ``_tolerance``.
+    Rademacher coordinates with n <= 12 are enumerated exactly (samples is
+    2^n); other laws go through Monte-Carlo with common random numbers
+    (samples is the replicate count).  The tolerance is ``_tolerance``'s.
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
@@ -512,66 +516,56 @@ def stein_representation_check(f, dist: CoordinateDistribution,
         S = _blocked(stream, "stein-xi", replicates,
                      lambda rng: dist.sample(rng, (SAMPLE_BLOCK, n)), sides)
         se = mean_se(S[:, 0] - S[:, 1])[1]
-    tol = _tolerance(exact, se)
     lhs, rhs = (float(v) for v in S.mean(axis=0))
-    return SteinReport(variant, lhs, rhs, se, tol, exact, S.shape[0],
-                       abs(lhs - rhs) <= tol)
+    return Agreement(lhs, (rhs,), se, _tolerance(exact, se), exact, S.shape[0])
 
 
 def semigroup_check(f, t1: float, t2: float, x, samples: int = 4096,
-                    stream: RandomStream = DEFAULT_STREAM):
-    """P_{t1} P_{t2} f(x) vs P_{t1+t2} f(x).
+                    stream: RandomStream = DEFAULT_STREAM) -> Agreement:
+    """P_{t1} P_{t2} f(x) (lhs) vs P_{t1+t2} f(x) (rhs).
 
     Polynomials compare exactly; otherwise the nested average is compared
-    to the direct one.  Both agree by the rule of ``_tolerance``.  Returns
-    (lhs, rhs, tolerance, ok).
+    to the direct one.  The tolerance is ``_tolerance``'s.
     """
-    if t1 < 0 or t2 < 0:
-        raise ValueError("t1 and t2 must be >= 0")
-    x = np.asarray(x, dtype=np.float64)
-    exact = isinstance(f, Polynomial)
-    if exact:
+    t1, t2, x = _time(t1), _time(t2), _point(f, x)
+    if isinstance(f, Polynomial):
         lhs = float(f.ou_smoothed(t2).ou_smoothed(t1)(x))
-        rhs, se = float(f.ou_smoothed(t1 + t2)(x)), 0.0
-    else:
-        n, a1, a2 = x.size, math.exp(-t1), math.exp(-t2)
-        b1, b2 = _ou_b(a1), _ou_b(a2)
-        # both Gaussians of the nested kernel in one draw: G1 | G2
-        nested = _blocked(
-            stream, "semigroup", samples,
-            lambda rng: rng.standard_normal((SAMPLE_BLOCK, 2 * n)),
-            lambda G: f.value_rows(a2 * (a1 * x + b1 * G[:, :n])
-                                   + b2 * G[:, n:]))
-        direct = ou_apply(f, t1 + t2, x, samples,
-                          stream.substream("semigroup-direct"))
-        lhs, nested_se = mean_se(nested)
-        rhs, se = direct.value, math.hypot(nested_se, direct.std_error)
-    tol = _tolerance(exact, se)
-    return lhs, rhs, tol, abs(lhs - rhs) <= tol
+        return Agreement(lhs, (float(f.ou_smoothed(t1 + t2)(x)),), 0.0,
+                         _tolerance(True, 0.0), True)
+    n, a1, a2 = f.n, math.exp(-t1), math.exp(-t2)
+    b1, b2 = _ou_b(a1), _ou_b(a2)
+    # both Gaussians of the nested kernel in one draw: G1 | G2
+    nested = _blocked(
+        stream, "semigroup", samples,
+        lambda rng: rng.standard_normal((SAMPLE_BLOCK, 2 * n)),
+        lambda G: f.value_rows(a2 * (a1 * x + b1 * G[:, :n]) + b2 * G[:, n:]))
+    direct = ou_apply(f, t1 + t2, x, samples,
+                      stream.substream("semigroup-direct"))
+    lhs, nested_se = mean_se(nested)
+    se = math.hypot(nested_se, direct.std_error)
+    return Agreement(lhs, (direct.value,), se, _tolerance(False, se), False,
+                     samples)
 
 
 def ergodic_check(f, t: float, x, samples: int = 4096,
-                  stream: RandomStream = DEFAULT_STREAM):
-    """|P_t f(x) - E f(G)| against e^{-t} L r (+ MC noise), with r = |x| +
-    sqrt(n) and L the Lipschitz bound of f on the ball of radius r.
-
-    Returns (deviation, threshold, ok), ok being deviation <= threshold.
+                  stream: RandomStream = DEFAULT_STREAM) -> Agreement:
+    """P_t f(x) (lhs) against E f(G) (rhs), within the decay bound
+    e^{-t} L r (+ MC noise) as the tolerance, with r = |x| + sqrt(n) and L
+    the Lipschitz bound of f on the ball of radius r.
     """
-    x = np.asarray(x, dtype=np.float64)
-    n = x.size
+    t, x = _time(t), _point(f, x)
     if isinstance(f, Polynomial):
         # P_t f(x) - E f(G) = sum_{m>=1} q_m u^m with u = e^{-t}, so the
         # deviation decays at least like e^{-t} sum |q_m|, judged with a
         # float slack
         q = _u_polynomial(f, x)
-        dev = abs(float(f.ou_smoothed(t)(x)) - f.gaussian_mean())
         bound = math.exp(-t) * float(np.abs(q[1:]).sum()) * (1 + 1e-9) + 1e-12
-        return dev, bound, dev <= bound
-    mg, mg_se = _gaussian_mean_estimate(f, n, samples,
+        return Agreement(float(f.ou_smoothed(t)(x)), (f.gaussian_mean(),),
+                         0.0, bound, True)
+    mg, mg_se = _gaussian_mean_estimate(f, f.n, samples,
                                         stream.substream("ergodic-mean"))
     est = ou_apply(f, t, x, samples, stream.substream("ergodic"))
-    dev = abs(est.value - mg)
-    radius = float(np.linalg.norm(x)) + math.sqrt(n)
-    bound = math.exp(-t) * f.lipschitz_bound(radius) * radius \
-        + 4.0 * math.hypot(est.std_error, mg_se)
-    return dev, bound, dev <= bound
+    se = math.hypot(est.std_error, mg_se)
+    radius = float(np.linalg.norm(x)) + math.sqrt(f.n)
+    bound = math.exp(-t) * f.lipschitz_bound(radius) * radius + 4.0 * se
+    return Agreement(est.value, (mg,), se, bound, False, samples)

@@ -33,9 +33,11 @@ def test_stein_battery_passes(seed):
 
 
 def test_stein_row_verdict_follows_its_printed_numbers(monkeypatch):
-    # a report that calls itself ok does not pass a row whose observed value
-    # exceeds its threshold
-    monkeypatch.setattr(ou, "ergodic_check", lambda f, t, x: (1.0, 0.5, True))
+    # the row observes the agreement's diff against its tolerance: a diff
+    # of 1.0 over a tolerance of 0.5 fails the row
+    monkeypatch.setattr(ou, "ergodic_check",
+                        lambda f, t, x: ou.Agreement(1.5, (0.5,), 0.0, 0.5,
+                                                     True))
     rows = {r["check"]: r for r in checks.run_battery("stein", 0)}
     assert rows["ergodic_poly"] == {"check": "ergodic_poly", "passed": False,
                                     "observed": 1.0, "threshold": 0.5}

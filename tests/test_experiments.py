@@ -58,6 +58,16 @@ def test_sweeps_refuse_a_bad_size_before_any_work(monkeypatch):
     with pytest.raises(ValueError, match=">= 2"):
         xp.spin_glass_universality((4, 1), dists.uniform_symmetric(), 100,
                                    dists.RandomStream(1))
+    # a non-integral size is refused, not truncated to the set it builds
+    with pytest.raises(ValueError, match="n_list must be integers"):
+        xp.heavy_tail_growth([16.5, 256], 1000, dists.RandomStream(1))
+    with pytest.raises(ValueError, match="N_list must be integers"):
+        xp.spin_glass_universality([4.5], dists.uniform_symmetric(), 100,
+                                   dists.RandomStream(1))
+    for N, m in ((4.5, 2), (4, 2.5)):
+        with pytest.raises(ValueError, match=r"\(N, m\) must be integers"):
+            xp.tensor_universality(N, m, dists.rademacher(), 100,
+                                   dists.RandomStream(1))
 
 
 def test_sweeps_refuse_an_over_cap_size_before_any_estimate(monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -31,6 +32,24 @@ def test_polynomial_basics():
     assert p.partial(1, 2).terms == {}
     q = p + ou.Polynomial(2, {(0, 0): 1.0})
     assert q.terms == {(2, 1): 3.0}
+
+
+def test_polynomial_refuses_input_it_would_ignore():
+    with pytest.raises(ValueError, match="n must be an integer"):
+        ou.Polynomial(1.5)
+    with pytest.raises(ValueError, match="bad exponent"):
+        ou.Polynomial(1, {(1.5,): 1.0})
+    # an integral float exponent is that integer
+    assert ou.Polynomial(1, {(2.0,): 1.0}).terms == {(2,): 1.0}
+    for i in (-1, 2):
+        with pytest.raises(ValueError, match="coordinate index"):
+            ou.Polynomial.coordinate_power(2, i, 3)
+    p = ou.Polynomial(2, {(2, 1): 3.0})
+    assert p.partial(0, 0).terms == p.terms
+    with pytest.raises(ValueError, match="order must be >= 0"):
+        p.partial(0, -1)
+    with pytest.raises(ValueError, match="order must be >= 0"):
+        p.partial_rows(np.ones((3, 2)), 0, -2)
 
 
 def test_gaussian_means():
@@ -149,8 +168,8 @@ def test_poisson_identity_polynomial_exact():
         x = rng.standard_normal(3)
         rep = ou.poisson_identity_check(f, x)
         assert rep.exact and rep.ok
-        assert abs(rep.lhs - rep.rhs_generator_of_potential) <= 1e-10
-        assert abs(rep.lhs - rep.rhs_potential_of_generator) <= 1e-10
+        assert abs(rep.lhs - rep.rhs[0]) <= 1e-10
+        assert abs(rep.lhs - rep.rhs[1]) <= 1e-10
 
 
 def test_poisson_identity_softmax_mc():
@@ -207,25 +226,23 @@ def test_stein_refuses_bad_hypotheses():
     rep = ou.stein_representation_check(f, skewed, "third",
                                         stream=dists.RandomStream(10),
                                         replicates=500)
-    assert rep.replicates == 500
+    assert rep.samples == 500
 
 
 def test_semigroup_and_ergodic_checks():
     fp = ou.Polynomial(2, {(2, 1): 1.0, (0, 3): -0.2})
     x = np.array([0.5, 0.7])
-    lhs, rhs, tol, ok = ou.semigroup_check(fp, 0.3, 1.1, x)
-    assert ok and abs(lhs - rhs) <= 1e-10
-    dev, threshold, ok = ou.ergodic_check(fp, 2.5, x)
-    assert ok and dev <= threshold
+    rep = ou.semigroup_check(fp, 0.3, 1.1, x)
+    assert rep.ok and rep.diff <= 1e-10
+    rep = ou.ergodic_check(fp, 2.5, x)
+    assert rep.ok and rep.diff <= rep.tolerance
 
     T = isets.build_explicit(np.random.default_rng(11).standard_normal((5, 2)))
     fs = ou.SoftmaxFunction(T, 1.2)
-    lhs, rhs, tol, ok = ou.semigroup_check(fs, 0.4, 0.7, x, samples=4096,
-                                           stream=dists.RandomStream(12))
-    assert ok
-    dev, bound, ok = ou.ergodic_check(fs, 4.0, x, samples=4096,
-                                      stream=dists.RandomStream(13))
-    assert ok
+    assert ou.semigroup_check(fs, 0.4, 0.7, x, samples=4096,
+                              stream=dists.RandomStream(12)).ok
+    assert ou.ergodic_check(fs, 4.0, x, samples=4096,
+                            stream=dists.RandomStream(13)).ok
 
 
 def test_semigroup_check_refuses_negative_times():
@@ -314,11 +331,11 @@ def test_monte_carlo_paths_match_closed_forms(seed):
     for est, exact in pairs:
         assert est.method.startswith("mc") and est.std_error > 0
         assert abs(est.value - exact) <= 4.0 * est.std_error
-    nested, direct, tol, ok = ou.semigroup_check(f, 0.4, 0.9, X3,
-                                                 stream=stream)
+    rep = ou.semigroup_check(f, 0.4, 0.9, X3, stream=stream)
     exact = POLY3.ou_smoothed(1.3)(X3)
-    assert ok and tol > 1e-9
-    assert abs(nested - exact) <= tol and abs(direct - exact) <= tol
+    assert rep.ok and rep.tolerance > 1e-9
+    assert abs(rep.lhs - exact) <= rep.tolerance
+    assert abs(rep.rhs[0] - exact) <= rep.tolerance
 
 
 def test_ergodic_monte_carlo_bound_uses_the_radius():
@@ -328,11 +345,11 @@ def test_ergodic_monte_carlo_bound_uses_the_radius():
     cubic = ou.Polynomial.coordinate_power(1, 0, 3)
     x = np.array([5.0])
     closed = ou.ergodic_check(cubic, 0.5, x)
-    dev, bound, ok = ou.ergodic_check(MonteCarloOnly(cubic), 0.5, x,
-                                      stream=dists.RandomStream(4))
-    assert closed[2] and ok
-    assert abs(dev - closed[0]) <= 0.05 * closed[0]
-    assert bound >= math.exp(-0.5) * cubic.lipschitz_bound(6.0) * 6.0
+    mc = ou.ergodic_check(MonteCarloOnly(cubic), 0.5, x,
+                          stream=dists.RandomStream(4))
+    assert closed.ok and mc.ok
+    assert abs(mc.diff - closed.diff) <= 0.05 * closed.diff
+    assert mc.tolerance >= math.exp(-0.5) * cubic.lipschitz_bound(6.0) * 6.0
 
 
 class ZeroSamples:
@@ -399,3 +416,80 @@ def test_ou_apply_memory_is_bounded_by_one_block():
     # an unblocked (samples, n) Gaussian alone would take ~51 MB
     assert peak < 16 * 2 ** 20
     assert est.samples == 100_000
+
+
+@pytest.mark.parametrize("f", [ou.Polynomial(2, {(2, 0): 1.0, (0, 1): 1.0}),
+                               MonteCarloOnly(ou.Polynomial(
+                                   2, {(2, 0): 1.0, (0, 1): 1.0}))],
+                         ids=["closed-form", "monte-carlo"])
+def test_operators_refuse_a_point_they_would_not_read(f):
+    # a third coordinate would be ignored, a NaN or inf one would spread
+    calls = (
+        lambda x: ou.ou_apply(f, 0.5, x),
+        lambda x: ou.ou_potential(f, x),
+        lambda x: ou.potential_partial(f, x, 0, 1),
+        lambda x: ou.poisson_identity_check(f, x),
+        lambda x: ou.semigroup_check(f, 0.3, 0.5, x),
+        lambda x: ou.ergodic_check(f, 1.0, x),
+    )
+    for x in ([1.0, 2.0, 99.0], [1.0], [[1.0, 2.0]], [1.0, math.nan],
+              [math.inf, 2.0]):
+        for call in calls:
+            with pytest.raises(ValueError, match="finite vector of length 2"):
+                call(x)
+
+
+@pytest.mark.parametrize("f", [POLY3, MonteCarloOnly(POLY3)],
+                         ids=["closed-form", "monte-carlo"])
+def test_operators_refuse_a_nan_or_negative_time(f):
+    calls = (
+        lambda t: ou.ou_apply(f, t, X3),
+        lambda t: ou.semigroup_check(f, t, 0.5, X3),
+        lambda t: ou.semigroup_check(f, 0.5, t, X3),
+        lambda t: ou.ergodic_check(f, t, X3),
+        lambda t: POLY3.ou_smoothed(t),
+    )
+    for t in (math.nan, -0.5):
+        for call in calls:
+            with pytest.raises(ValueError, match="t must be >= 0"):
+                call(t)
+
+
+# every OU/Stein check on POLY3 at X3, with SAMPLES Monte-Carlo samples; a
+# Stein check enumerates Rademacher signs for the closed form and draws a
+# uniform law for the Monte-Carlo one
+SAMPLES = 2048
+CHECKS = {
+    "poisson": lambda f, stream: ou.poisson_identity_check(
+        f, X3, SAMPLES, stream),
+    "stein": lambda f, stream: ou.stein_representation_check(
+        f, dists.rademacher() if isinstance(f, ou.Polynomial)
+        else dists.uniform_symmetric(), "fourth", stream, SAMPLES),
+    "semigroup": lambda f, stream: ou.semigroup_check(
+        f, 0.4, 0.9, X3, SAMPLES, stream),
+    "ergodic": lambda f, stream: ou.ergodic_check(f, 1.0, X3, SAMPLES, stream),
+}
+
+
+@pytest.mark.parametrize("form", ["closed-form", "monte-carlo"])
+@pytest.mark.parametrize("check", sorted(CHECKS))
+def test_every_check_returns_one_agreement(check, form):
+    closed = form == "closed-form"
+    f = POLY3 if closed else MonteCarloOnly(POLY3)
+    rep = CHECKS[check](f, dists.RandomStream(18))
+    assert isinstance(rep, ou.Agreement)
+    assert rep.exact == closed
+    assert rep.diff == max(abs(rep.lhs - r) for r in rep.rhs)
+    assert rep.ok and rep.ok == (rep.diff <= rep.tolerance)
+    # a polynomial Poisson check also computes -PP L f
+    assert len(rep.rhs) == (2 if check == "poisson" and closed else 1)
+    if check == "stein":
+        assert rep.samples == (2 ** X3.size if closed else SAMPLES)
+    else:
+        assert rep.samples == (0 if closed else SAMPLES)
+    # a NaN on either side fails, however wide the tolerance
+    wide = dataclasses.replace(rep, tolerance=math.inf)
+    assert wide.ok
+    for bad in (dataclasses.replace(wide, lhs=math.nan),
+                dataclasses.replace(wide, rhs=rep.rhs[:-1] + (math.nan,))):
+        assert math.isnan(bad.diff) and not bad.ok
