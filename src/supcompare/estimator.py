@@ -4,8 +4,12 @@ laws xi, by Monte-Carlo or exact enumeration.
 Determinism contract: for a fixed (master seed, substream) the estimate is
 a pure function of the inputs.  Samples are drawn in fixed SAMPLE_BLOCK
 blocks, one substream per block index, so the draw for block b never
-depends on how many blocks run or in which order.  Every Monte-Carlo
-estimate of the package, the Ornstein-Uhlenbeck and Stein ones of
+depends on how many blocks run or in which order.  The control-variate
+fit of a sup estimate reads every block, so a block's adjusted values,
+unlike its draws, depend on the other blocks; the fit's sums are einsum
+and its solves elementwise, so no value depends on the BLAS thread
+count.  Every Monte-Carlo estimate of the package, the Ornstein-Uhlenbeck
+and Stein ones of
 ``ou_stein`` included, runs its blocks through the one driver ``_blocked``
 and reports its mean and standard error through ``mean_se``.  Every
 law-versus-Gaussian gap is ``_gap_fields``, one paired pass unless the
@@ -18,6 +22,17 @@ rng)`` (see ``index_sets``).  A new fast path is a declared field, plus a
 case in ``KERNEL_CASES`` (bitwise kernels) or ``CLOSED_FORM_CASES`` of
 tests/test_estimator.py, whose differential tests run every declared
 kernel against the matmul path on an untagged copy of the points.
+
+Control variates: each sup estimate subtracts a fitted multiple of its
+law's declared controls ``T.controls(T, X, law)``, statistics of the same
+draws with mean exactly zero (Glasserman, Monte Carlo Methods in
+Financial Engineering, 2003, sec. 4.1).  A paired gap subtracts both
+laws' controls.  Block b's coefficients are the least-squares fit on
+every other block, so they are independent of block b's draws and its
+adjusted mean stays unbiased; a pass of one block has nothing to fit on
+and stays plain.  A method that a control acted on ends in "-cv".  A new
+control is a declared field plus a row of ``CONTROL_CASES`` in
+tests/test_controls.py.
 """
 from __future__ import annotations
 
@@ -27,7 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import CoordinateDistribution, RandomStream, gaussian
-from .index_sets import POINT_CHUNK, SAMPLE_BLOCK, IndexSet, sign_patterns
+from .index_sets import (MAX_POINT_BYTES, POINT_CHUNK, SAMPLE_BLOCK,
+                         IndexSet, sign_patterns)
 from .softmax import _require_beta, _smoothed_max_rows
 
 MIN_REPLICATES = 100
@@ -69,7 +85,9 @@ def _blocked(stream: RandomStream, tag: str, replicates: int, draw,
     Block b takes its generator from substream (tag, b); draw returns
     SAMPLE_BLOCK rows, or a stack of such blocks; the last keeps m rows.
     reduce returns one value per row, or one row of columns per row; the
-    result stacks them, shape (replicates,) or (replicates, columns).
+    result stacks them, shape (replicates,) or (replicates, columns).  A
+    result over MAX_POINT_BYTES is refused after the first block, before
+    it is allocated.
     """
     if replicates < MIN_REPLICATES:
         raise ValueError(f"replicates must be >= {MIN_REPLICATES}")
@@ -79,9 +97,110 @@ def _blocked(stream: RandomStream, tag: str, replicates: int, draw,
         rng = stream.substream(tag, b).generator()
         vals = reduce(draw(rng)[..., :m, :])
         if out is None:
-            out = np.empty((replicates,) + np.shape(vals)[1:])
+            shape = (replicates,) + np.shape(vals)[1:]
+            nbytes = 8 * math.prod(shape)
+            if nbytes > MAX_POINT_BYTES:
+                raise ValueError(f"{replicates} replicates x "
+                                 f"{math.prod(shape[1:])} columns take "
+                                 f"{nbytes} bytes, over the budget of "
+                                 f"{MAX_POINT_BYTES}")
+            out = np.empty(shape)
         out[lo:lo + m] = vals
     return out
+
+
+def _solve(S: np.ndarray, s: np.ndarray, lost: np.ndarray) -> np.ndarray:
+    """beta[b] with S[b] beta[b] = s[b] for each b, by elimination in pivot
+    order on copies, elementwise over b.  A pivot at most lost[j] is
+    rounding: its control is constant over the fit rows, or a combination
+    of earlier ones, and gets beta[b, j] = 0."""
+    S, s = S.copy(), s.copy()
+    kept = np.empty(s.shape, dtype=bool)
+    for j in range(s.shape[1]):
+        kept[:, j] = S[:, j, j] > lost[j]
+        pivot = np.where(kept[:, j], S[:, j, j], 1.0)
+        f = np.where(kept[:, j, None], S[:, j + 1:, j] / pivot[:, None], 0.0)
+        S[:, j + 1:] -= f[:, :, None] * S[:, j, None, :]
+        s[:, j + 1:] -= f * s[:, j, None]
+    beta = np.zeros(s.shape)
+    for j in reversed(range(s.shape[1])):
+        pivot = np.where(kept[:, j], S[:, j, j], 1.0)
+        r = s[:, j] - (S[:, j, j + 1:] * beta[:, j + 1:]).sum(axis=1)
+        beta[:, j] = np.where(kept[:, j], r / pivot, 0.0)
+    return beta
+
+
+def _block_sums(Z: np.ndarray, k: int) -> tuple:
+    """Row counts, column sums and sums of products of the first k columns
+    with every column, of the SAMPLE_BLOCK-wide blocks of the columns of
+    Z, one variable per row (the last block may be short): shapes (B,),
+    (B, p) and (B, k, p)."""
+    full = Z.shape[1] - Z.shape[1] % SAMPLE_BLOCK
+    parts = [Z[:, :full].reshape(len(Z), -1, SAMPLE_BLOCK)]
+    if full < Z.shape[1]:
+        parts.append(Z[:, None, full:])
+    counts, sums, grams = [], [], []
+    for P in parts:
+        counts.append(np.full(P.shape[1], float(P.shape[2])))
+        sums.append(P.sum(axis=2).T)
+        grams.append(np.einsum("ibr,jbr->bij", P[:k], P))
+    return tuple(map(np.concatenate, (counts, sums, grams)))
+
+
+def _adjusted(values: list, C: np.ndarray, fits: list) -> list:
+    """values[t] - C[:, fits[t]] beta on each SAMPLE_BLOCK-row block b,
+    beta the coefficients of those controls in the least-squares fit of
+    values[t] on them and a constant over every other block.  One set of
+    sums serves every fit: each block's, einsum, not BLAS, and each fit's
+    the whole pass's less block b's, centred by their means.  A pivot at
+    most (rows + k) eps times its control's raw second moment over the
+    pass, which bounds the rounding of every sum it took, is rounding."""
+    k = C.shape[1]
+    Z = np.array([*C.T, *values])
+    n, sums, grams = _block_sums(Z, k)
+    rest = n.sum() - n
+    s = sums.sum(axis=0) - sums
+    S = (grams.sum(axis=0) - grams
+         - np.einsum("bi,bj->bij", s[:, :k], s) / rest[:, None, None])
+    raw = np.diag(grams.sum(axis=0)[:, :k])
+    lost = (n.sum() + k) * np.finfo(np.float64).eps * raw
+    out = []
+    for t, cols in enumerate(fits):
+        cols = slice(*cols.indices(k))  # of C's columns, not of the sums'
+        beta = _solve(S[:, cols, cols], S[:, cols, k + t], lost[cols])
+        out.append(values[t] - np.einsum(
+            "ir,ir->r", Z[cols], np.repeat(beta.T, n.astype(int), axis=1)))
+    return out
+
+
+def _estimates(values: list, C: np.ndarray, fits: list, methods: list,
+               seed: int) -> tuple:
+    """An estimate from each array of per-replicate values values[t],
+    adjusted by its controls C[:, fits[t]] when there are any and two or
+    more blocks, its method methods[t] then ending in "-cv"."""
+    acted = [C[:, cols].shape[1] > 0 and C.shape[0] > SAMPLE_BLOCK
+             for cols in fits]
+    if any(acted):
+        values = [a if act else v for v, a, act
+                  in zip(values, _adjusted(values, C, fits), acted)]
+    return tuple(SupremumEstimate.from_samples(v, m + "-cv" * act, seed)
+                 for v, m, act in zip(values, methods, acted))
+
+
+def _sup_pass(T: IndexSet, laws: tuple, tag: str, replicates: int,
+              stream: RandomStream) -> tuple:
+    """One pass of blocks that the set's sampler draws for the laws: per
+    replicate each law's sup, then each law's own control columns, side
+    by side; and the number of control columns of each law."""
+    widths = [T.controls(T, np.empty((0, T.dim)), law).shape[1]
+              for law in laws]
+
+    def reduce(X):
+        return np.concatenate([T.sup(T, x)[:, None] for x in X]
+                              + [T.controls(T, x, law) for x, law, k
+                                 in zip(X, laws, widths) if k], axis=1)
+    return _blocked(stream, tag, replicates,
+                    lambda rng: T.draw(T, laws, rng), reduce), widths
 
 
 def estimate_complexity(T: IndexSet, dist: CoordinateDistribution,
@@ -89,10 +208,9 @@ def estimate_complexity(T: IndexSet, dist: CoordinateDistribution,
                         stream: RandomStream) -> SupremumEstimate:
     """Monte-Carlo E sup_t <xi, t> with fixed 1024-replicate blocks, each
     drawn by the set's own sampler."""
-    sups = _blocked(stream, "complexity-block", replicates,
-                    lambda rng: T.draw(T, (dist,), rng),
-                    lambda X: T.sup(T, X[0]))
-    return SupremumEstimate.from_samples(sups, "mc", stream.master_seed)
+    vals, _ = _sup_pass(T, (dist,), "complexity-block", replicates, stream)
+    return _estimates([vals[:, 0]], vals[:, 1:], [slice(None)], ["mc"],
+                      stream.master_seed)[0]
 
 
 def paired_gap_estimate(T: IndexSet, dist: CoordinateDistribution,
@@ -100,13 +218,13 @@ def paired_gap_estimate(T: IndexSet, dist: CoordinateDistribution,
     """(xi, gaussian, gap): E sup <xi, t>, E sup <g, t> and the signed gap,
     from one pass of blocks that the set's own sampler draws for both laws
     with common random numbers; the gap's standard error is that of the
-    per-replicate difference, which strips the variation the two share."""
-    sups = _blocked(stream, "paired-block", replicates,
-                    lambda rng: T.draw(T, (dist, gaussian()), rng),
-                    lambda X: np.array([T.sup(T, x) for x in X]).T)
-    return tuple(SupremumEstimate.from_samples(v, method, stream.master_seed)
-                 for v, method in ((sups[:, 0], "mc"), (sups[:, 1], "mc"),
-                                   (sups[:, 0] - sups[:, 1], "mc-paired")))
+    per-replicate difference, which strips the variation the two share.
+    Each sup is adjusted by its own law's controls, the gap by both."""
+    vals, (k, _) = _sup_pass(T, (dist, gaussian()), "paired-block",
+                             replicates, stream)
+    return _estimates([vals[:, 0], vals[:, 1], vals[:, 0] - vals[:, 1]],
+                      vals[:, 2:], [slice(0, k), slice(k, None), slice(None)],
+                      ["mc", "mc", "mc-paired"], stream.master_seed)
 
 
 def exact_rademacher_complexity(T: IndexSet) -> SupremumEstimate:

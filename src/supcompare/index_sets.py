@@ -10,10 +10,11 @@ SAMPLE_BLOCK-row block of draws within the MAX_POINT_BYTES budget.
 Duplicate rows are retained: the declared cardinality enters
 log-cardinality bounds, and deduplication is the caller's choice.
 
-Every set carries two kernels and a sampler as fields.  ``sup(T, X)`` is
-the max over rows t of <x, t> for each row x of X; ``logz(T, X, beta)`` is
-the pair (sup, log sum_t exp(beta <x, t>)) per row, the one entry through
-which ``softmax`` evaluates every smoothed maximum beta F_beta.  Their
+Every set carries two kernels, a sampler and its controls as fields.
+``sup(T, X)`` is the max over rows t of <x, t> for each row x of X;
+``logz(T, X, beta)`` is the pair (sup, log sum_t exp(beta <x, t>)) per
+row, the one entry through which ``softmax`` evaluates every smoothed
+maximum beta F_beta.  Their
 defaults are the generic kernels, ``_chunked_sup`` and ``_chunked_logz``
 over every declared row of ``T.points`` in POINT_CHUNK chunks, and over
 row tiles of X of TILE_BYTES of products each, which run on a pool of
@@ -33,6 +34,16 @@ and is freed with its last reference.
 The canonical basis's sup is the max of the coordinates, so its blocks
 are one column of order-statistic maxima (``_draw_maxima``), which its
 sup passes through: no 1024 x n block.
+
+``controls(T, X, law)`` is an (m, k) block of statistics of the rows of
+a block X drawn from ``law``, each of mean exactly zero under it, which
+the estimator regresses the sups on (control variates).  The default is
+the radial control sum_i x_i^2 - dim E xi^2, declared only for a law
+whose x^2 is not constant (E xi^4 > (E xi^2)^2); a two-spin set on three
+or more spins adds the triangle sum sum_{i<j<k} x_ij x_jk x_ik, and a
+diagonal cube with fixed signs the linear part of its sup, sum_{fixed}
+d_i x_i.  The canonical basis declares none: its blocks hold maxima, not
+coordinates.
 """
 from __future__ import annotations
 
@@ -84,6 +95,27 @@ def _draw_blocks(T: IndexSet, laws: tuple, rng) -> np.ndarray:
     return np.array([law.ppf(U) for law in laws])
 
 
+def _columns(X: np.ndarray, cols: list) -> np.ndarray:
+    """The per-row statistics cols of a block X as an (m, len(cols)) block."""
+    return np.array(cols).T if cols else np.empty((X.shape[0], 0))
+
+
+def _radial(X: np.ndarray, law) -> list:
+    """[sum_i x_i^2 - dim E xi^2], of mean zero, or [] for a law whose x^2
+    is constant, where the control would be identically zero."""
+    if law.fourth > law.variance ** 2:
+        return [np.einsum("ij,ij->i", X, X) - X.shape[1] * law.variance]
+    return []
+
+
+def _radial_controls(T: IndexSet, X: np.ndarray, law) -> np.ndarray:
+    return _columns(X, _radial(X, law))
+
+
+def _no_controls(T: IndexSet, X: np.ndarray, law) -> np.ndarray:
+    return _columns(X, [])
+
+
 @dataclass(frozen=True, eq=False)
 class IndexSet:
     """A finite set of points in R^n, one point per row of ``points``.
@@ -91,10 +123,11 @@ class IndexSet:
     ``cardinality`` and ``dim`` are the declared shape; ``build`` returns
     the point matrix, and ``points`` calls it once, on first read.
     ``kind`` labels the construction; ``explicit`` means no structure is
-    assumed.  ``sup``, ``logz`` and ``draw`` are the kernels and sampler of
-    the module docstring, each given the set first and overridable by a
-    constructor.  ``distinct`` is true when the construction guarantees
-    distinct rows, so ``dedupe`` has nothing to remove.
+    assumed.  ``sup``, ``logz``, ``draw`` and ``controls`` are the kernels,
+    sampler and control variates of the module docstring, each given the
+    set first and overridable by a constructor.  ``distinct`` is true when
+    the construction guarantees distinct rows, so ``dedupe`` has nothing
+    to remove.
     """
 
     cardinality: int
@@ -108,6 +141,8 @@ class IndexSet:
         repr=False)
     draw: Callable[["IndexSet", tuple, np.random.Generator],
                    np.ndarray] = field(default=_draw_blocks, repr=False)
+    controls: Callable[["IndexSet", np.ndarray, object], np.ndarray] = field(
+        default=_radial_controls, repr=False)
     distinct: bool = False
 
     @cached_property
@@ -158,7 +193,7 @@ def _declare(cardinality: int, dim: int, build, kind: str,
              distinct: bool = False, **kernels) -> IndexSet:
     """The one constructor: caps are checked on the declared shape, and
     the points are left to the first read.  ``kernels`` overrides the
-    ``sup``, ``logz`` and ``draw`` defaults."""
+    ``sup``, ``logz``, ``draw`` and ``controls`` defaults."""
     _check_shape(cardinality, dim, built=False)
     return IndexSet(cardinality, dim, build, kind, distinct=distinct,
                     **kernels)
@@ -315,7 +350,7 @@ def make_basis_family(n: int, mode: str = "canonical",
         # one column of maxima; the sup's max over it passes it through
         return _declare(n, n, lambda: np.eye(n), "basis-canonical",
                         distinct=True, sup=lambda T, X: X.max(axis=1),
-                        draw=_draw_maxima)
+                        draw=_draw_maxima, controls=_no_controls)
     if mode == "signed":
         def signed():
             eye = np.eye(n)
@@ -398,8 +433,14 @@ def make_diagonal_cube(diag, k: int | None = None) -> IndexSet:
         free = (y + np.log1p(np.exp(-2.0 * y))).sum(axis=1)
         return sup(T, X), free - np.einsum("ij,j->i", X[:, :lo],
                                            beta * d[:lo])
+
+    def controls(T, X, law):
+        # the radial control and the linear part of the sup, of mean zero
+        linear = [np.einsum("ij,j->i", X[:, :lo], d[:lo])] if lo else []
+        return _columns(X, _radial(X, law) + linear)
     return _declare(count, n, lambda: sign_patterns(n, count) * d[None, :],
-                    "diagonal-cube", distinct=True, sup=sup, logz=logz)
+                    "diagonal-cube", distinct=True, sup=sup, logz=logz,
+                    controls=controls)
 
 
 def make_spin_quadratic(N: int, normalized: bool = False) -> IndexSet:
@@ -443,10 +484,38 @@ def make_spin_tensor(N: int, m: int, normalized: bool = False) -> IndexSet:
 
     kind = "spin-quadratic" if m == 2 else "spin-tensor"
     if m % 2 == 0:
+        controls = _triangle_controls(N) if m == 2 else _radial_controls
         return _declare(card, dim, build, kind, sup=_half_orbit_sup,
-                        logz=_half_orbit_logz)
+                        logz=_half_orbit_logz, controls=controls)
     # for odd m < N distinct sigma give distinct rows; m = N gives two rows
     return _declare(card, dim, build, kind, distinct=m < N)
+
+
+def _triangle_controls(N: int):
+    """The controls of a two-spin set on N spins: the radial one and the
+    triangle sum sum_{i<j<k} x_ij x_jk x_ik, of mean zero for any
+    independent mean-zero coordinates.  U[i, j] holds x_ij (i < j) of every
+    row, rows innermost, gathered from the transposed block padded by a
+    zero row (pairs in the points' lexicographic order; the index is built
+    here, once per set).  The sum is one einsum per middle spin, with no
+    BLAS call, so it does not depend on the BLAS thread count.  Two spins
+    have no triangle: the radial control alone."""
+    if N < 3:
+        return _radial_controls
+    i, j = np.triu_indices(N, 1)
+    gather = np.full(N * N, i.size)
+    gather[i * N + j] = np.arange(i.size)
+
+    def controls(T, X, law):
+        rows = X.shape[0]
+        U = np.concatenate([X.T, np.zeros((1, rows))])[gather]
+        U = U.reshape(N, N, rows)
+        triangles = np.zeros(rows)
+        for mid in range(1, N - 1):
+            triangles += np.einsum("ir,kr,ikr->r", U[:mid, mid],
+                                   U[mid, mid + 1:], U[:mid, mid + 1:])
+        return _columns(X, _radial(X, law) + [triangles])
+    return controls
 
 
 def _half_orbit_sup(T: IndexSet, X: np.ndarray) -> np.ndarray:

@@ -1,0 +1,238 @@
+"""Control variates: every declared control has mean zero, the fitted
+adjustment keeps its estimates honest, and the per-replicate table stays
+inside the byte budget.
+
+Each set kind declares its controls as a field, ``T.controls(T, X, law)``;
+``estimator`` subtracts a multiple of them fitted on the other blocks.
+A new control is one declared field plus one row of CONTROL_CASES.
+"""
+import contextlib
+import dataclasses
+import hashlib
+import io
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from supcompare import cli
+from supcompare import distributions as dists
+from supcompare import estimator as est
+from supcompare import index_sets as isets
+from test_estimator import _cube_diag, families
+
+# one case per kind of set whose constructor declares its controls: small
+# sets of that kind (dimension <= 21, so a law of two values enumerates)
+# and the number of controls a law of non-constant x^2 gets on each
+CONTROL_CASES = {
+    "basis-canonical": (lambda: [isets.make_basis_family(5)], 0),
+    "diagonal-cube": (lambda: [isets.make_diagonal_cube(_cube_diag(7), k)
+                               for k in (0, 3)], 2),
+    "spin-quadratic": (lambda: [isets.make_spin_quadratic(N)
+                                for N in (3, 5, 7)], 2),
+}
+
+# a law of each kind in distributions.LAWS, parameters filled in
+LAWS = [dists.from_name(kind + ("2.5" if kind.endswith(":") else ""))
+        for kind in dists.LAWS]
+
+
+def _sets():
+    """Every CONTROL_CASES set, and one of the default (radial) kind."""
+    return ([T for build, _ in CONTROL_CASES.values() for T in build()]
+            + [isets.build_explicit(np.random.default_rng(3)
+                                    .standard_normal((9, 4)))])
+
+
+def test_every_control_kernel_has_a_case(tmp_path):
+    declared = {T.kind for T in families(tmp_path)
+                if T.controls is not isets.IndexSet.controls}
+    assert set(CONTROL_CASES) == declared
+
+
+@pytest.mark.parametrize("kind", sorted(CONTROL_CASES))
+def test_declared_control_counts(kind):
+    build, k = CONTROL_CASES[kind]
+    for T in build():
+        assert T.kind == kind
+        X = np.ones((3, T.dim))
+        assert T.controls(T, X, dists.gaussian()).shape == (3, k)
+        # a Rademacher x^2 is constant: the radial control is not declared
+        assert T.controls(T, X, dists.rademacher()).shape == (3, max(k - 1, 0))
+
+
+def _enumerated_means(T, values, probs):
+    """E controls(T, x, law) exactly, x over all 2^dim points of a law of
+    two values with these probabilities, and E |controls| for scale; the
+    weights are divided by their rounded sum, and each sum is numpy's
+    pairwise one over a contiguous column."""
+    law = dists.two_point(values[1]) if values[0] != -1.0 else dists.rademacher()
+    total = 1 << T.dim
+    mean = scale = mass = 0.0
+    for lo in range(0, total, 1 << 16):
+        S = isets.sign_patterns(T.dim, min(1 << 16, total - lo), lo)
+        X = np.where(S < 0, values[0], values[1])
+        w = np.where(S < 0, probs[0], probs[1]).prod(axis=1)
+        C = T.controls(T, X, law)
+        mean = mean + np.array([(w * c).sum() for c in C.T])
+        scale = scale + np.array([(w * np.abs(c)).sum() for c in C.T])
+        mass += w.sum()
+    return mean / mass, scale / mass
+
+
+@pytest.mark.parametrize("kind", ["diagonal-cube", "spin-quadratic"])
+def test_controls_have_exact_mean_zero_by_enumeration(kind):
+    a = 2.0
+    p = 1.0 / (1.0 + a * a)
+    for T in CONTROL_CASES[kind][0]():
+        assert T.dim <= 21
+        # Rademacher: triangle sums are integers, so their mean is 0.0
+        mean, scale = _enumerated_means(T, (-1.0, 1.0), (0.5, 0.5))
+        assert mean.shape == (1,) and scale[0] > 0
+        if kind == "spin-quadratic":
+            assert mean[0] == 0.0
+        assert abs(mean[0]) <= 1e-15 * scale[0]
+        if T.dim > 15:
+            continue
+        # a skewed two-point law, radial control included
+        mean, scale = _enumerated_means(T, (-1.0 / a, a), (1.0 - p, p))
+        assert mean.shape == (2,) and np.all(scale > 0)
+        assert np.all(np.abs(mean) <= 1e-14 * scale)
+
+
+@pytest.mark.parametrize("law", LAWS, ids=lambda law: law.name)
+def test_controls_have_mean_zero_under_every_law(law):
+    rng = np.random.default_rng(len(law.name))
+    for T in _sets():
+        C = np.concatenate([T.controls(T, T.draw(T, (law,), rng)[0], law)
+                            for _ in range(20)])
+        for col in C.T:
+            assert col.std() > 0
+            z = col.mean() / (col.std(ddof=1) / math.sqrt(col.size))
+            assert abs(z) <= 5.0, (T.kind, law.name)
+
+
+def _coverage(T, law, exact, seeds=300):
+    """How many of ``seeds`` mc-cv estimates' 95 % intervals cover exact."""
+    hits = 0
+    for seed in range(seeds):
+        e = est.estimate_complexity(T, law, 2 * isets.SAMPLE_BLOCK,
+                                    dists.RandomStream(seed))
+        assert e.method == "mc-cv"
+        hits += e.ci_low <= exact <= e.ci_high
+    # 0.95 +- 4 binomial standard deviations
+    band = 4.0 * math.sqrt(seeds * 0.95 * 0.05)
+    assert abs(hits - 0.95 * seeds) <= band, hits
+
+
+def test_cv_interval_covers_an_enumerated_spin_value():
+    T = isets.make_spin_quadratic(7)
+    _coverage(T, dists.rademacher(), est.exact_rademacher_complexity(T).mean)
+
+
+def test_cv_interval_covers_a_gaussian_cube_value():
+    n, k = 8, 3
+    T = isets.make_diagonal_cube(_cube_diag(n), k)
+    exact = math.sqrt(2.0 / math.pi) * float(_cube_diag(n)[n - k:].sum())
+    _coverage(T, dists.gaussian(), exact)
+
+
+def test_controls_shrink_the_se_on_a_spin_set():
+    T = isets.make_spin_quadratic(10)
+    plain = dataclasses.replace(T, controls=isets._no_controls)
+    stream = dists.RandomStream(19).substream("shrink")
+    a = est.estimate_complexity(T, dists.gaussian(), 8192, stream)
+    b = est.estimate_complexity(plain, dists.gaussian(), 8192, stream)
+    assert (a.method, b.method) == ("mc-cv", "mc")
+    assert a.std_error < 0.8 * b.std_error
+    assert abs(a.mean - b.mean) <= 5.0 * b.std_error
+    a = est.paired_gap_estimate(T, dists.rademacher(), 8192, stream)[2]
+    b = est.paired_gap_estimate(plain, dists.rademacher(), 8192, stream)[2]
+    assert (a.method, b.method) == ("mc-paired-cv", "mc-paired")
+    assert a.std_error < 0.8 * b.std_error
+
+
+def test_one_block_or_no_control_stays_plain():
+    T = isets.make_spin_quadratic(6)
+    stream = dists.RandomStream(20)
+    one = est.estimate_complexity(T, dists.gaussian(), isets.SAMPLE_BLOCK,
+                                  stream)
+    assert one.method == "mc"
+    B = isets.make_basis_family(6)
+    xi, g, gap = est.paired_gap_estimate(B, dists.laplace(), 3000, stream)
+    assert (xi.method, g.method, gap.method) == ("mc", "mc", "mc-paired")
+
+
+def _adjusted(values, C):
+    """values adjusted by every control of C."""
+    return est._adjusted([values], C, [slice(None)])[0]
+
+
+def test_fit_drops_a_control_lost_in_rounding():
+    rng = np.random.default_rng(21)
+    values = rng.standard_normal(3000)
+    c = rng.standard_normal(3000)
+    # constant over every block: no coefficient, values unchanged
+    assert np.array_equal(_adjusted(values, np.full((3000, 1), 0.1)), values)
+    # a column that copies an earlier one up to an affine map adds nothing
+    one = _adjusted(values + c, c[:, None])
+    two = _adjusted(values + c, np.stack([c, 0.3 - 2.0 * c], axis=1))
+    np.testing.assert_allclose(two, one, rtol=0, atol=1e-12)
+    # a trailing block of one row fits nothing on its own
+    short = _adjusted(values[:1025], np.stack([c[:1025], c[:1025] ** 2],
+                                              axis=1))
+    assert np.all(np.isfinite(short))
+    assert np.array_equal(short[:1024], values[:1024])
+
+
+def test_replicate_table_over_the_budget_is_refused():
+    # 2^40 replicates of one column would take 8 TiB
+    blocks = []
+
+    def draw(rng):
+        blocks.append(1)
+        return rng.standard_normal((1, isets.SAMPLE_BLOCK, 4))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="over the budget"):
+            est._blocked(dists.RandomStream(1), "huge", 2 ** 40, draw,
+                         lambda X: X[0].max(axis=1))
+        with pytest.raises(ValueError, match=str(8 * 2 ** 40)):
+            est.estimate_complexity(isets.make_basis_family(4),
+                                    dists.gaussian(), 2 ** 40,
+                                    dists.RandomStream(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(blocks) == 1
+    assert peak < 2 ** 20
+
+
+def test_cli_refuses_a_replicate_table_over_the_budget(tmp_path, capsys):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["estimate", "set=basis:n=4", "distribution=gaussian",
+                         "replicates=1099511627776",
+                         f"output_dir={tmp_path}"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+# controlled estimates pinned to their bits: the fit's sums are einsum, its
+# solves elementwise and the triangle sums einsum, so the values must not
+# move with the BLAS thread count
+PINNED = ("5b36263f484decf335a2354c0243440c"
+          "09bc1883a12a916d6e2963d578fdc6ab")
+
+
+def test_controlled_estimates_do_not_depend_on_blas_threads():
+    stream = dists.RandomStream(22)
+    T = isets.make_spin_quadratic(9)
+    cube = isets.make_diagonal_cube(_cube_diag(9), 4)
+    ests = (est.paired_gap_estimate(T, dists.rademacher(), 3000, stream)
+            + est.paired_gap_estimate(cube, dists.uniform_symmetric(), 3000,
+                                      stream)
+            + (est.estimate_complexity(T, dists.gaussian(), 3000, stream),))
+    assert all(e.method.endswith("-cv") for e in ests)
+    text = ";".join(f"{e.mean!r},{e.std_error!r}" for e in ests)
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import tracemalloc
@@ -156,7 +157,7 @@ def test_every_kernel_has_exactly_one_case(tmp_path):
 
 def test_every_set_carries_callable_kernels(tmp_path):
     for T in families(tmp_path):
-        assert callable(T.sup) and callable(T.logz)
+        assert callable(T.sup) and callable(T.logz) and callable(T.controls)
 
 
 def test_no_estimate_reaches_unique(monkeypatch):
@@ -230,7 +231,9 @@ def test_fast_paths_match_generic_bitwise():
     for kind in KERNEL_CASES:
         T = KERNEL_CASES[kind][0](7)
         assert T.kind == kind
-        G = isets.build_explicit(T.points)  # same points, no structure tag
+        # same points and controls, no structure tag
+        G = dataclasses.replace(isets.build_explicit(T.points),
+                                controls=T.controls)
         X = np.random.default_rng(3).standard_normal((300, T.dim))
         assert np.array_equal(T.sup(T, X), G.sup(G, X))
         a = est.estimate_complexity(T, dists.uniform_symmetric(), 2000, stream)
@@ -275,7 +278,8 @@ def test_exact_rademacher_over_chunks_matches_matmul_path(kind):
 def test_closed_form_kernels_match_matmul_path(kind, n, k):
     T = CLOSED_FORM_CASES[kind][0](n, k)
     assert T.kind == kind
-    G = isets.build_explicit(T.points)
+    G = dataclasses.replace(isets.build_explicit(T.points),
+                            controls=T.controls)
     colmax = np.abs(T.points).max(axis=0)
     eps = np.finfo(np.float64).eps
     rng = np.random.default_rng(n + k)
@@ -541,15 +545,21 @@ def test_paired_pass_columns_match_their_own_estimates(name, monkeypatch):
     monkeypatch.setattr(est, "_blocked", keep)
     xi, g, gap = est.paired_gap_estimate(T, law, 20000,
                                          stream.substream("pair"))
-    (sups,) = stacks
-    assert sups.shape == (20000, 2)
+    (table,) = stacks
+    # each law's sup, then each law's controls: both laws declare k
+    k = T.controls(T, np.zeros((1, T.dim)), law).shape[1]
+    assert k >= 1 and table.shape == (20000, 2 + 2 * k)
+    sups, Cx, Cg = table[:, :2], table[:, 2:2 + k], table[:, 2 + k:]
     for paired, alone in ((xi, law), (g, dists.gaussian())):
         e = est.estimate_complexity(T, alone, 20000, stream.substream(name))
         z = (paired.mean - e.mean) / math.hypot(paired.std_error, e.std_error)
         assert abs(z) <= 5.0
-    assert (gap.mean, gap.std_error) == est.mean_se(sups[:, 0] - sups[:, 1])
-    assert (xi.mean, xi.std_error) == est.mean_se(sups[:, 0])
-    assert (g.mean, g.std_error) == est.mean_se(sups[:, 1])
+    assert (xi.method, g.method, gap.method) == ("mc-cv", "mc-cv",
+                                                 "mc-paired-cv")
+    for e, values, C in ((xi, sups[:, 0], Cx), (g, sups[:, 1], Cg),
+                         (gap, sups[:, 0] - sups[:, 1], table[:, 2:])):
+        (adjusted,) = est._adjusted([values], C, [slice(None)])
+        assert (e.mean, e.std_error) == est.mean_se(adjusted)
     if name == "spin-quadratic":
         # the pairing strips the variation the two sups share
         assert gap.std_error < math.hypot(xi.std_error, g.std_error)
