@@ -187,9 +187,9 @@ def sudakov_check(T: IndexSet, replicates: int = 0,
 
     Small hypothesis_ratio is the regime where conclusion_ratio is bounded
     below.  Distances are over distinct points; |T| > 4096 is refused
-    (exact pairwise distances only).  r(T) is ``complexity``: enumerated
-    exactly when dim <= MAX_ENUM_DIM, else estimated with `replicates`
-    draws on `stream` (by default the DEFAULT_SEED stream).
+    (exact pairwise distances only).  r(T) is ``complexity`` on T itself,
+    kernels and controls included: enumerated when dim <= MAX_ENUM_DIM,
+    else `replicates` draws on `stream` (by default the DEFAULT_SEED one).
     """
     D = dedupe(T)
     if D.cardinality < 2:
@@ -205,7 +205,7 @@ def sudakov_check(T: IndexSet, replicates: int = 0,
         raise ValueError("distinct points at zero distance; degenerate set")
     profile = geometric_profile(D)
     logc = math.log(D.cardinality)
-    r_est = complexity(D, rademacher(), replicates, stream)
+    r_est = complexity(T, rademacher(), replicates, stream)
     hyp = profile.rinf * profile.r2 * math.sqrt(logc) / a ** 2
     concl = r_est.mean / (a * math.sqrt(logc))
     return SudakovReport(D.cardinality, a, profile.rinf, hyp, concl, r_est)

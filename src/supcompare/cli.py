@@ -1,21 +1,13 @@
 """Command-line harness: flat key=value configs, deterministic CSV/JSON output.
 
-Subcommands:
-
-    estimate      expected supremum (optionally the smoothed value at beta)
-    bounds        gap vs every comparison bound for one (set, law) pair
-    sudakov       minoration hypothesis/conclusion ratios
-    laplace       heavy-tail growth sweep over basis sets
-    sk            two-spin universality sweep
-    tensor        order-m tensor universality at one (N, m)
-    phase-curves  bound curves over a u grid with crossover checks
-    verify        softmax | stein | gibbs identity batteries
-
+Each subcommand is one SUBCOMMANDS entry: the keys it reads and its
+handler, whose docstring says what it runs.
 Config keys are flat `key=value` tokens, each parsed and defaulted by KEYS;
 `--config FILE` loads the same syntax (CLI tokens override); a key given
 twice in one source, or one the subcommand does not read, is an error.
-Fixed-seed reruns write byte-identical CSV; JSON adds the wall time and
-the provenance (versions, kernel workers and tile bytes).
+Each assertion is a `checks._row` with its observed value and threshold.
+Fixed-seed reruns write byte-identical CSV; JSON adds the assertion rows,
+the wall time and the provenance (versions, kernel workers and tile bytes).
 """
 from __future__ import annotations
 
@@ -42,18 +34,6 @@ from .distributions import DEFAULT_SEED, SEED_LIMIT, RandomStream, from_name
 from .estimator import (BRACKET_TOL, MIN_REPLICATES, estimate_complexity,
                         softmax_complexity)
 
-# the keys each subcommand reads, "*" marking a required one; every
-# subcommand also reads COMMON_KEYS, and each that draws reads seed
-SUBCOMMAND_KEYS = {
-    "estimate": ("set*", "distribution", "replicates", "beta", "seed"),
-    "bounds": ("set*", "distribution", "replicates", "paired", "seed"),
-    "sudakov": ("set*", "replicates", "seed"),
-    "laplace": ("n_list", "replicates", "seed"),
-    "sk": ("N_list", "distribution", "replicates", "seed"),
-    "tensor": ("N*", "m*", "distribution", "replicates", "seed"),
-    "phase-curves": ("set*", "distribution", "u_grid"),
-    "verify": ("target*", "seed"),
-}
 COMMON_KEYS = ("subcommand", "output_dir", "format")
 
 
@@ -63,17 +43,170 @@ class ConfigError(ValueError):
 
 @dataclass
 class ResultRecord:
-    """Everything a run produced: tables, summary scalars, assertions."""
+    """Everything a run produced: tables, summary scalars, assertion rows."""
 
     config: dict
     tables: dict = field(default_factory=dict)
     summary: dict = field(default_factory=dict)
-    assertions: dict = field(default_factory=dict)
+    checks: list = field(default_factory=list)
     elapsed_seconds: float = 0.0
 
     @property
     def ok(self) -> bool:
-        return all(self.assertions.values())
+        return all(row["passed"] for row in self.checks)
+
+    @property
+    def assertions(self) -> dict:
+        """{check: passed} over the rows, read-only.  It exists for
+        perfbench's worker, which reads this view until ROADMAP item 16."""
+        return {row["check"]: row["passed"] for row in self.checks}
+
+
+def _finite(name: str, values) -> dict:
+    """A row observing the largest |value| against the largest float."""
+    return checks._row(name, np.max(np.abs([0.0, *values])),
+                       np.finfo(float).max)
+
+
+def _estimate(config, stream, T, dist):
+    """Expected supremum, and the smoothed value at beta when given."""
+    beta = config.beta
+    if beta == "auto":
+        beta = bounds_mod.auto_beta(isets.geometric_profile(T),
+                                    T.log_cardinality, dist)
+    est = estimate_complexity(T, dist, config.replicates,
+                              stream.substream("plain"))
+    rows = [{"metric": "complexity", **dataclasses.asdict(est),
+             "beta": None, "offset": None}]
+    summary = {"mean": est.mean, "std_error": est.std_error}
+    found = [_finite("estimate_finite", [est.mean])]
+    if beta is not None:
+        soft, offset, slack = softmax_complexity(
+            T, dist, beta, config.replicates, stream.substream("soft"))
+        rows.append({"metric": "softmax", **dataclasses.asdict(soft),
+                     "beta": beta, "offset": offset})
+        summary.update(beta=beta, offset=offset, softmax_bracket_slack=slack)
+        found.append(checks._row("softmax_bracket", slack, -BRACKET_TOL,
+                                 lower=True))
+    return rows, summary, found
+
+
+def _bounds(config, stream, T, dist):
+    """Paired gap vs every comparison bound for one (set, law) pair."""
+    rep = bounds_mod.error_report(T, dist, config.replicates, stream)
+    row = {
+        "set": config.set, "distribution": rep.dist_name,
+        "u": rep.u, "gap": rep.gap, "gap_std_error": rep.gap_std_error,
+        "paired": rep.paired,
+    }
+    bounds = dataclasses.asdict(rep.bounds)
+    del bounds["u"]
+    for prefix, values in (("bound_", bounds), ("ratio_", rep.ratios),
+                           ("flag_", rep.flags)):
+        row.update({prefix + name: val for name, val in values.items()})
+    summary = {"gap": rep.gap, "gap_std_error": rep.gap_std_error,
+               **{f"ratio_{k}": v for k, v in rep.ratios.items()}}
+    return [row], summary, [_finite("ratios_finite", rep.ratios.values())]
+
+
+def _sudakov(config, stream, T, dist):
+    """Sudakov minoration hypothesis and conclusion ratios."""
+    row = dataclasses.asdict(bounds_mod.sudakov_check(T, config.replicates,
+                                                      stream))
+    est = row.pop("rademacher")
+    row.update(rademacher_mean=est["mean"], rademacher_se=est["std_error"],
+               method=est["method"])
+    summary = {k: row[k] for k in ("hypothesis_ratio", "conclusion_ratio")}
+    # the count of ratios outside the open interval (0, inf), NaN included
+    outside = sum(not 0.0 < r < math.inf for r in summary.values())
+    return [row], summary, [checks._row("ratios_positive", outside, 0)]
+
+
+def _laplace(config, stream, T, dist):
+    """Heavy-tail growth sweep of the Laplace gap over basis sets."""
+    res = experiments.heavy_tail_growth(config.n_list, config.replicates,
+                                        stream)
+    found = [checks._row("ratio_log_max_over_min_le_2",
+                         res.summary["ratio_log_max_over_min"], 2.0)]
+    rho = res.summary["ratio_log34_spearman"]
+    if rho is not None:  # None: under 3 sizes, no rank test was run
+        found.append(checks._row("ratio_log34_spearman_ge_0.8", rho, 0.8,
+                                 lower=True))
+    return res.rows, dict(res.summary), found
+
+
+def _sk(config, stream, T, dist):
+    """Two-spin universality sweep over N_list."""
+    res = experiments.spin_glass_universality(config.N_list, dist,
+                                              config.replicates, stream)
+    return res.rows, dict(res.summary), [checks._row(
+        "scaled_max_over_min_le_3", res.summary["scaled_max_over_min"], 3.0)]
+
+
+def _tensor(config, stream, T, dist):
+    """Order-m tensor universality at one (N, m)."""
+    res = experiments.tensor_universality(config.N, config.m, dist,
+                                          config.replicates, stream)
+    found = [_finite("gap_over_bound_finite", [res.summary["gap_over_bound"]])]
+    if "gauss_in_band" in res.summary:
+        # the distance of the Gaussian value outside the recorded band
+        g = res.rows[0]["gauss_mean"]
+        lo, hi = res.summary["gauss_band_low"], res.summary["gauss_band_high"]
+        found.append(checks._row("gauss_in_band",
+                                 np.max([lo - g, g - hi, 0.0]), 0.0))
+    return res.rows, dict(res.summary), found
+
+
+def _phase_curves(config, stream, T, dist):
+    """Law-free bound curves over a u grid, with crossover checks."""
+    profile = isets.geometric_profile(T)
+    u1, u2 = profile.u1, profile.u2
+    M = dist.bound if dist.bound is not None else 1.0
+    grid = config.u_grid
+    if grid is None:
+        lo = max(min(u1 / 4.0, 1.0), 1e-3)
+        hi = max(2.0 * u2, lo * 10.0)
+        grid = sorted(set(np.geomspace(lo, hi, 33)) | {u1, u2})
+    rows = bounds_mod.phase_curve_table(profile, grid, M)
+    b1, b2 = (bounds_mod.bound_profile(profile, u) for u in (u1, u2))
+    res1 = M * abs(b1.fourth_moment - b1.sup_norm)
+    res2 = abs(b2.trivial - b2.mixed)
+    scale1 = max(M * profile.rinf * max(u1, 1.0), 1.0)
+    scale2 = max(math.sqrt(max(u2, 1.0)) * max(profile.r2, 1.0), 1.0)
+    summary = {"u1": u1, "u2": u2,
+               "crossover1_residual": res1, "crossover2_residual": res2}
+    return rows, summary, [
+        checks._row("u1_le_u2", u1, u2 * (1 + 1e-12)),
+        checks._row("crossovers_exact",
+                    np.max([res1 / scale1, res2 / scale2]), 1e-12)]
+
+
+def _verify(config, stream, T, dist):
+    """One identity battery: softmax, stein or gibbs."""
+    rows = checks.run_battery(config.target, config.seed)
+    failed = sum(not r["passed"] for r in rows)
+    return rows, {"checks": len(rows), "failed": failed}, [
+        checks._row("all_checks_pass", failed, 0)]
+
+
+# each subcommand: the keys it reads, "*" marking a required one, and its
+# handler; every subcommand also reads COMMON_KEYS, and each that draws
+# reads seed.  A handler maps (config, stream, T, dist), the last three None
+# unless config reads seed, set and distribution, to its table rows, summary
+# and checks._row assertions; it looks library functions up at each call,
+# so that a wrapper set on their modules runs
+SUBCOMMANDS = {
+    "estimate": (("set*", "distribution", "replicates", "beta", "seed"),
+                 _estimate),
+    "bounds": (("set*", "distribution", "replicates", "paired", "seed"),
+               _bounds),
+    "sudakov": (("set*", "replicates", "seed"), _sudakov),
+    "laplace": (("n_list", "replicates", "seed"), _laplace),
+    "sk": (("N_list", "distribution", "replicates", "seed"), _sk),
+    "tensor": (("N*", "m*", "distribution", "replicates", "seed"), _tensor),
+    "phase-curves": (("set*", "distribution", "u_grid"), _phase_curves),
+    "verify": (("target*", "seed"), _verify),
+}
 
 
 def _parse_pairs(tokens) -> dict:
@@ -185,7 +318,7 @@ def _beta(value: str, key: str):
 # every config key: its parser and its default; a None default is unset
 # (beta, u_grid) or belongs to a key its subcommands require
 KEYS = {
-    "subcommand": (_one_of(*SUBCOMMAND_KEYS), None),
+    "subcommand": (_one_of(*SUBCOMMANDS), None),
     "target": (_one_of(*checks.TARGETS), None),
     "set": (_text, None),
     "distribution": (_law, "rademacher"),
@@ -224,7 +357,7 @@ def parse_config(tokens, file_text: str | None = None):
     pairs.update(_parse_pairs([f"{k}={v}" for k, v in zip(
         ("subcommand", "target"), bare)] + bare[2:] + tokens))
     sub = KEYS["subcommand"][0](pairs.get("subcommand"), "subcommand")
-    names = _checked(pairs, COMMON_KEYS + SUBCOMMAND_KEYS[sub],
+    names = _checked(pairs, COMMON_KEYS + SUBCOMMANDS[sub][0],
                      f"subcommand {sub!r}")
     values = {}
     for key in names:
@@ -296,16 +429,10 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _table_from_dicts(rows: list) -> tuple:
-    headers = list(rows[0].keys())
-    return headers, [[row[h] for h in headers] for row in rows]
-
-
 def run(config) -> ResultRecord:
-    """Execute one parse_config record; pure given it, up to wall-time
-    metadata.  The record is the JSON config echo."""
+    """Execute one parse_config record by its SUBCOMMANDS handler; pure
+    given it, up to wall-time metadata.  The record is the JSON config echo."""
     start = time.monotonic()
-    record = ResultRecord(config=config._asdict())
     sub = config.subcommand
     # the stream, the set and the law are built once, by the subcommands
     # that read them
@@ -314,127 +441,11 @@ def run(config) -> ResultRecord:
     T = parse_set(config.set) if "set" in config._fields else None
     dist = (from_name(config.distribution)
             if "distribution" in config._fields else None)
-
-    if sub == "estimate":
-        beta = config.beta
-        if beta == "auto":
-            beta = bounds_mod.auto_beta(isets.geometric_profile(T),
-                                        T.log_cardinality, dist)
-        est = estimate_complexity(T, dist, config.replicates,
-                                  stream.substream("plain"))
-        rows = [{"metric": "complexity", **dataclasses.asdict(est),
-                 "beta": None, "offset": None}]
-        record.summary = {"mean": est.mean, "std_error": est.std_error}
-        record.assertions["estimate_finite"] = math.isfinite(est.mean)
-        if beta is not None:
-            soft, offset, slack = softmax_complexity(
-                T, dist, beta, config.replicates, stream.substream("soft"))
-            rows.append({"metric": "softmax", **dataclasses.asdict(soft),
-                         "beta": beta, "offset": offset})
-            record.summary.update(beta=beta, offset=offset,
-                                  softmax_bracket_slack=slack)
-            record.assertions["softmax_bracket"] = slack >= -BRACKET_TOL
-        record.tables["main"] = _table_from_dicts(rows)
-
-    elif sub == "bounds":
-        rep = bounds_mod.error_report(T, dist, config.replicates, stream)
-        row = {
-            "set": config.set, "distribution": rep.dist_name,
-            "u": rep.u, "gap": rep.gap, "gap_std_error": rep.gap_std_error,
-            "paired": rep.paired,
-        }
-        for name, val in dataclasses.asdict(rep.bounds).items():
-            if name != "u":
-                row["bound_" + name] = val
-        for name, val in rep.ratios.items():
-            row["ratio_" + name] = val
-        for name, val in rep.flags.items():
-            row["flag_" + name] = val
-        record.tables["main"] = _table_from_dicts([row])
-        record.summary = {"gap": rep.gap, "gap_std_error": rep.gap_std_error,
-                          **{f"ratio_{k}": v for k, v in rep.ratios.items()}}
-        record.assertions["ratios_finite"] = all(
-            math.isfinite(v) for v in rep.ratios.values())
-
-    elif sub == "sudakov":
-        rep = bounds_mod.sudakov_check(T, config.replicates, stream)
-        row = {
-            "cardinality": rep.cardinality, "separation": rep.separation,
-            "sup_entry": rep.sup_entry,
-            "hypothesis_ratio": rep.hypothesis_ratio,
-            "conclusion_ratio": rep.conclusion_ratio,
-            "rademacher_mean": rep.rademacher.mean,
-            "rademacher_se": rep.rademacher.std_error,
-            "method": rep.rademacher.method,
-        }
-        record.tables["main"] = _table_from_dicts([row])
-        record.summary = {k: row[k] for k in
-                          ("hypothesis_ratio", "conclusion_ratio")}
-        record.assertions["ratios_positive"] = all(
-            0.0 < r < math.inf for r in (rep.hypothesis_ratio,
-                                         rep.conclusion_ratio))
-
-    elif sub == "laplace":
-        res = experiments.heavy_tail_growth(config.n_list, config.replicates,
-                                            stream)
-        record.tables["main"] = _table_from_dicts(res.rows)
-        record.summary = dict(res.summary)
-        record.assertions["ratio_log_max_over_min_le_2"] = (
-            res.summary["ratio_log_max_over_min"] <= 2.0)
-        rho = res.summary["ratio_log34_spearman"]
-        if rho is not None:  # None: under 3 sizes, no rank test was run
-            record.assertions["ratio_log34_spearman_ge_0.8"] = rho >= 0.8
-
-    elif sub == "sk":
-        res = experiments.spin_glass_universality(config.N_list, dist,
-                                                  config.replicates, stream)
-        record.tables["main"] = _table_from_dicts(res.rows)
-        record.summary = dict(res.summary)
-        record.assertions["scaled_max_over_min_le_3"] = (
-            res.summary["scaled_max_over_min"] <= 3.0)
-
-    elif sub == "tensor":
-        res = experiments.tensor_universality(config.N, config.m, dist,
-                                              config.replicates, stream)
-        record.tables["main"] = _table_from_dicts(res.rows)
-        record.summary = dict(res.summary)
-        record.assertions["gap_over_bound_finite"] = math.isfinite(
-            res.summary["gap_over_bound"])
-        if "gauss_in_band" in res.summary:
-            record.assertions["gauss_in_band"] = res.summary["gauss_in_band"]
-
-    elif sub == "phase-curves":
-        profile = isets.geometric_profile(T)
-        u1, u2 = profile.u1, profile.u2
-        M = dist.bound if dist.bound is not None else 1.0
-        grid = config.u_grid
-        if grid is None:
-            lo = max(min(u1 / 4.0, 1.0), 1e-3)
-            hi = max(2.0 * u2, lo * 10.0)
-            grid = sorted(set(np.geomspace(lo, hi, 33)) | {u1, u2})
-        rows = bounds_mod.phase_curve_table(profile, grid, M)
-        record.tables["main"] = _table_from_dicts(rows)
-        b1, b2 = (bounds_mod.bound_profile(profile, u) for u in (u1, u2))
-        res1 = M * abs(b1.fourth_moment - b1.sup_norm)
-        res2 = abs(b2.trivial - b2.mixed)
-        scale1 = max(M * profile.rinf * max(u1, 1.0), 1.0)
-        scale2 = max(math.sqrt(max(u2, 1.0)) * max(profile.r2, 1.0), 1.0)
-        record.summary = {"u1": u1, "u2": u2,
-                          "crossover1_residual": res1,
-                          "crossover2_residual": res2}
-        record.assertions["u1_le_u2"] = u1 <= u2 * (1 + 1e-12)
-        record.assertions["crossovers_exact"] = (
-            res1 <= 1e-12 * scale1 and res2 <= 1e-12 * scale2)
-
-    else:  # verify
-        rows = checks.run_battery(config.target, config.seed)
-        failed = sum(not r["passed"] for r in rows)
-        record.tables["main"] = _table_from_dicts(rows)
-        record.summary = {"checks": len(rows), "failed": failed}
-        record.assertions["all_checks_pass"] = failed == 0
-
-    record.elapsed_seconds = time.monotonic() - start
-    return record
+    rows, summary, found = SUBCOMMANDS[sub][1](config, stream, T, dist)
+    headers = list(rows[0])
+    table = (headers, [[row[h] for h in headers] for row in rows])
+    return ResultRecord(config._asdict(), {"main": table}, summary, found,
+                        time.monotonic() - start)
 
 
 # ---------------------------------------------------------------------------
@@ -465,14 +476,6 @@ def _json_value(value):
     return value
 
 
-def _provenance() -> dict:
-    """Exactly what a run's numbers depend on beyond its config: the Python
-    and numpy versions, and the generic kernels' worker count and tile
-    byte budget."""
-    return {"python": platform.python_version(), "numpy": np.__version__,
-            "workers": isets.WORKERS, "tile_bytes": isets.TILE_BYTES}
-
-
 def emit(record: ResultRecord, output_dir: str, fmt: str) -> list:
     """Write the record; returns written paths.  CSV is byte-deterministic,
     JSON additionally carries elapsed_seconds and the provenance, and
@@ -491,12 +494,15 @@ def emit(record: ResultRecord, output_dir: str, fmt: str) -> list:
     if fmt in ("json", "both"):
         doc = {
             "version": __version__,
-            "provenance": _provenance(),
+            # exactly what the numbers depend on beyond the config
+            "provenance": {"python": platform.python_version(),
+                           "numpy": np.__version__, "workers": isets.WORKERS,
+                           "tile_bytes": isets.TILE_BYTES},
             "config": record.config,
             "tables": {name: {"headers": h, "rows": r}
                        for name, (h, r) in record.tables.items()},
             "summary": record.summary,
-            "assertions": record.assertions,
+            "assertions": record.checks,
             "elapsed_seconds": record.elapsed_seconds,
         }
         path = os.path.join(output_dir, f"{stem}.json")
@@ -513,7 +519,7 @@ USAGE = (
     f"       supcompare verify {{{'|'.join(checks.TARGETS)}}} [key=value ...]\n"
     "\nkeys each subcommand reads (* required):\n"
     + "".join(f"  {sub:13s} {' '.join(keys)}\n"
-              for sub, keys in SUBCOMMAND_KEYS.items())
+              for sub, (keys, _) in SUBCOMMANDS.items())
     + "  every one     output_dir format={csv|json|both}\n"
     "\ndefaults (- for none):\n"
     + "".join(f"  {key:13s} {_fmt(default) or '-'}\n"
@@ -528,33 +534,27 @@ def main(argv=None) -> int:
     if not argv or argv[0] in ("-h", "--help"):
         print(USAGE)
         return 0 if argv else 1
-    file_text = None
-    if "--config" in argv:
-        idx = argv.index("--config")
-        try:
-            cfg_path = argv[idx + 1]
-        except IndexError:
-            print("error: --config needs a path", file=sys.stderr)
-            return 1
-        del argv[idx:idx + 2]
-        try:
-            with open(cfg_path, "r", encoding="utf-8") as fh:
-                file_text = fh.read()
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
     try:
+        file_text = None
+        if "--config" in argv:
+            idx = argv.index("--config")
+            if idx + 1 == len(argv):
+                raise ConfigError("--config needs a path")
+            with open(argv.pop(idx + 1), "r", encoding="utf-8") as fh:
+                file_text = fh.read()
+            del argv[idx]
         config = parse_config(argv, file_text)
         # an output_dir that cannot be made fails now, not after the run
         os.makedirs(config.output_dir, exist_ok=True)
         record = run(config)
         paths = emit(record, config.output_dir, config.format)
     except (ValueError, OSError) as exc:
-        # a ConfigError, a refused hypothesis or an unwritable output_dir
+        # a ConfigError, an unreadable config file, a refused hypothesis or
+        # an unwritable output_dir
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    for name, passed in record.assertions.items():
-        print(f"{'PASS' if passed else 'FAIL'} {name}")
+    for row in record.checks:
+        print(f"{'PASS' if row['passed'] else 'FAIL'} {row['check']}")
     for path in paths:
         print(f"wrote {path}")
     return 0 if record.ok else 2

@@ -6,6 +6,7 @@ import pytest
 from supcompare import bounds as bmod
 from supcompare import distributions as dists
 from supcompare import index_sets as isets
+from supcompare.estimator import MAX_ENUM_DIM, complexity
 
 E_MAX_8_NORMALS = 1.423600306045278  # quadrature oracle
 
@@ -162,3 +163,14 @@ def test_sudakov_dedupes_before_distances(monkeypatch):
     assert len(calls) == 1  # the deduped set is not deduped again
     assert rep.cardinality == 2
     assert rep.separation == pytest.approx(math.sqrt(2.0))
+
+
+def test_sudakov_estimates_on_the_set_itself():
+    # the deduped copy is an explicit set without the spin set's half-orbit
+    # kernel and triangle control; r(T) runs on T, with both
+    T = isets.make_spin_quadratic(8)
+    assert T.dim > MAX_ENUM_DIM
+    stream = dists.RandomStream(1)
+    rep = bmod.sudakov_check(T, 2048, stream)
+    assert rep.rademacher.method == "mc-cv"
+    assert rep.rademacher == complexity(T, dists.rademacher(), 2048, stream)

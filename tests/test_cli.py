@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -17,10 +18,10 @@ import numpy as np
 import pytest
 
 import supcompare
-from supcompare import cli, experiments
+from supcompare import bounds, checks, cli, experiments
 from supcompare.distributions import gaussian
 from supcompare import index_sets as isets
-from supcompare.estimator import MIN_REPLICATES
+from supcompare.estimator import BRACKET_TOL, MIN_REPLICATES
 
 
 def test_parse_config_defaults_and_overrides():
@@ -155,7 +156,7 @@ KEY_VALUES = {"set": "basis:n=2", "distribution": "gaussian",
 
 def test_each_subcommand_takes_exactly_its_keys():
     common = [k for k in cli.COMMON_KEYS if k != "subcommand"]
-    for sub, keys in cli.SUBCOMMAND_KEYS.items():
+    for sub, (keys, _) in cli.SUBCOMMANDS.items():
         names = [k.rstrip("*") for k in keys] + common
         required = [f"{k}={KEY_VALUES[k]}" for k in names if k + "*" in keys]
         cli.parse_config([sub] + [f"{k}={KEY_VALUES[k]}" for k in names])
@@ -361,6 +362,12 @@ def run_main(argv):
     return cli.main(argv)
 
 
+def assertion(doc, name):
+    """The one row named name of a JSON record's assertions."""
+    (row,) = [row for row in doc["assertions"] if row["check"] == name]
+    return row
+
+
 def test_estimate_run_and_outputs(tmp_path):
     out = tmp_path / "out"
     code = run_main(["estimate", "set=basis:n=5", "distribution=gaussian",
@@ -369,7 +376,8 @@ def test_estimate_run_and_outputs(tmp_path):
     assert code == 0
     doc = json.loads((out / "estimate.json").read_text())
     assert doc["config"]["seed"] == 3
-    assert doc["assertions"]["softmax_bracket"]
+    row = assertion(doc, "softmax_bracket")
+    assert row["passed"] is True and row["threshold"] == -BRACKET_TOL
     headers = doc["tables"]["main"]["headers"]
     rows = doc["tables"]["main"]["rows"]
     assert headers[0] == "metric"
@@ -417,7 +425,8 @@ def test_config_file_run(tmp_path):
                    f"output_dir={out}\n")
     assert run_main(["--config", str(cfg)]) == 0
     doc = json.loads((out / "sudakov.json").read_text())
-    assert doc["assertions"]["ratios_positive"]
+    row = assertion(doc, "ratios_positive")
+    assert row["passed"] is True and row["threshold"] == 0.0
 
 
 def test_failed_assertion_exits_2(tmp_path):
@@ -427,7 +436,8 @@ def test_failed_assertion_exits_2(tmp_path):
                      f"output_dir={out}"])
     assert code == 2
     doc = json.loads((out / "sk.json").read_text())
-    assert not doc["assertions"]["scaled_max_over_min_le_3"]
+    row = assertion(doc, "scaled_max_over_min_le_3")
+    assert row["passed"] is False and row["threshold"] == 3.0
 
 
 def test_softmax_bracket_violation_exits_2(tmp_path, monkeypatch, capsys):
@@ -444,7 +454,8 @@ def test_softmax_bracket_violation_exits_2(tmp_path, monkeypatch, capsys):
     assert code == 2
     assert "FAIL softmax_bracket" in capsys.readouterr().out
     doc = json.loads((out / "estimate.json").read_text())
-    assert not doc["assertions"]["softmax_bracket"]
+    row = assertion(doc, "softmax_bracket")
+    assert row["passed"] is False and row["threshold"] == -BRACKET_TOL
     # slack = log|T|/beta - 100 - max(F - sup), and 0 <= F - sup <= log|T|/beta
     slack = doc["summary"]["softmax_bracket_slack"]
     assert -100.0 <= slack <= math.log(4) - 100.0
@@ -547,7 +558,8 @@ def test_phase_curves_crossover_row(tmp_path):
                      f"output_dir={out}"])
     assert code == 0
     doc = json.loads((out / "phase-curves.json").read_text())
-    assert doc["assertions"]["crossovers_exact"]
+    row = assertion(doc, "crossovers_exact")
+    assert row["passed"] is True and row["threshold"] == 1e-12
     assert doc["summary"]["u1"] == pytest.approx(3.3807289932289937)
     assert doc["summary"]["u2"] == pytest.approx(6.663994608237443)
 
@@ -591,9 +603,9 @@ SMALL_RUNS = {
 
 
 def test_json_config_is_the_parsed_record(tmp_path):
-    assert {argv[0] for argv in SMALL_RUNS.values()} == set(cli.SUBCOMMAND_KEYS)
+    assert {argv[0] for argv in SMALL_RUNS.values()} == set(cli.SUBCOMMANDS)
     for stem, argv in SMALL_RUNS.items():
-        keys = cli.SUBCOMMAND_KEYS[argv[0]]
+        keys = cli.SUBCOMMANDS[argv[0]][0]
         argv = argv + (["seed=4"] if "seed" in keys else []) + [
             f"output_dir={tmp_path / stem}", "format=json"]
         cfg = cli.parse_config(argv)
@@ -604,6 +616,178 @@ def test_json_config_is_the_parsed_record(tmp_path):
     assert config["target"] == "gibbs"
     assert json.loads((tmp_path / "bounds" / "bounds.json").read_text())[
         "config"]["paired"] is True
+
+
+# the CLI rows that pass at observed >= threshold; every other passes at <=
+LOWER_ROWS = {"softmax_bracket", "ratio_log34_spearman_ge_0.8"}
+
+
+def test_every_row_follows_its_printed_numbers(tmp_path, capsys):
+    # as for the verify rows: a reader can check each verdict from the
+    # observed value and the threshold the row prints
+    for stem, argv in SMALL_RUNS.items():
+        code = run_main(argv + [f"output_dir={tmp_path / stem}",
+                                "format=json"])
+        doc = strict_json(tmp_path / stem / f"{stem}.json")
+        assert doc["assertions"], stem
+        printed = [f"{'PASS' if row['passed'] else 'FAIL'} {row['check']}"
+                   for row in doc["assertions"]]
+        out = capsys.readouterr().out.splitlines()
+        verdicts = [ln for ln in out if ln.startswith(("PASS ", "FAIL "))]
+        assert verdicts == printed
+        assert code == (0 if all(row["passed"] for row in doc["assertions"])
+                        else 2)
+        for row in doc["assertions"]:
+            assert set(row) == {"check", "passed", "observed", "threshold"}
+            observed, threshold = row["observed"], row["threshold"]
+            assert None not in (observed, threshold), (stem, row)
+            assert row["passed"] is (
+                observed >= threshold if row["check"] in LOWER_ROWS
+                else observed <= threshold), (stem, row)
+
+
+def _returning(monkeypatch, owner, name, change):
+    """Set owner.name to the real function with change applied to its
+    result."""
+    real = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *a, **k: change(real(*a, **k)))
+
+
+def _with_summary(key, value):
+    def change(res):
+        return experiments.ExperimentResult(res.rows, {**res.summary,
+                                                       key: value})
+    return change
+
+
+def _with_gap_field(key, value):
+    return lambda fields: {**fields, key: value}
+
+
+def _battery(failed):
+    return lambda target, seed: [checks._row(f"row{i}", float(i < failed), 0.5)
+                                 for i in range(3)]
+
+
+FLOAT_MAX = np.finfo(float).max
+EDGES = (math.nan, math.inf, -math.inf, 0.0)
+
+# each CLI check: a small run, a patch of the library result it reads that
+# sets that result to a value, the values tried, and the expression the
+# check was before it became a row, on the run's summary
+CHECK_CASES = {
+    "estimate_finite": (
+        ["estimate", "set=basis:n=3", "replicates=100"],
+        lambda mp, v: _returning(mp, cli, "estimate_complexity",
+                                 lambda est: dataclasses.replace(est, mean=v)),
+        EDGES + (1.0, -FLOAT_MAX, FLOAT_MAX),
+        lambda s: math.isfinite(s["mean"])),
+    "softmax_bracket": (
+        ["estimate", "set=basis:n=3", "replicates=100", "beta=2"],
+        lambda mp, v: _returning(mp, cli, "softmax_complexity",
+                                 lambda res: (res[0], res[1], v)),
+        EDGES + (-BRACKET_TOL, np.nextafter(-BRACKET_TOL, -1.0), 1.0),
+        lambda s: s["softmax_bracket_slack"] >= -BRACKET_TOL),
+    "ratios_finite": (
+        ["bounds", "set=basis:n=3", "replicates=100"],
+        lambda mp, v: _returning(
+            mp, bounds, "error_report",
+            lambda rep: dataclasses.replace(rep, ratios={**rep.ratios,
+                                                         "trivial": v})),
+        EDGES + (1.0, -FLOAT_MAX),
+        lambda s: all(math.isfinite(v) for k, v in s.items()
+                      if k.startswith("ratio_"))),
+    "ratios_positive": (
+        ["sudakov", "set=basis:n=3"],
+        lambda mp, v: _returning(mp, bounds, "sudakov_check",
+                                 lambda rep: dataclasses.replace(
+                                     rep, hypothesis_ratio=v)),
+        EDGES + (5e-324, 1.0, -1.0, FLOAT_MAX),
+        lambda s: all(0.0 < r < math.inf for r in (s["hypothesis_ratio"],
+                                                   s["conclusion_ratio"]))),
+    "ratio_log_max_over_min_le_2": (
+        ["laplace", "n_list=4,8,16", "replicates=100"],
+        lambda mp, v: _returning(mp, experiments, "heavy_tail_growth",
+                                 _with_summary("ratio_log_max_over_min", v)),
+        EDGES + (2.0, np.nextafter(2.0, 3.0), 1.0),
+        lambda s: s["ratio_log_max_over_min"] <= 2.0),
+    "ratio_log34_spearman_ge_0.8": (
+        ["laplace", "n_list=4,8,16", "replicates=100"],
+        lambda mp, v: _returning(mp, experiments, "heavy_tail_growth",
+                                 _with_summary("ratio_log34_spearman", v)),
+        EDGES + (0.8, np.nextafter(0.8, 0.0), 1.0),
+        lambda s: s["ratio_log34_spearman"] >= 0.8),
+    "scaled_max_over_min_le_3": (
+        ["sk", "N_list=4", "replicates=100"],
+        lambda mp, v: _returning(mp, experiments, "spin_glass_universality",
+                                 _with_summary("scaled_max_over_min", v)),
+        EDGES + (3.0, np.nextafter(3.0, 4.0), 1.0),
+        lambda s: s["scaled_max_over_min"] <= 3.0),
+    "gap_over_bound_finite": (
+        ["tensor", "N=4", "m=3", "replicates=100"],
+        lambda mp, v: _returning(mp, experiments, "_gap_fields",
+                                 _with_gap_field("gap", v)),
+        EDGES + (1.0, -1.0),
+        lambda s: math.isfinite(s["gap_over_bound"])),
+    "gauss_in_band": (
+        ["tensor", "N=4", "m=2", "replicates=100"],
+        lambda mp, v: _returning(mp, experiments, "_gap_fields",
+                                 _with_gap_field("gauss_mean", v)),
+        EDGES + (0.2, np.nextafter(0.2, 0.0), 1.5, np.nextafter(1.5, 2.0),
+                 1.0),
+        lambda s: s["gauss_in_band"]),
+    "u1_le_u2": (
+        # a negative u1 is refused by bound_profile before any check
+        ["phase-curves", "set=basis:n=4", "u_grid=0.5,2"],
+        lambda mp, v: _returning(mp, isets, "geometric_profile",
+                                 lambda p: dataclasses.replace(p, u1=v)),
+        (math.nan, math.inf, 0.0, 0.5, 1 + 1e-12,
+         np.nextafter(1 + 1e-12, 2.0)),
+        lambda s: s["u1"] <= s["u2"] * (1 + 1e-12)),
+    "crossovers_exact": (
+        # both residual scales are 1 on basis:n=4 under a Rademacher law
+        ["phase-curves", "set=basis:n=4", "u_grid=0.5,2"],
+        lambda mp, v: _returning(mp, bounds, "bound_profile",
+                                 lambda b: dataclasses.replace(
+                                     b, fourth_moment=v, sup_norm=0.0)),
+        EDGES + (1e-12, -1e-12, np.nextafter(1e-12, 1.0)),
+        lambda s: (s["crossover1_residual"] <= 1e-12
+                   and s["crossover2_residual"] <= 1e-12)),
+    "all_checks_pass": (
+        ["verify", "gibbs"],
+        lambda mp, v: mp.setattr(checks, "run_battery", _battery(v)),
+        (0, 1, 3),
+        lambda s: s["failed"] == 0),
+}
+
+
+@pytest.mark.parametrize("name", CHECK_CASES)
+def test_each_check_fails_where_its_expression_failed(name, tmp_path,
+                                                      monkeypatch, capsys):
+    # NaN, infinities, zero and the values on each side of the threshold
+    # give each row the verdict its bare expression gave, and a failing row
+    # makes main print FAIL and exit 2
+    argv, patch, values, expression = CHECK_CASES[name]
+    real_run, records = cli.run, []
+    monkeypatch.setattr(cli, "run",
+                        lambda config: records.append(real_run(config))
+                        or records[-1])
+    verdicts = set()
+    for i, value in enumerate(values):
+        with monkeypatch.context() as mp:
+            patch(mp, value)
+            code = run_main(argv + [f"output_dir={tmp_path / str(i)}",
+                                    "format=json"])
+        out = capsys.readouterr().out.splitlines()
+        (row,) = [r for r in records[-1].checks if r["check"] == name]
+        passed = bool(expression(records[-1].summary))
+        assert row["passed"] is passed, value
+        verdicts.add(passed)
+        if passed:
+            assert f"PASS {name}" in out and code in (0, 2)
+        else:
+            assert f"FAIL {name}" in out and code == 2
+    assert verdicts == {True, False}
 
 
 def test_laplace_echoes_and_runs_the_default_sizes(tmp_path, monkeypatch):
@@ -638,7 +822,8 @@ def test_laplace_asserts_no_rank_test_it_did_not_run(tmp_path, capsys):
     assert "spearman" not in capsys.readouterr().out
     doc = strict_json(tmp_path / "laplace.json")
     assert doc["summary"]["ratio_log34_spearman"] is None
-    assert set(doc["assertions"]) == {"ratio_log_max_over_min_le_2"}
+    assert [row["check"] for row in doc["assertions"]] == [
+        "ratio_log_max_over_min_le_2"]
 
 
 def test_bad_sweep_size_is_a_config_error(tmp_path, monkeypatch, capsys):
@@ -684,7 +869,9 @@ def test_json_writes_a_non_finite_value_as_null(tmp_path, monkeypatch):
                      "format=json", f"output_dir={tmp_path}"]) == 2
     doc = strict_json(tmp_path / "laplace.json")
     assert doc["summary"]["ratio_log_max_over_min"] is None
-    assert doc["assertions"]["ratio_log_max_over_min_le_2"] is False
+    assert assertion(doc, "ratio_log_max_over_min_le_2") == {
+        "check": "ratio_log_max_over_min_le_2", "passed": False,
+        "observed": None, "threshold": 2.0}
 
 
 def test_emit_keeps_csv_and_nulls_json_non_finite_cells(tmp_path):
@@ -693,13 +880,15 @@ def test_emit_keeps_csv_and_nulls_json_non_finite_cells(tmp_path):
         tables={"main": (["a", "b", "c"],
                          [[math.inf, np.float64(np.nan), np.float64(0.5)]])},
         summary={"low": -math.inf, "count": np.int64(3)},
-        assertions={"held": np.bool_(True)})
+        checks=[{"check": "held", "passed": np.bool_(True),
+                 "observed": np.float64(-math.inf), "threshold": 1.0}])
     cli.emit(record, str(tmp_path), "both")
     assert (tmp_path / "estimate.csv").read_bytes() == b"a,b,c\ninf,nan,0.5\n"
     doc = strict_json(tmp_path / "estimate.json")
     assert doc["tables"]["main"]["rows"] == [[None, None, 0.5]]
     assert doc["summary"] == {"low": None, "count": 3}
-    assert doc["assertions"] == {"held": True}
+    assert doc["assertions"] == [{"check": "held", "passed": True,
+                                  "observed": None, "threshold": 1.0}]
 
 
 @pytest.mark.parametrize("argv", [
