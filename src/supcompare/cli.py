@@ -43,7 +43,8 @@ class ConfigError(ValueError):
 
 @dataclass
 class ResultRecord:
-    """Everything a run produced: tables, summary scalars, assertion rows."""
+    """Everything a run produced: one table as tables["main"] (a dict that
+    perfbench/workloads.py reads until ROADMAP item 16), summary, checks."""
 
     config: dict
     tables: dict = field(default_factory=dict)
@@ -455,8 +456,7 @@ def _csv_bytes(headers, rows) -> bytes:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(headers)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
+    writer.writerows([_fmt(v) for v in row] for row in rows)
     return buf.getvalue().encode("ascii")
 
 
@@ -485,12 +485,9 @@ def emit(record: ResultRecord, output_dir: str, fmt: str) -> list:
     stem = sub if sub != "verify" else f"verify-{record.config['target']}"
     paths = []
     if fmt in ("csv", "both"):
-        for name, (headers, rows) in record.tables.items():
-            fname = f"{stem}.csv" if name == "main" else f"{stem}-{name}.csv"
-            path = os.path.join(output_dir, fname)
-            with open(path, "wb") as fh:
-                fh.write(_csv_bytes(headers, rows))
-            paths.append(path)
+        paths.append(os.path.join(output_dir, f"{stem}.csv"))
+        with open(paths[-1], "wb") as fh:
+            fh.write(_csv_bytes(*record.tables["main"]))
     if fmt in ("json", "both"):
         doc = {
             "version": __version__,

@@ -28,11 +28,13 @@ law's declared controls ``T.controls(T, X, law)``, statistics of the same
 draws with mean exactly zero (Glasserman, Monte Carlo Methods in
 Financial Engineering, 2003, sec. 4.1).  A paired gap subtracts both
 laws' controls.  Block b's coefficients are the least-squares fit on
-every other block, so they are independent of block b's draws and its
-adjusted mean stays unbiased; a pass of one block has nothing to fit on
-and stays plain.  A method that a control acted on ends in "-cv".  A new
-control is a declared field plus a row of ``CONTROL_CASES`` in
-tests/test_controls.py.
+every other full SAMPLE_BLOCK-row block, or on every full block for a
+short last block, so they are independent of block b's draws, its
+adjusted mean stays unbiased, and no fit reads so few rows that it
+matches them exactly.  A pass of fewer than two full blocks stays plain:
+1024 < replicates < 2048 forgo the gain.  A method that a control acted
+on ends in "-cv".  A new control is a declared field plus a row of
+``CONTROL_CASES`` in tests/test_controls.py.
 """
 from __future__ import annotations
 
@@ -130,46 +132,34 @@ def _solve(S: np.ndarray, s: np.ndarray, lost: np.ndarray) -> np.ndarray:
     return beta
 
 
-def _block_sums(Z: np.ndarray, k: int) -> tuple:
-    """Row counts, column sums and sums of products of the first k columns
-    with every column, of the SAMPLE_BLOCK-wide blocks of the columns of
-    Z, one variable per row (the last block may be short): shapes (B,),
-    (B, p) and (B, k, p)."""
-    full = Z.shape[1] - Z.shape[1] % SAMPLE_BLOCK
-    parts = [Z[:, :full].reshape(len(Z), -1, SAMPLE_BLOCK)]
-    if full < Z.shape[1]:
-        parts.append(Z[:, None, full:])
-    counts, sums, grams = [], [], []
-    for P in parts:
-        counts.append(np.full(P.shape[1], float(P.shape[2])))
-        sums.append(P.sum(axis=2).T)
-        grams.append(np.einsum("ibr,jbr->bij", P[:k], P))
-    return tuple(map(np.concatenate, (counts, sums, grams)))
-
-
 def _adjusted(values: list, C: np.ndarray, fits: list) -> list:
-    """values[t] - C[:, fits[t]] beta on each SAMPLE_BLOCK-row block b,
-    beta the coefficients of those controls in the least-squares fit of
-    values[t] on them and a constant over every other block.  One set of
-    sums serves every fit: each block's, einsum, not BLAS, and each fit's
-    the whole pass's less block b's, centred by their means.  A pivot at
-    most (rows + k) eps times its control's raw second moment over the
-    pass, which bounds the rounding of every sum it took, is rounding."""
-    k = C.shape[1]
+    """values[t] - C[:, fits[t]] beta on each SAMPLE_BLOCK-row block b of
+    a pass of two full blocks or more, beta the least-squares coefficients
+    of those controls, with a constant, for values[t] over the other full
+    blocks (over all of them for a short last block).  One set of sums
+    serves every fit: each full block's, einsum, not BLAS, and each fit's
+    their total less block b's, centred by their means.  A pivot at most
+    (rows + k) eps times its control's raw second moment over the full
+    blocks, which bounds the rounding of every sum it took, is rounding."""
+    k, full = C.shape[1], len(C) // SAMPLE_BLOCK
     Z = np.array([*C.T, *values])
-    n, sums, grams = _block_sums(Z, k)
-    rest = n.sum() - n
+    P = Z[:, :full * SAMPLE_BLOCK].reshape(len(Z), full, SAMPLE_BLOCK)
+    # then zero sums: a short last block's, whose fit reads every full block
+    sums, grams = (np.concatenate([a, np.zeros_like(a[:1])]) for a in
+                   (P.sum(axis=2).T, np.einsum("ibr,jbr->bij", P[:k], P)))
+    rest = SAMPLE_BLOCK * np.append(np.full(full, full - 1), full)
     s = sums.sum(axis=0) - sums
     S = (grams.sum(axis=0) - grams
          - np.einsum("bi,bj->bij", s[:, :k], s) / rest[:, None, None])
     raw = np.diag(grams.sum(axis=0)[:, :k])
-    lost = (n.sum() + k) * np.finfo(np.float64).eps * raw
+    lost = (full * SAMPLE_BLOCK + k) * np.finfo(np.float64).eps * raw
+    blocks = -(-len(C) // SAMPLE_BLOCK)  # the zero-sum fit only if short
     out = []
     for t, cols in enumerate(fits):
         cols = slice(*cols.indices(k))  # of C's columns, not of the sums'
         beta = _solve(S[:, cols, cols], S[:, cols, k + t], lost[cols])
-        out.append(values[t] - np.einsum(
-            "ir,ir->r", Z[cols], np.repeat(beta.T, n.astype(int), axis=1)))
+        out.append(values[t] - np.einsum("ir,ir->r", Z[cols], np.repeat(
+            beta[:blocks].T, SAMPLE_BLOCK, axis=1)[:, :len(C)]))
     return out
 
 
@@ -177,8 +167,8 @@ def _estimates(values: list, C: np.ndarray, fits: list, methods: list,
                seed: int) -> tuple:
     """An estimate from each array of per-replicate values values[t],
     adjusted by its controls C[:, fits[t]] when there are any and two or
-    more blocks, its method methods[t] then ending in "-cv"."""
-    acted = [C[:, cols].shape[1] > 0 and C.shape[0] > SAMPLE_BLOCK
+    more full blocks, its method methods[t] then ending in "-cv"."""
+    acted = [C[:, cols].shape[1] > 0 and len(C) >= 2 * SAMPLE_BLOCK
              for cols in fits]
     if any(acted):
         values = [a if act else v for v, a, act

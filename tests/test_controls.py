@@ -3,7 +3,8 @@ adjustment keeps its estimates honest, and the per-replicate table stays
 inside the byte budget.
 
 Each set kind declares its controls as a field, ``T.controls(T, X, law)``;
-``estimator`` subtracts a multiple of them fitted on the other blocks.
+``estimator`` subtracts a multiple of them fitted on the other full
+blocks.
 A new control is one declared field plus one row of CONTROL_CASES.
 """
 import contextlib
@@ -11,6 +12,10 @@ import dataclasses
 import hashlib
 import io
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -164,6 +169,82 @@ def test_one_block_or_no_control_stays_plain():
     assert (xi.method, g.method, gap.method) == ("mc", "mc", "mc-paired")
 
 
+def _plain_twins():
+    """(set, its twin with no controls, law, estimator) cases whose sets
+    declare controls, the estimator returning a tuple of estimates."""
+    spin = isets.make_spin_quadratic(8)
+    cube = isets.make_diagonal_cube(_cube_diag(8), 3)
+    cases = [(spin, law, lambda *a: (est.estimate_complexity(*a),))
+             for law in (dists.uniform_symmetric(), dists.gaussian())]
+    cases.append((cube, dists.uniform_symmetric(), est.paired_gap_estimate))
+    return [(T, dataclasses.replace(T, controls=isets._no_controls), law, f)
+            for T, law, f in cases]
+
+
+@pytest.mark.parametrize("replicates", [1025, 1027, 1500, 2047, 2048])
+def test_controls_act_on_two_full_blocks_or_more(replicates):
+    acts = replicates >= 2 * isets.SAMPLE_BLOCK
+    for T, plain, law, estimate in _plain_twins():
+        stream = dists.RandomStream(23).substream("two-blocks")
+        ests = estimate(T, law, replicates, stream)
+        assert [e.method.endswith("-cv") for e in ests] == [acts] * len(ests)
+        if not acts:
+            # bitwise the estimate without controls
+            assert ests == estimate(plain, law, replicates, stream)
+
+
+def _lstsq_adjusted(y, C):
+    """y less C beta on each SAMPLE_BLOCK-row block, beta from
+    np.linalg.lstsq of y on C and a constant over the other full blocks,
+    or over every full block for a short last block."""
+    B = isets.SAMPLE_BLOCK
+    full = len(y) // B * B
+    X = np.column_stack([np.ones(len(y)), C])
+    out = np.empty(len(y))
+    for lo in range(0, len(y), B):
+        fit = np.arange(full)
+        fit = fit[(fit < lo) | (fit >= lo + B)]
+        beta = np.linalg.lstsq(X[fit], y[fit], rcond=None)[0]
+        out[lo:lo + B] = y[lo:lo + B] - C[lo:lo + B] @ beta[1:]
+    return out
+
+
+@pytest.mark.parametrize("replicates", [2051, 3000])
+def test_fit_matches_a_lstsq_oracle(replicates):
+    stream = dists.RandomStream(24).substream("oracle")
+    spin = isets.make_spin_quadratic(8)
+    cube = isets.make_diagonal_cube(_cube_diag(8), 3)
+    law = dists.uniform_symmetric()
+    cases = []
+    vals, _ = est._sup_pass(spin, (law,), "complexity-block", replicates,
+                            stream)
+    cases.append(([vals[:, 0]], vals[:, 1:], [slice(None)]))
+    vals, (k, _) = est._sup_pass(cube, (law, dists.gaussian()),
+                                 "paired-block", replicates, stream)
+    cases.append(([vals[:, 0], vals[:, 1], vals[:, 0] - vals[:, 1]],
+                  vals[:, 2:], [slice(0, k), slice(k, None), slice(None)]))
+    for values, C, fits in cases:
+        assert C.shape[1] >= 2
+        for y, cols, adjusted in zip(values, fits,
+                                     est._adjusted(values, C, fits)):
+            oracle = _lstsq_adjusted(y, C[:, cols])
+            assert not np.array_equal(oracle, y)
+            err = np.max(np.abs(adjusted - oracle))
+            assert err <= 1e-10 * np.max(np.abs(oracle))
+
+
+def test_a_short_block_does_not_inflate_the_se():
+    # at 1027 replicates a fit on the 3-row tail alone would be exact on
+    # 2 controls and a constant, and its SE hundreds of times the plain one
+    T = isets.make_spin_quadratic(8)
+    plain = dataclasses.replace(T, controls=isets._no_controls)
+    law = dists.uniform_symmetric()
+    se = [max(est.estimate_complexity(S, law, 1027,
+                                      dists.RandomStream(seed)).std_error
+              for seed in range(40)) for S in (T, plain)]
+    assert se[0] <= 1.1 * se[1]
+
+
 def _adjusted(values, C):
     """values adjusted by every control of C."""
     return est._adjusted([values], C, [slice(None)])[0]
@@ -179,11 +260,12 @@ def test_fit_drops_a_control_lost_in_rounding():
     one = _adjusted(values + c, c[:, None])
     two = _adjusted(values + c, np.stack([c, 0.3 - 2.0 * c], axis=1))
     np.testing.assert_allclose(two, one, rtol=0, atol=1e-12)
-    # a trailing block of one row fits nothing on its own
-    short = _adjusted(values[:1025], np.stack([c[:1025], c[:1025] ** 2],
-                                              axis=1))
+    # a trailing block of one row reads the fit on every full block and
+    # changes no full block's values
+    C = np.stack([c, c ** 2], axis=1)
+    short = _adjusted(values[:2049], C[:2049])
     assert np.all(np.isfinite(short))
-    assert np.array_equal(short[:1024], values[:1024])
+    assert np.array_equal(short[:2048], _adjusted(values[:2048], C[:2048]))
 
 
 def test_replicate_table_over_the_budget_is_refused():
@@ -221,11 +303,12 @@ def test_cli_refuses_a_replicate_table_over_the_budget(tmp_path, capsys):
 # controlled estimates pinned to their bits: the fit's sums are einsum, its
 # solves elementwise and the triangle sums einsum, so the values must not
 # move with the BLAS thread count
-PINNED = ("5b36263f484decf335a2354c0243440c"
-          "09bc1883a12a916d6e2963d578fdc6ab")
+PINNED = ("f61b430bd6b54a99e9b7f27c4d1901c4"
+          "8dc69ccc448237e5f154963e378fb6f7")
 
 
-def test_controlled_estimates_do_not_depend_on_blas_threads():
+def _pinned_digest():
+    """SHA-256 of the means and SEs of three controlled estimates."""
     stream = dists.RandomStream(22)
     T = isets.make_spin_quadratic(9)
     cube = isets.make_diagonal_cube(_cube_diag(9), 4)
@@ -235,4 +318,19 @@ def test_controlled_estimates_do_not_depend_on_blas_threads():
             + (est.estimate_complexity(T, dists.gaussian(), 3000, stream),))
     assert all(e.method.endswith("-cv") for e in ests)
     text = ";".join(f"{e.mean!r},{e.std_error!r}" for e in ests)
-    assert hashlib.sha256(text.encode()).hexdigest() == PINNED
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_controlled_estimates_do_not_depend_on_blas_threads():
+    # here at the BLAS thread count of the environment, and in a fresh
+    # interpreter at one BLAS thread
+    assert _pinned_digest() == PINNED
+    path = os.pathsep.join([str(pathlib.Path(est.__file__).parents[1]),
+                            str(pathlib.Path(__file__).parent)])
+    one = subprocess.run(
+        [sys.executable, "-c",
+         "import test_controls; print(test_controls._pinned_digest())"],
+        check=True, capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1",
+                 OMP_NUM_THREADS="1"))
+    assert one.stdout.strip() == PINNED

@@ -103,9 +103,9 @@ DIGESTS = {
     "estimate-basis-canonical":
         "ce9d176bd3a5282b67c91c64c6c1db692dcf86259ee401a0cfe81a83cf761ae4",
     "estimate-basis-signed":
-        "e259fcfcfcdd19ff61f2ddb8c472f3d4e0020194dc8715bd6f7bd5aa67b08153",
+        "accee6799e18d13a57a7f6f6d76578d59e4abb3f2a5235767524e40b58f3107a",
     "estimate-basis-negative-scaled":
-        "707f57c97ce6090f495220f237a27999b7b2f6120e65f563c4610af9cb044af6",
+        "2cc2e123a1ba6da64dfcbeefa7b261f1556e402cbb88a0a764dc33eaac11921c",
     "estimate-diagcube-beta":
         "fddf9ab8528200bb3c9f670e8b25f3758b14c6b6c67dd94d2484d371823918a2",
     "estimate-spin-quadratic-auto":
