@@ -117,15 +117,15 @@ class CoordinateDistribution:
         return self.fourth ** 0.25
 
     def sample(self, rng: np.random.Generator, size,
-               max_of: int = 1) -> np.ndarray:
-        """``size`` draws of the law or, with ``max_of`` = n > 1, of the
-        maximum of n iid draws: isf(1 - V^(1/n)) at one uniform V per
+               max_of: int | None = None) -> np.ndarray:
+        """``size`` draws of the law or, with any ``max_of`` = n, 1 too, of
+        the maximum of n iid draws: isf(1 - V^(1/n)) at one uniform V per
         value (Devroye, Non-Uniform Random Variate Generation, 1986,
         ch. V), its argument formed as -expm1(log V / n), which keeps its
         digits near 0, where the maximum is large.  Two laws given one
         generator state take one V per value: their maxima are comonotone.
         """
-        if max_of > 1:
+        if max_of is not None:
             # the midpoints of 2^52 equal cells: V lies strictly inside
             # (0, 1), since V = 0 or 1 sends an unbounded isf to -inf or inf
             v = (rng.integers(0, 1 << 52, size) + 0.5) * 2.0 ** -52

@@ -23,17 +23,19 @@ case in ``KERNEL_CASES`` (bitwise kernels) or ``CLOSED_FORM_CASES`` of
 tests/test_estimator.py, whose differential tests run every declared
 kernel against the matmul path on an untagged copy of the points.
 
-Control variates: each sup estimate subtracts a fitted multiple of its
-law's declared controls ``T.controls(T, X, law)``, statistics of the same
-draws with mean exactly zero (Glasserman, Monte Carlo Methods in
-Financial Engineering, 2003, sec. 4.1).  A paired gap subtracts both
-laws' controls.  Block b's coefficients are the least-squares fit on
-every other full SAMPLE_BLOCK-row block, or on every full block for a
-short last block, so they are independent of block b's draws, its
-adjusted mean stays unbiased, and no fit reads so few rows that it
-matches them exactly.  A pass of fewer than two full blocks stays plain:
-1024 < replicates < 2048 forgo the gain.  A method that a control acted
-on ends in "-cv".  A new control is a declared field plus a row of
+Control variates: a pass subtracts from every value it makes (a lone
+law's sup; or xi's, g's and xi - g) a fitted multiple of every control it
+drew, each law's declared list ``T.controls(T, X, law)`` of per-row
+statistics of the same draws with mean exactly zero (Glasserman, Monte
+Carlo Methods in Financial Engineering, 2003, sec. 4.1).  One solve fits
+every value; least squares is linear in the response, so a paired gap is
+its sups' difference up to rounding.  Block b's coefficients are the
+least-squares fit on every other full SAMPLE_BLOCK-row block, or on every
+full block for a short last block, so they are independent of block b's
+draws, its adjusted mean stays unbiased, and no fit reads so few rows
+that it matches them exactly.  A pass of fewer than two full blocks stays
+plain: 1024 < replicates < 2048 forgo the gain.  A method that a control
+acted on ends in "-cv".  A new control is a declared field plus a row of
 ``CONTROL_CASES`` in tests/test_controls.py.
 """
 from __future__ import annotations
@@ -111,86 +113,73 @@ def _blocked(stream: RandomStream, tag: str, replicates: int, draw,
     return out
 
 
-def _solve(S: np.ndarray, s: np.ndarray, lost: np.ndarray) -> np.ndarray:
-    """beta[b] with S[b] beta[b] = s[b] for each b, by elimination in pivot
-    order on copies, elementwise over b.  A pivot at most lost[j] is
-    rounding: its control is constant over the fit rows, or a combination
-    of earlier ones, and gets beta[b, j] = 0."""
-    S, s = S.copy(), s.copy()
-    kept = np.empty(s.shape, dtype=bool)
-    for j in range(s.shape[1]):
-        kept[:, j] = S[:, j, j] > lost[j]
-        pivot = np.where(kept[:, j], S[:, j, j], 1.0)
-        f = np.where(kept[:, j, None], S[:, j + 1:, j] / pivot[:, None], 0.0)
-        S[:, j + 1:] -= f[:, :, None] * S[:, j, None, :]
-        s[:, j + 1:] -= f * s[:, j, None]
-    beta = np.zeros(s.shape)
-    for j in reversed(range(s.shape[1])):
-        pivot = np.where(kept[:, j], S[:, j, j], 1.0)
-        r = s[:, j] - (S[:, j, j + 1:] * beta[:, j + 1:]).sum(axis=1)
-        beta[:, j] = np.where(kept[:, j], r / pivot, 0.0)
-    return beta
+def _solve(S: np.ndarray, lost: np.ndarray) -> np.ndarray:
+    """beta[b] with S[b, :, :k] beta[b] = S[b, :, k:] for each b, k =
+    S.shape[1], one column of beta per right-hand side, by Gauss-Jordan
+    elimination in pivot order on a copy, elementwise over b.  A pivot at
+    most lost[j] is rounding: its column is constant over the fit rows, or
+    a combination of earlier ones, and gets beta[b, j] = 0 in every
+    column."""
+    S, k = S.copy(), S.shape[1]
+    for j in range(k):
+        # row j over its pivot, or zero: dividing by inf drops the column
+        S[:, j] /= np.where(S[:, j, j] > lost[j], S[:, j, j], np.inf)[:, None]
+        f = S[:, :, j].copy()
+        f[:, j] = 0.0
+        S -= f[:, :, None] * S[:, j, None, :]
+    return S[:, :, k:]
 
 
-def _adjusted(values: list, C: np.ndarray, fits: list) -> list:
-    """values[t] - C[:, fits[t]] beta on each SAMPLE_BLOCK-row block b of
-    a pass of two full blocks or more, beta the least-squares coefficients
-    of those controls, with a constant, for values[t] over the other full
-    blocks (over all of them for a short last block).  One set of sums
-    serves every fit: each full block's, einsum, not BLAS, and each fit's
-    their total less block b's, centred by their means.  A pivot at most
-    (rows + k) eps times its control's raw second moment over the full
-    blocks, which bounds the rounding of every sum it took, is rounding."""
-    k, full = C.shape[1], len(C) // SAMPLE_BLOCK
-    Z = np.array([*C.T, *values])
-    P = Z[:, :full * SAMPLE_BLOCK].reshape(len(Z), full, SAMPLE_BLOCK)
-    # then zero sums: a short last block's, whose fit reads every full block
-    sums, grams = (np.concatenate([a, np.zeros_like(a[:1])]) for a in
-                   (P.sum(axis=2).T, np.einsum("ibr,jbr->bij", P[:k], P)))
-    rest = SAMPLE_BLOCK * np.append(np.full(full, full - 1), full)
-    s = sums.sum(axis=0) - sums
-    S = (grams.sum(axis=0) - grams
-         - np.einsum("bi,bj->bij", s[:, :k], s) / rest[:, None, None])
-    raw = np.diag(grams.sum(axis=0)[:, :k])
+def _adjusted(Y: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """Y - C beta on each SAMPLE_BLOCK-row block b of a pass of two full
+    blocks or more, beta[:, t] the least-squares coefficients of every
+    control, with a constant, for Y[:, t] over the other full blocks (over
+    all of them for a short last block).  The constant, the controls and
+    the values are stacked once, C-contiguous, so every sum runs in one
+    fixed order whatever the layout of Y and C.  One set of sums serves
+    every fit: each full block's raw products, einsum, not BLAS, and each
+    fit's their total less block b's; eliminating the constant first
+    centres them.  A pivot at most (rows + k) eps times its column's raw
+    second moment over the full blocks, k the constant and the controls,
+    which bounds the rounding of every sum it took, is rounding."""
+    k, full = 1 + C.shape[1], len(C) // SAMPLE_BLOCK
+    # zero past the last row, so every block, a short one too, is whole
+    Z = np.zeros((k + Y.shape[1], -(-len(C) // SAMPLE_BLOCK) * SAMPLE_BLOCK))
+    Z[0, :len(C)], Z[1:k, :len(C)], Z[k:, :len(C)] = 1.0, C.T, Y.T
+    P = Z.reshape(len(Z), -1, SAMPLE_BLOCK)
+    grams = np.einsum("ibr,jbr->bij", P[:k], P)
+    grams[full:] = 0.0  # a short last block's fit reads every full block
+    total = grams.sum(axis=0)
+    raw = np.diag(total[:, :k])
     lost = (full * SAMPLE_BLOCK + k) * np.finfo(np.float64).eps * raw
-    blocks = -(-len(C) // SAMPLE_BLOCK)  # the zero-sum fit only if short
-    out = []
-    for t, cols in enumerate(fits):
-        cols = slice(*cols.indices(k))  # of C's columns, not of the sums'
-        beta = _solve(S[:, cols, cols], S[:, cols, k + t], lost[cols])
-        out.append(values[t] - np.einsum("ir,ir->r", Z[cols], np.repeat(
-            beta[:blocks].T, SAMPLE_BLOCK, axis=1)[:, :len(C)]))
-    return out
+    beta = _solve(total - grams, lost)[:, 1:]
+    fit = np.einsum("ibr,biv->vbr", P[1:k], beta).reshape(Y.shape[1], -1)
+    return Y - fit[:, :len(C)].T
 
 
-def _estimates(values: list, C: np.ndarray, fits: list, methods: list,
+def _estimates(Y: np.ndarray, C: np.ndarray, methods: list,
                seed: int) -> tuple:
-    """An estimate from each array of per-replicate values values[t],
-    adjusted by its controls C[:, fits[t]] when there are any and two or
+    """An estimate from each column Y[:, t] of per-replicate values,
+    adjusted by every control column of C when there are any and two or
     more full blocks, its method methods[t] then ending in "-cv"."""
-    acted = [C[:, cols].shape[1] > 0 and len(C) >= 2 * SAMPLE_BLOCK
-             for cols in fits]
-    if any(acted):
-        values = [a if act else v for v, a, act
-                  in zip(values, _adjusted(values, C, fits), acted)]
-    return tuple(SupremumEstimate.from_samples(v, m + "-cv" * act, seed)
-                 for v, m, act in zip(values, methods, acted))
+    acted = C.shape[1] > 0 and len(C) >= 2 * SAMPLE_BLOCK
+    if acted:
+        Y = _adjusted(Y, C)
+    return tuple(SupremumEstimate.from_samples(y, m + "-cv" * acted, seed)
+                 for y, m in zip(Y.T, methods))
 
 
 def _sup_pass(T: IndexSet, laws: tuple, tag: str, replicates: int,
-              stream: RandomStream) -> tuple:
+              stream: RandomStream) -> np.ndarray:
     """One pass of blocks that the set's sampler draws for the laws: per
     replicate each law's sup, then each law's own control columns, side
-    by side; and the number of control columns of each law."""
-    widths = [T.controls(T, np.empty((0, T.dim)), law).shape[1]
-              for law in laws]
-
+    by side."""
     def reduce(X):
-        return np.concatenate([T.sup(T, x)[:, None] for x in X]
-                              + [T.controls(T, x, law) for x, law, k
-                                 in zip(X, laws, widths) if k], axis=1)
+        return np.column_stack([T.sup(T, x) for x in X]
+                               + [c for x, law in zip(X, laws)
+                                  for c in T.controls(T, x, law)])
     return _blocked(stream, tag, replicates,
-                    lambda rng: T.draw(T, laws, rng), reduce), widths
+                    lambda rng: T.draw(T, laws, rng), reduce)
 
 
 def estimate_complexity(T: IndexSet, dist: CoordinateDistribution,
@@ -198,8 +187,8 @@ def estimate_complexity(T: IndexSet, dist: CoordinateDistribution,
                         stream: RandomStream) -> SupremumEstimate:
     """Monte-Carlo E sup_t <xi, t> with fixed 1024-replicate blocks, each
     drawn by the set's own sampler."""
-    vals, _ = _sup_pass(T, (dist,), "complexity-block", replicates, stream)
-    return _estimates([vals[:, 0]], vals[:, 1:], [slice(None)], ["mc"],
+    vals = _sup_pass(T, (dist,), "complexity-block", replicates, stream)
+    return _estimates(vals[:, :1], vals[:, 1:], ["mc"],
                       stream.master_seed)[0]
 
 
@@ -209,12 +198,13 @@ def paired_gap_estimate(T: IndexSet, dist: CoordinateDistribution,
     from one pass of blocks that the set's own sampler draws for both laws
     with common random numbers; the gap's standard error is that of the
     per-replicate difference, which strips the variation the two share.
-    Each sup is adjusted by its own law's controls, the gap by both."""
-    vals, (k, _) = _sup_pass(T, (dist, gaussian()), "paired-block",
-                             replicates, stream)
-    return _estimates([vals[:, 0], vals[:, 1], vals[:, 0] - vals[:, 1]],
-                      vals[:, 2:], [slice(0, k), slice(k, None), slice(None)],
-                      ["mc", "mc", "mc-paired"], stream.master_seed)
+    All three are adjusted by both laws' controls, so the gap's mean is
+    the difference of the two sups' means up to rounding."""
+    vals = _sup_pass(T, (dist, gaussian()), "paired-block", replicates,
+                     stream)
+    Y = np.column_stack([vals[:, 0], vals[:, 1], vals[:, 0] - vals[:, 1]])
+    return _estimates(Y, vals[:, 2:], ["mc", "mc", "mc-paired"],
+                      stream.master_seed)
 
 
 def exact_rademacher_complexity(T: IndexSet) -> SupremumEstimate:

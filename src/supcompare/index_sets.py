@@ -33,17 +33,18 @@ and is freed with its last reference.
 ``sup``, the laws paired by common random numbers (``_draw_blocks``).
 The canonical basis's sup is the max of the coordinates, so its blocks
 are one column of order-statistic maxima (``_draw_maxima``), which its
-sup passes through: no 1024 x n block.
+sup passes through: no 1024 x n block.  Every law draws its column from
+one generator state, so the laws are paired at every n, 1 included.
 
-``controls(T, X, law)`` is an (m, k) block of statistics of the rows of
-a block X drawn from ``law``, each of mean exactly zero under it, which
-the estimator regresses the sups on (control variates).  The default is
-the radial control sum_i x_i^2 - dim E xi^2, declared only for a law
-whose x^2 is not constant (E xi^4 > (E xi^2)^2); a two-spin set on three
-or more spins adds the triangle sum sum_{i<j<k} x_ij x_jk x_ik, and a
-diagonal cube with fixed signs the linear part of its sup, sum_{fixed}
-d_i x_i.  The canonical basis declares none: its blocks hold maxima, not
-coordinates.
+``controls(T, X, law)`` is a list of columns, per-row statistics of a
+block X drawn from ``law``, each of mean exactly zero under it; a pass
+regresses every value it makes on every column of every law it drew
+(control variates).  The default, ``_radial``, is the radial control
+sum_i x_i^2 - dim E xi^2, declared only for a law whose x^2 is not
+constant (E xi^4 > (E xi^2)^2); a two-spin set on three or more spins
+adds the triangle sum sum_{i<j<k} x_ij x_jk x_ik, and a diagonal cube
+with fixed signs the linear part of its sup, sum_{fixed} d_i x_i.  The
+canonical basis declares none: its blocks hold maxima, not coordinates.
 """
 from __future__ import annotations
 
@@ -95,12 +96,7 @@ def _draw_blocks(T: IndexSet, laws: tuple, rng) -> np.ndarray:
     return np.array([law.ppf(U) for law in laws])
 
 
-def _columns(X: np.ndarray, cols: list) -> np.ndarray:
-    """The per-row statistics cols of a block X as an (m, len(cols)) block."""
-    return np.array(cols).T if cols else np.empty((X.shape[0], 0))
-
-
-def _radial(X: np.ndarray, law) -> list:
+def _radial(T: IndexSet, X: np.ndarray, law) -> list:
     """[sum_i x_i^2 - dim E xi^2], of mean zero, or [] for a law whose x^2
     is constant, where the control would be identically zero."""
     if law.fourth > law.variance ** 2:
@@ -108,12 +104,8 @@ def _radial(X: np.ndarray, law) -> list:
     return []
 
 
-def _radial_controls(T: IndexSet, X: np.ndarray, law) -> np.ndarray:
-    return _columns(X, _radial(X, law))
-
-
-def _no_controls(T: IndexSet, X: np.ndarray, law) -> np.ndarray:
-    return _columns(X, [])
+def _no_controls(T: IndexSet, X: np.ndarray, law) -> list:
+    return []
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,8 +133,8 @@ class IndexSet:
         repr=False)
     draw: Callable[["IndexSet", tuple, np.random.Generator],
                    np.ndarray] = field(default=_draw_blocks, repr=False)
-    controls: Callable[["IndexSet", np.ndarray, object], np.ndarray] = field(
-        default=_radial_controls, repr=False)
+    controls: Callable[["IndexSet", np.ndarray, object], list] = field(
+        default=_radial, repr=False)
     distinct: bool = False
 
     @cached_property
@@ -437,7 +429,7 @@ def make_diagonal_cube(diag, k: int | None = None) -> IndexSet:
     def controls(T, X, law):
         # the radial control and the linear part of the sup, of mean zero
         linear = [np.einsum("ij,j->i", X[:, :lo], d[:lo])] if lo else []
-        return _columns(X, _radial(X, law) + linear)
+        return _radial(T, X, law) + linear
     return _declare(count, n, lambda: sign_patterns(n, count) * d[None, :],
                     "diagonal-cube", distinct=True, sup=sup, logz=logz,
                     controls=controls)
@@ -484,7 +476,7 @@ def make_spin_tensor(N: int, m: int, normalized: bool = False) -> IndexSet:
 
     kind = "spin-quadratic" if m == 2 else "spin-tensor"
     if m % 2 == 0:
-        controls = _triangle_controls(N) if m == 2 else _radial_controls
+        controls = _triangle_controls(N) if m == 2 else _radial
         return _declare(card, dim, build, kind, sup=_half_orbit_sup,
                         logz=_half_orbit_logz, controls=controls)
     # for odd m < N distinct sigma give distinct rows; m = N gives two rows
@@ -501,7 +493,7 @@ def _triangle_controls(N: int):
     BLAS call, so it does not depend on the BLAS thread count.  Two spins
     have no triangle: the radial control alone."""
     if N < 3:
-        return _radial_controls
+        return _radial
     i, j = np.triu_indices(N, 1)
     gather = np.full(N * N, i.size)
     gather[i * N + j] = np.arange(i.size)
@@ -514,7 +506,7 @@ def _triangle_controls(N: int):
         for mid in range(1, N - 1):
             triangles += np.einsum("ir,kr,ikr->r", U[:mid, mid],
                                    U[mid, mid + 1:], U[:mid, mid + 1:])
-        return _columns(X, _radial(X, law) + [triangles])
+        return _radial(T, X, law) + [triangles]
     return controls
 
 

@@ -303,7 +303,7 @@ def test_expected_max_covers_every_law():
         math.sqrt(3.0) * 6.0 / 8.0, rel=1e-12)
 
 
-@pytest.mark.parametrize("n", [2, 16, 1024, 16384])
+@pytest.mark.parametrize("n", [1, 2, 16, 1024, 16384])
 @pytest.mark.parametrize("kind", sorted(EXPECTED_MAX))
 def test_max_of_matches_the_exact_expected_maximum(kind, n):
     name, law = EXPECTED_MAX[kind]
@@ -329,6 +329,6 @@ class _ExtremeUniforms:
 @pytest.mark.parametrize("kind", sorted(EXPECTED_MAX))
 def test_max_of_is_finite_at_the_extreme_uniforms(kind):
     dist = dists.from_name(EXPECTED_MAX[kind][0])
-    for n in (2, 16384, 2 ** 62):
+    for n in (1, 2, 16384, 2 ** 62):
         lo, hi = dist.sample(_ExtremeUniforms(), 2, max_of=n)
         assert math.isfinite(lo) and math.isfinite(hi) and lo <= hi

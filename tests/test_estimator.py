@@ -547,22 +547,35 @@ def test_paired_pass_columns_match_their_own_estimates(name, monkeypatch):
                                          stream.substream("pair"))
     (table,) = stacks
     # each law's sup, then each law's controls: both laws declare k
-    k = T.controls(T, np.zeros((1, T.dim)), law).shape[1]
+    k = len(T.controls(T, np.zeros((1, T.dim)), law))
     assert k >= 1 and table.shape == (20000, 2 + 2 * k)
-    sups, Cx, Cg = table[:, :2], table[:, 2:2 + k], table[:, 2 + k:]
     for paired, alone in ((xi, law), (g, dists.gaussian())):
         e = est.estimate_complexity(T, alone, 20000, stream.substream(name))
         z = (paired.mean - e.mean) / math.hypot(paired.std_error, e.std_error)
         assert abs(z) <= 5.0
     assert (xi.method, g.method, gap.method) == ("mc-cv", "mc-cv",
                                                  "mc-paired-cv")
-    for e, values, C in ((xi, sups[:, 0], Cx), (g, sups[:, 1], Cg),
-                         (gap, sups[:, 0] - sups[:, 1], table[:, 2:])):
-        (adjusted,) = est._adjusted([values], C, [slice(None)])
-        assert (e.mean, e.std_error) == est.mean_se(adjusted)
+    # all three values are fitted on every control of the pass
+    Y = np.column_stack([table[:, 0], table[:, 1], table[:, 0] - table[:, 1]])
+    adjusted = est._adjusted(Y, table[:, 2:])
+    for t, e in enumerate((xi, g, gap)):
+        assert (e.mean, e.std_error) == est.mean_se(adjusted[:, t])
+    # so the gap's mean is the difference of the sups' means
+    assert gap.mean == pytest.approx(xi.mean - g.mean, rel=1e-12, abs=0)
     if name == "spin-quadratic":
         # the pairing strips the variation the two sups share
         assert gap.std_error < math.hypot(xi.std_error, g.std_error)
+
+
+def test_one_coordinate_basis_keeps_its_pairing():
+    # every law draws the basis's column of maxima from one generator
+    # state, at n = 1 too: the paired gap is as tight as on an untagged
+    # copy of the set, whose laws are paired through ppf
+    law, stream = dists.uniform_symmetric(), dists.RandomStream(43)
+    sets = (isets.make_basis_family(1), isets.build_explicit(np.eye(1)))
+    se = [est.paired_gap_estimate(T, law, 20000, stream)[2].std_error
+          for T in sets]
+    assert se[0] <= 1.5 * se[1]
 
 
 def test_paired_pass_on_a_large_basis_draws_one_column_per_law():

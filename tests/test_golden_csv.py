@@ -40,6 +40,9 @@ CONFIGS = {
     "estimate-spin-quadratic-auto": [
         "estimate", "set=spin-quadratic:N=6", "distribution=gaussian",
         "replicates=800", "seed=5", "beta=auto"],
+    "estimate-spin-quadratic-cv": [
+        "estimate", "set=spin-quadratic:N=8", "distribution=uniform",
+        "replicates=2048", "seed=23"],
     "estimate-spin-tensor": [
         "estimate", "set=spin-tensor:N=5,m=3,normalized=1",
         "distribution=uniform", "replicates=500", "seed=6"],
@@ -86,6 +89,9 @@ CONFIGS = {
     "sk": [
         "sk", "N_list=4,6", "distribution=uniform", "replicates=600",
         "seed=16"],
+    "sk-cv": [
+        "sk", "N_list=8", "distribution=uniform", "replicates=2048",
+        "seed=24"],
     "sk-rademacher": [
         "sk", "N_list=4,6", "distribution=rademacher", "replicates=300",
         "seed=17"],
@@ -110,6 +116,8 @@ DIGESTS = {
         "fddf9ab8528200bb3c9f670e8b25f3758b14c6b6c67dd94d2484d371823918a2",
     "estimate-spin-quadratic-auto":
         "77ae506c4965eb9439840961255cb4e76aae68321da21f7dc9c0a5e521909aee",
+    "estimate-spin-quadratic-cv":
+        "872ae26890608a1a104341685bba9396de188bd566bdebc318acacc9315a164a",
     "estimate-spin-tensor":
         "aec584ef7bece7531e0a81e47414f56aa800bd2991e332e9f13e577d9242aa8c",
     "estimate-spin-tensor-even":
@@ -142,6 +150,8 @@ DIGESTS = {
         "d6b77019522ed9d976115bc83ea00d45a82f784b08633b08c98bdca7eaa23cb6",
     "sk":
         "aa8c91546508ca76c09a4d02965609745d2b75c869002e55188bc9c9d261bfc2",
+    "sk-cv":
+        "d90261b3e6a99c22be25b35b9f5a8cad320a5aab40b46543bef886f8a740d4d3",
     "sk-rademacher":
         "c79751b8fe040ccfd8f29bb987dcaed7bef4b61adb8ec9fe706949716734a9c7",
     "tensor":
