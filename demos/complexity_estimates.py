@@ -64,7 +64,8 @@ print(f"paired gap      = {abs(gap.mean):.5f} +- {gap.std_error:.5f}")
 print()
 print("=== control variates: statistics of the same draws with mean zero ===")
 # spin-quadratic declares the radial control sum x_i^2 - dim and the
-# triangle sum over its couplings; the plain copy declares none
+# triangle and 4-cycle sums over its couplings; the plain copy declares
+# none
 T = isets.make_spin_quadratic(10)
 plain = dataclasses.replace(T, controls=lambda T, X, law: [])
 rows = []

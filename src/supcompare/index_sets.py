@@ -42,9 +42,12 @@ regresses every value it makes on every column of every law it drew
 (control variates).  The default, ``_radial``, is the radial control
 sum_i x_i^2 - dim E xi^2, declared only for a law whose x^2 is not
 constant (E xi^4 > (E xi^2)^2); a two-spin set on three or more spins
-adds the triangle sum sum_{i<j<k} x_ij x_jk x_ik, and a diagonal cube
-with fixed signs the linear part of its sup, sum_{fixed} d_i x_i.  The
-canonical basis declares none: its blocks hold maxima, not coordinates.
+adds the triangle sum sum_{i<j<k} x_ij x_jk x_ik, and on four or more
+the 4-cycle sum (``_cycle_controls``).  A diagonal cube declares its
+weighted free square sum_{free} d_i (x_i^2 - E xi^2), under the same
+rule on x^2, and, with fixed signs, the linear part of its sup,
+sum_{fixed} d_i x_i.  The canonical basis declares none: its blocks hold
+maxima, not coordinates.
 """
 from __future__ import annotations
 
@@ -426,10 +429,21 @@ def make_diagonal_cube(diag, k: int | None = None) -> IndexSet:
         return sup(T, X), free - np.einsum("ij,j->i", X[:, :lo],
                                            beta * d[:lo])
 
+    # sum_{free} d_i, so that E sum_{free} d_i x_i^2 = E xi^2 free_mass
+    free_mass = float(d[lo:].sum())
+
     def controls(T, X, law):
-        # the radial control and the linear part of the sup, of mean zero
-        linear = [np.einsum("ij,j->i", X[:, :lo], d[:lo])] if lo else []
-        return _radial(T, X, law) + linear
+        # the free coordinates' weighted square sum_{free} d_i (x_i^2 -
+        # E xi^2), which tracks sum_{free} d_i |x_i| where x^2 is not
+        # constant, and the linear part of the sup; each of mean zero
+        cols = []
+        if free and law.fourth > law.variance ** 2:
+            x = X[:, lo:]
+            cols.append(np.einsum("ij,j->i", x * x, d[lo:])
+                        - law.variance * free_mass)
+        if lo:
+            cols.append(np.einsum("ij,j->i", X[:, :lo], d[:lo]))
+        return cols
     return _declare(count, n, lambda: sign_patterns(n, count) * d[None, :],
                     "diagonal-cube", distinct=True, sup=sup, logz=logz,
                     controls=controls)
@@ -476,37 +490,53 @@ def make_spin_tensor(N: int, m: int, normalized: bool = False) -> IndexSet:
 
     kind = "spin-quadratic" if m == 2 else "spin-tensor"
     if m % 2 == 0:
-        controls = _triangle_controls(N) if m == 2 else _radial
+        controls = _cycle_controls(N) if m == 2 else _radial
         return _declare(card, dim, build, kind, sup=_half_orbit_sup,
                         logz=_half_orbit_logz, controls=controls)
     # for odd m < N distinct sigma give distinct rows; m = N gives two rows
     return _declare(card, dim, build, kind, distinct=m < N)
 
 
-def _triangle_controls(N: int):
-    """The controls of a two-spin set on N spins: the radial one and the
-    triangle sum sum_{i<j<k} x_ij x_jk x_ik, of mean zero for any
-    independent mean-zero coordinates.  U[i, j] holds x_ij (i < j) of every
-    row, rows innermost, gathered from the transposed block padded by a
-    zero row (pairs in the points' lexicographic order; the index is built
-    here, once per set).  The sum is one einsum per middle spin, with no
-    BLAS call, so it does not depend on the BLAS thread count.  Two spins
-    have no triangle: the radial control alone."""
+def _cycle_controls(N: int):
+    """The controls of a two-spin set on N spins: the radial one, the
+    triangle sum sum_{i<j<k} x_ij x_jk x_ik and, from four spins on, the
+    4-cycle sum over distinct i, j, k, l, each of mean zero for any
+    independent mean-zero coordinates.  The sup is invariant under the
+    gauge map x_ij -> s_i s_j x_ij, and these are the gauge-invariant
+    products of fewest couplings.  A[i, j] holds x_ij of every row, rows
+    innermost, gathered from the transposed block padded by a zero row
+    (pairs in the points' lexicographic order; the index is built here,
+    once per set).  With A the symmetric coupling matrix of a row, one
+    einsum per spin a gives the row (A^2)_{a, k >= a}, whose diagonal
+    entry is d_a = sum_j x_aj^2; then the triangle sum is tr A^3 / 6 =
+    sum_{a<k} (A^2)_ak x_ak / 3, and the 4-cycle sum is (tr A^4 - 2 sum_a
+    d_a^2 + 2 sum_e x_e^4) / 8, the closed walks of length 4 less those
+    that step back, with tr A^4 = sum_a d_a^2 + 2 sum_{a<k} (A^2)_ak^2.
+    No BLAS call, so nothing depends on the BLAS thread count.  Two spins
+    have no cycle: the radial control alone."""
     if N < 3:
         return _radial
     i, j = np.triu_indices(N, 1)
     gather = np.full(N * N, i.size)
-    gather[i * N + j] = np.arange(i.size)
+    gather[i * N + j] = gather[j * N + i] = np.arange(i.size)
 
     def controls(T, X, law):
         rows = X.shape[0]
-        U = np.concatenate([X.T, np.zeros((1, rows))])[gather]
-        U = U.reshape(N, N, rows)
-        triangles = np.zeros(rows)
-        for mid in range(1, N - 1):
-            triangles += np.einsum("ir,kr,ikr->r", U[:mid, mid],
-                                   U[mid, mid + 1:], U[:mid, mid + 1:])
-        return _radial(T, X, law) + [triangles]
+        A = np.concatenate([X.T, np.zeros((1, rows))])[gather]
+        A = A.reshape(N, N, rows)
+        # sum_{a<k} (A^2)_ak x_ak, sum_{a<k} (A^2)_ak^2 and sum_a d_a^2
+        tri, off, diag = np.zeros((3, rows))
+        for a in range(N):
+            row = np.einsum("jr,jkr->kr", A[a], A[:, a:])
+            diag += row[0] * row[0]
+            tri += np.einsum("kr,kr->r", row[1:], A[a, a + 1:])
+            off += np.einsum("kr,kr->r", row[1:], row[1:])
+        cols = _radial(T, X, law) + [tri / 3.0]
+        if N >= 4:
+            sq = X * X
+            cols.append((2.0 * off - diag
+                         + 2.0 * np.einsum("ij,ij->i", sq, sq)) / 8.0)
+        return cols
     return controls
 
 

@@ -35,7 +35,8 @@ import numpy as np
 
 from .distributions import DEFAULT_STREAM, CoordinateDistribution, RandomStream
 from .estimator import _blocked, mean_se
-from .index_sets import SAMPLE_BLOCK, IndexSet, geometric_profile, sign_patterns
+from .index_sets import (SAMPLE_BLOCK, TILE_BYTES, IndexSet, geometric_profile,
+                         sign_patterns)
 from . import softmax as sm
 
 # Gauss-Legendre nodes of the potential integrals over u = e^{-t} in
@@ -252,14 +253,25 @@ def _ou_b(u: float) -> float:
     return math.sqrt(max(0.0, (1.0 - u) * (1.0 + u)))
 
 
+def _node_groups(nodes: int, block: np.ndarray) -> list:
+    """Runs of node indices, each of as many nodes as copies of block fit
+    TILE_BYTES stacked (one at least): one test-function call per run."""
+    per = max(1, TILE_BYTES // block.nbytes)
+    return [range(lo, min(lo + per, nodes)) for lo in range(0, nodes, per)]
+
+
 def _ou_quadrature(g, x: np.ndarray, u, w, samples: int,
                    stream: RandomStream, tag: str) -> np.ndarray:
     """sum_j w_j g(u_j x + sqrt(1 - u_j^2) G) per replicate, one Gaussian
-    G per replicate shared by every node (common random numbers)."""
+    G per replicate shared by every node (common random numbers).  g gets
+    each _node_groups run's blocks stacked, and the weighted values add up
+    in node order."""
     def reduce(G):
         acc = 0.0
-        for uj, wj in zip(u, w):
-            acc = acc + wj * g(uj * x + _ou_b(uj) * G)
+        for run in _node_groups(len(u), G):
+            V = g(np.concatenate([u[j] * x + _ou_b(u[j]) * G for j in run]))
+            for j, v in zip(run, V.reshape(len(run), -1)):
+                acc = acc + w[j] * v
         return acc
     return _blocked(stream, tag, samples,
                     lambda rng: rng.standard_normal((SAMPLE_BLOCK, x.size)),
@@ -294,10 +306,21 @@ def ou_apply(f, t: float, x, samples: int = 4096,
     return OperatorEstimate(*mean_se(vals), samples, 0, "mc")
 
 
+# (nodes, lo, hi) -> read-only Gauss-Legendre nodes and weights
+_LEGENDRE = {}
+
+
 def _gauss_legendre(nodes: int, lo: float, hi: float):
-    u, w = np.polynomial.legendre.leggauss(nodes)
-    half = 0.5 * (hi - lo)
-    return lo + half * (u + 1.0), half * w
+    """Gauss-Legendre nodes and weights on [lo, hi], computed once per
+    rule and kept read-only."""
+    if (nodes, lo, hi) not in _LEGENDRE:
+        u, w = np.polynomial.legendre.leggauss(nodes)
+        half = 0.5 * (hi - lo)
+        rule = lo + half * (u + 1.0), half * w
+        for a in rule:
+            a.setflags(write=False)
+        _LEGENDRE[nodes, lo, hi] = rule
+    return _LEGENDRE[nodes, lo, hi]
 
 
 def _u_polynomial(poly: Polynomial, x: np.ndarray) -> np.ndarray:
@@ -470,12 +493,16 @@ def _stein_terms(f, X: np.ndarray, variant: str, s: np.ndarray,
         xi = X[:, i]
         lo = np.zeros(m)
         hi = np.zeros(m)
-        base = X.copy()
-        for sj, wj in zip(s, w):
-            base[:, i] = sj * xi
-            d = wj * (1.0 - sj) ** p * f.partial_rows(base, i, order)
-            lo += d
-            hi += (1.0 - sj) * d
+        # the rows of each _node_groups run, stacked node by node
+        for run in _node_groups(len(s), X):
+            base = np.tile(X, (len(run), 1))
+            base.reshape(len(run), m, n)[:, :, i] = (
+                s[run.start:run.stop, None] * xi)
+            D = f.partial_rows(base, i, order).reshape(len(run), m)
+            for j, dj in zip(run, D):
+                d = w[j] * (1.0 - s[j]) ** p * dj
+                lo += d
+                hi += (1.0 - s[j]) * d
         rhs += xi ** (p + 1) * lo - xi ** (p + 3) / (p + 1) * hi
     return rhs
 

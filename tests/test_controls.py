@@ -11,6 +11,7 @@ import contextlib
 import dataclasses
 import hashlib
 import io
+import itertools
 import math
 import os
 import pathlib
@@ -28,14 +29,20 @@ from supcompare import index_sets as isets
 from test_estimator import _cube_diag, families
 
 # one case per kind of set whose constructor declares its controls: small
-# sets of that kind (dimension <= 21, so a law of two values enumerates)
-# and the number of controls a law of non-constant x^2 gets on each
+# sets of that kind (dimension <= 21, so a law of two values enumerates),
+# each with the number of columns it declares for a law of non-constant
+# x^2 and for Rademacher, whose x^2 is constant: there the radial and the
+# weighted square columns drop out
 CONTROL_CASES = {
-    "basis-canonical": (lambda: [isets.make_basis_family(5)], 0),
-    "diagonal-cube": (lambda: [isets.make_diagonal_cube(_cube_diag(7), k)
-                               for k in (0, 3)], 2),
-    "spin-quadratic": (lambda: [isets.make_spin_quadratic(N)
-                                for N in (3, 5, 7)], 2),
+    "basis-canonical": lambda: [(isets.make_basis_family(5), 0, 0)],
+    # linear part only; weighted square and linear part; square only
+    "diagonal-cube": lambda: [
+        (isets.make_diagonal_cube(_cube_diag(7), k), count, rademacher)
+        for k, count, rademacher in ((0, 1, 1), (3, 2, 1), (7, 1, 0))],
+    # radial and triangle sums, and the 4-cycle sum from four spins on
+    "spin-quadratic": lambda: [
+        (isets.make_spin_quadratic(N), count, count - 1)
+        for N, count in ((3, 2), (5, 3), (7, 3))],
 }
 
 # a law of each kind in distributions.LAWS, parameters filled in
@@ -45,7 +52,7 @@ LAWS = [dists.from_name(kind + ("2.5" if kind.endswith(":") else ""))
 
 def _sets():
     """Every CONTROL_CASES set, and one of the default (radial) kind."""
-    return ([T for build, _ in CONTROL_CASES.values() for T in build()]
+    return ([T for build in CONTROL_CASES.values() for T, _, _ in build()]
             + [isets.build_explicit(np.random.default_rng(3)
                                     .standard_normal((9, 4)))])
 
@@ -58,16 +65,13 @@ def test_every_control_kernel_has_a_case(tmp_path):
 
 @pytest.mark.parametrize("kind", sorted(CONTROL_CASES))
 def test_declared_control_counts(kind):
-    build, k = CONTROL_CASES[kind]
-    for T in build():
+    for T, count, rademacher in CONTROL_CASES[kind]():
         assert T.kind == kind
         X = np.ones((3, T.dim))
-        for law, count in ((dists.gaussian(), k),
-                           # a Rademacher x^2 is constant: the radial
-                           # control is not declared
-                           (dists.rademacher(), max(k - 1, 0))):
+        for law, want in ((dists.gaussian(), count),
+                          (dists.rademacher(), rademacher)):
             cols = T.controls(T, X, law)
-            assert isinstance(cols, list) and len(cols) == count
+            assert isinstance(cols, list) and len(cols) == want, T.dim
             assert all(c.shape == (3,) for c in cols)
 
 
@@ -90,24 +94,68 @@ def _enumerated_means(T, values, probs):
     return mean / mass, scale / mass
 
 
-@pytest.mark.parametrize("kind", ["diagonal-cube", "spin-quadratic"])
+@pytest.mark.parametrize("kind", sorted(CONTROL_CASES))
 def test_controls_have_exact_mean_zero_by_enumeration(kind):
     a = 2.0
     p = 1.0 / (1.0 + a * a)
-    for T in CONTROL_CASES[kind][0]():
+    for T, count, rademacher in CONTROL_CASES[kind]():
         assert T.dim <= 21
-        # Rademacher: triangle sums are integers, so their mean is 0.0
+        # Rademacher: cycle sums are integers, so their mean is 0.0
         mean, scale = _enumerated_means(T, (-1.0, 1.0), (0.5, 0.5))
-        assert mean.shape == (1,) and scale[0] > 0
+        assert mean.shape == (rademacher,) and np.all(scale > 0)
         if kind == "spin-quadratic":
-            assert mean[0] == 0.0
-        assert abs(mean[0]) <= 1e-15 * scale[0]
+            assert np.all(mean == 0.0)
+        assert np.all(np.abs(mean) <= 1e-15 * scale)
         if T.dim > 15:
             continue
-        # a skewed two-point law, radial control included
+        # a skewed two-point law, radial and weighted square included
         mean, scale = _enumerated_means(T, (-1.0 / a, a), (1.0 - p, p))
-        assert mean.shape == (2,) and np.all(scale > 0)
+        assert mean.shape == (count,) and np.all(scale > 0)
         assert np.all(np.abs(mean) <= 1e-14 * scale)
+
+
+@pytest.mark.parametrize("N", [4, 5, 6])
+def test_cycle_sums_match_a_brute_force_sum(N):
+    # sums over ordered tuples of distinct spins: each triangle 6 times,
+    # each 4-cycle 8 times
+    T = isets.make_spin_quadratic(N)
+    X = np.random.default_rng(N).standard_normal((16, T.dim))
+    triangles, cycles = T.controls(T, X, dists.rademacher())
+    A = np.zeros((16, N, N))
+    i, j = np.triu_indices(N, 1)  # the points' pair order
+    A[:, i, j] = A[:, j, i] = X
+    brute3 = sum(A[:, a, b] * A[:, b, c] * A[:, c, a]
+                 for a, b, c in itertools.permutations(range(N), 3))
+    brute4 = sum(A[:, a, b] * A[:, b, c] * A[:, c, e] * A[:, e, a]
+                 for a, b, c, e in itertools.permutations(range(N), 4))
+    np.testing.assert_allclose(triangles, brute3 / 6.0, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(cycles, brute4 / 8.0, rtol=1e-12, atol=0)
+
+
+def test_wide_cube_controls_read_the_free_squares_only():
+    # the weighted free square tracks sum_{free} d_i |x_i| where the radial
+    # sum over every coordinate did not: the paired gap's SE at least halves
+    T = cli.parse_set("diagcube:n=20,alpha=0.25,k=14")
+    d, lo = -T.points[0], 20 - 14
+    law = dists.uniform_symmetric()
+
+    def radial_and_linear(S, X, law):
+        return isets._radial(S, X, law) + [np.einsum("ij,j->i", X[:, :lo],
+                                                     d[:lo])]
+    twin = dataclasses.replace(T, controls=radial_and_linear)
+    stream = dists.RandomStream(26).substream("wide-cube")
+    se = [est.paired_gap_estimate(S, law, 16384, stream)[2].std_error
+          for S in (T, twin)]
+    assert se[0] <= 0.5 * se[1], se
+    # doubling the fixed coordinates doubles the linear column and leaves
+    # the square, which reads no fixed coordinate
+    X = law.sample(np.random.default_rng(27), (64, 20))
+    Y = X.copy()
+    Y[:, :lo] *= 2.0
+    (square, linear), (square2, linear2) = (T.controls(T, Z, law)
+                                            for Z in (X, Y))
+    assert np.array_equal(square2, square)
+    assert np.array_equal(linear2, 2.0 * linear)
 
 
 @pytest.mark.parametrize("law", LAWS, ids=lambda law: law.name)
@@ -324,10 +372,10 @@ def test_cli_refuses_a_replicate_table_over_the_budget(tmp_path, capsys):
 
 
 # controlled estimates pinned to their bits: the fit's sums are einsum, its
-# solves elementwise and the triangle sums einsum, so the values must not
+# solves elementwise and the cycle sums einsum, so the values must not
 # move with the BLAS thread count
-PINNED = ("e9dfbf596a463a66776578c4a41b4cf8"
-          "b9d3b00e51b314e18e829bcf8cf54c88")
+PINNED = ("2de3717b78a592b59583aa2885cb79fb"
+          "5d6eb077b3bc0a31fd1f5f2cceb29836")
 
 
 def _pinned_digest():

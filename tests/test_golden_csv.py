@@ -117,7 +117,7 @@ DIGESTS = {
     "estimate-spin-quadratic-auto":
         "77ae506c4965eb9439840961255cb4e76aae68321da21f7dc9c0a5e521909aee",
     "estimate-spin-quadratic-cv":
-        "872ae26890608a1a104341685bba9396de188bd566bdebc318acacc9315a164a",
+        "39f733a90f8cc2f7b88b7da423da6193b68cfabc98b1c5c5d81e64382a36247b",
     "estimate-spin-tensor":
         "aec584ef7bece7531e0a81e47414f56aa800bd2991e332e9f13e577d9242aa8c",
     "estimate-spin-tensor-even":
@@ -151,7 +151,7 @@ DIGESTS = {
     "sk":
         "aa8c91546508ca76c09a4d02965609745d2b75c869002e55188bc9c9d261bfc2",
     "sk-cv":
-        "d90261b3e6a99c22be25b35b9f5a8cad320a5aab40b46543bef886f8a740d4d3",
+        "fb0495954e07e74e4abfb3f2b9a395d2285f23a2393c11cbce81e946a822e16b",
     "sk-rademacher":
         "c79751b8fe040ccfd8f29bb987dcaed7bef4b61adb8ec9fe706949716734a9c7",
     "tensor":
