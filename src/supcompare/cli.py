@@ -494,7 +494,8 @@ def emit(record: ResultRecord, output_dir: str, fmt: str) -> list:
             # exactly what the numbers depend on beyond the config
             "provenance": {"python": platform.python_version(),
                            "numpy": np.__version__, "workers": isets.WORKERS,
-                           "tile_bytes": isets.TILE_BYTES},
+                           "tile_bytes": isets.TILE_BYTES,
+                           "split_tile_bytes": isets.SPLIT_TILE_BYTES},
             "config": record.config,
             "tables": {name: {"headers": h, "rows": r}
                        for name, (h, r) in record.tables.items()},

@@ -19,9 +19,10 @@ computes its signed Laplace gap from two estimates on one substream.
 Sup kernels: every estimate maps draws to sup_t <x, t> per row through
 the set's own fields, ``T.sup(T, X)`` on blocks from ``T.draw(T, laws,
 rng)`` (see ``index_sets``).  A new fast path is a declared field, plus a
-case in ``KERNEL_CASES`` (bitwise kernels) or ``CLOSED_FORM_CASES`` of
-tests/test_estimator.py, whose differential tests run every declared
-kernel against the matmul path on an untagged copy of the points.
+case in ``KERNEL_CASES`` (bitwise kernels) or ``ROUNDING_CASES`` (equal
+up to rounding) of tests/test_estimator.py, whose differential tests run
+every declared kernel against the matmul path on an untagged copy of the
+points.
 
 Control variates: a pass subtracts from every value it makes (a lone
 law's sup; or xi's, g's and xi - g) a fitted multiple of every control it

@@ -14,20 +14,22 @@ Every set carries two kernels, a sampler and its controls as fields.
 ``sup(T, X)`` is the max over rows t of <x, t> for each row x of X;
 ``logz(T, X, beta)`` is the pair (sup, log sum_t exp(beta <x, t>)) per
 row, the one entry through which ``softmax`` evaluates every smoothed
-maximum beta F_beta.  Their
-defaults are the generic kernels, ``_chunked_sup`` and ``_chunked_logz``
-over every declared row of ``T.points`` in POINT_CHUNK chunks, and over
-row tiles of X of TILE_BYTES of products each, which run on a pool of
-WORKERS threads and round the same at any worker count; a structured
-set's constructor overrides them.  Basis families override only ``sup``,
-which never touches the points; a diagonal cube closes over its diagonal
-and free sign count (its Gibbs measure is a product measure, so its log
-partition is a sum of log 2 cosh terms), and a spin set of even order
-runs the matmul over its distinct half.  Every logz but the cube's closed
-form, and every Gibbs weight in ``softmax``, exponentiates its block of
-products in place through one body, ``_exp_block``.  A kernel receives
-the set rather than capturing it, so a set holds no reference to itself
-and is freed with its last reference.
+maximum beta F_beta.  Their defaults are the generic kernels,
+``_chunked_sup`` and ``_chunked_logz`` over every declared row of
+``T.points`` in POINT_CHUNK chunks, and over row tiles of X of TILE_BYTES
+of products each, which run on a pool of WORKERS threads and round the
+same at any worker count; a structured set's constructor overrides them.
+Basis families override only ``sup``, which never touches the points; a
+diagonal cube closes over its diagonal and free sign count (its Gibbs
+measure is a product measure, so its log partition is a sum of log 2
+cosh terms); a two-spin set splits its spins in two and forms its
+energies from small tables, with no point matrix (``_split_kernels``);
+and a spin set of higher even order runs the matmul over its distinct
+half.  Every logz but the cube's closed form, and every Gibbs weight in
+``softmax``, exponentiates its block of products or energies in place
+through one body, ``_exp_block``.  A kernel receives the set rather than
+capturing it, so a set holds no reference to itself and is freed with
+its last reference.
 
 ``draw(T, laws, rng)`` stacks one block X[k] of rows per law laws[k] for
 ``sup``, the laws paired by common random numbers (``_draw_blocks``).
@@ -56,6 +58,7 @@ import itertools
 import math
 import os
 import queue
+from concurrent import futures
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property, partial
@@ -72,6 +75,10 @@ SAMPLE_BLOCK = 1024
 MAX_DIM = MAX_POINT_BYTES // (8 * SAMPLE_BLOCK)
 # bytes of the block of products one row tile of the generic kernels holds
 TILE_BYTES = 4 * 2 ** 20
+# bytes of energies and partial sums one row tile of the split two-spin
+# kernels holds: 1 MiB, which stays in a core's cache, beat 0.5, 2 and
+# 4 MiB in a sweep at N = 12 and 14
+SPLIT_TILE_BYTES = 2 ** 20
 # threads the generic kernels run their row tiles on, one per CPU the
 # process may run on; the pool starts its threads on first use
 WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -215,50 +222,56 @@ def build_explicit(points) -> IndexSet:
 
 
 def _tiled(kernel, points: np.ndarray, X: np.ndarray,
-           cols: int | None = None) -> list:
+           cols: int | None = None, budget: int | None = None) -> list:
     """kernel(points, tile, buf) over row tiles of X, results in row order.
 
     A tile of r rows may hold r x cols float64 values in buf; cols defaults
     to min(len(points), POINT_CHUNK), the products of one chunk of points,
     and a caller that holds more blocks per tile (``softmax``'s Gibbs
-    passes) says so.  A tile holds at most max(1, TILE_BYTES // (8 * cols))
-    rows, so that its values fit TILE_BYTES; the rows are split evenly
-    among the tiles, so that of two or more tiles each holds half that or
-    more: a lone trailing row would be multiplied by BLAS gemv, and a few
-    rows by a small-matrix kernel, each of which sums in another order than
-    the whole block's gemm.  The tiles follow from the shapes, cols and
-    TILE_BYTES alone, so the result does not depend on WORKERS; it is
-    bitwise the untiled one but where a chunk's point count leaves a ragged
-    gemm edge, whose products the last rows of each tile round by another
-    path.  A block of one tile runs inline on the calling thread; with
-    WORKERS > 1, two or more tiles run on the pool, each in its own copy of
-    the caller's context: numpy keeps its errstate in a context variable,
-    which pool threads do not inherit.  A running tile writes into one of
-    min(WORKERS, tiles) buffers, allocated on the calling thread, so the
-    values held are at most WORKERS x TILE_BYTES.
+    passes) says so.  A tile holds at most max(1, budget // (8 * cols))
+    rows, so that its values fit the budget, TILE_BYTES unless the caller
+    gives a smaller one (the split two-spin kernels, SPLIT_TILE_BYTES);
+    the rows are split evenly among the tiles, so that of two or more
+    tiles each holds half that or more: a lone trailing row would be
+    multiplied by BLAS gemv, and a few rows by a small-matrix kernel, each
+    of which sums in another order than the whole block's gemm.  The
+    tiles follow from the shapes, cols and the budget alone, so the result
+    does not depend on WORKERS; it is bitwise the untiled one but where a
+    chunk's point count leaves a ragged gemm edge, whose products the last
+    rows of each tile round by another path.  The tiles run in
+    min(WORKERS, tiles) lanes, each with its own buffer, allocated on the
+    calling thread, so the values held are at most WORKERS x TILE_BYTES;
+    a lane takes the next tile not yet taken until none is left, so a
+    pool task runs many small tiles.  The calling thread runs the first
+    lane; with WORKERS > 1 the others run on the pool, each in its own
+    copy of the caller's context: numpy keeps its errstate in a context
+    variable, which pool threads do not inherit.  A lane's error is
+    raised once every lane has stopped.
     """
     if cols is None:
         cols = min(points.shape[0], POINT_CHUNK)
-    step = max(1, TILE_BYTES // (8 * cols))
+    step = max(1, (budget or TILE_BYTES) // (8 * cols))
     count = max(1, -(-X.shape[0] // step))
     cuts = [X.shape[0] * i // count for i in range(count + 1)]
     tiles = [X[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
-    lanes = min(WORKERS, count)
-    free = queue.SimpleQueue()
-    for buf in np.empty((lanes, -(-X.shape[0] // count) * cols)):
-        free.put(buf)
+    bufs = np.empty((min(WORKERS, count), -(-X.shape[0] // count) * cols))
+    out, todo = [None] * count, queue.SimpleQueue()
+    for i in [*range(count)] + [None] * len(bufs):
+        todo.put(i)
 
-    def run(tile):
-        buf = free.get()
-        try:
-            return kernel(points, tile, buf)
-        finally:
-            free.put(buf)
-    if lanes == 1:
-        return list(map(run, tiles))
-    contexts = [contextvars.copy_context() for _ in tiles]
-    return list(_POOL.map(lambda ctx, tile: ctx.run(run, tile),
-                          contexts, tiles))
+    def lane(buf):
+        # the queue hands each tile to one lane, then each lane a None
+        for i in iter(todo.get, None):
+            out[i] = kernel(points, tiles[i], buf)
+    rest = [_POOL.submit(contextvars.copy_context().run, lane, buf)
+            for buf in bufs[1:]]
+    try:
+        lane(bufs[0])
+    finally:
+        futures.wait(rest)
+    for f in rest:
+        f.result()
+    return out
 
 
 def _products(X: np.ndarray, chunk: np.ndarray,
@@ -473,7 +486,9 @@ def make_spin_tensor(N: int, m: int, normalized: bool = False) -> IndexSet:
     if (1 << N) > MAX_CARDINALITY:  # before math.comb, slow for a huge N
         raise ValueError("2^N exceeds the cardinality cap")
     card, dim = 1 << N, math.comb(N, m)
-    _check_shape(card, dim, built=True)  # every kernel reads the points
+    # the points' budget, checked here: the split two-spin kernels read no
+    # points, but the profile, the CSV writer and the Gibbs passes do
+    _check_shape(card, dim, built=True)
     if normalized:
         scale = 1.0 / (math.sqrt(dim) * math.sqrt(N))
     else:
@@ -488,13 +503,15 @@ def make_spin_tensor(N: int, m: int, normalized: bool = False) -> IndexSet:
         pts *= scale
         return pts
 
-    kind = "spin-quadratic" if m == 2 else "spin-tensor"
+    if m == 2:
+        sup, logz = _split_kernels(N, scale)
+        return _declare(card, dim, build, "spin-quadratic", sup=sup,
+                        logz=logz, controls=_cycle_controls(N))
     if m % 2 == 0:
-        controls = _cycle_controls(N) if m == 2 else _radial
-        return _declare(card, dim, build, kind, sup=_half_orbit_sup,
-                        logz=_half_orbit_logz, controls=controls)
+        return _declare(card, dim, build, "spin-tensor", sup=_half_orbit_sup,
+                        logz=_half_orbit_logz)
     # for odd m < N distinct sigma give distinct rows; m = N gives two rows
-    return _declare(card, dim, build, kind, distinct=m < N)
+    return _declare(card, dim, build, "spin-tensor", distinct=m < N)
 
 
 def _cycle_controls(N: int):
@@ -540,15 +557,96 @@ def _cycle_controls(N: int):
     return controls
 
 
+def _split_kernels(N: int, scale: float) -> tuple:
+    """The sup and logz of a two-spin set on N spins, by split spins (meet
+    in the middle: Horowitz and Sahni, J. ACM 21(2), 1974).  The energy of
+    sigma = (a, b), a the first nA spins and b the other nB, is E_a(a) +
+    E_b(b) + sum_i a_i G_i(b) with G_i(b) = sum_j x_ij b_j.  Spin 1 is held
+    at -1, so the 2^(nA-1) a's and 2^nB b's run over the half orbit, which
+    holds every distinct row.  A row tile of r rows takes G_i and G_nA =
+    E_b from two small gemms, and its 2^nB x r x 2^(nA-1) energies from
+    one more, G^T [S_A | 1]^T, of inner dimension nA + 1, not binom(N, 2).
+    b is outermost, so the max and the sum over b run over contiguous rows
+    of r 2^(nA-1) values; E_a is added after them.  The energies are of
+    the unscaled couplings, so on +-1 draws they are exact integers and a
+    sup is the correctly rounded integer times the scale, applied once at
+    the end.  The split, nA = max(1, (N - 2) // 2), and SPLIT_TILE_BYTES
+    are from a sweep at N = 12 and 14.  No sum runs across the rows of a
+    tile or over more than binom(nB, 2) terms, so nothing depends on the
+    BLAS thread count.  The tables are built here, once per set; neither
+    kernel reads T.points."""
+    nA = max(1, (N - 2) // 2)
+    nB = N - nA
+    col = {pair: c for c, pair in
+           enumerate(itertools.combinations(range(N), 2))}
+    aa = [col[p] for p in itertools.combinations(range(nA), 2)]
+    # the a-b couplings, a-spin major, then the b-b ones
+    gather = ([col[i, j] for i in range(nA) for j in range(nA, N)]
+              + [col[p] for p in itertools.combinations(range(nA, N), 2)])
+    SA = sign_patterns(nA)[:1 << (nA - 1)]  # a_1 = -1
+    SB = sign_patterns(nB)
+
+    def pairs(S):
+        # sigma_i sigma_j, one row per pair i < j of one side's spins
+        return np.array([S[:, i] * S[:, j] for i, j in
+                         itertools.combinations(range(S.shape[1]), 2)]
+                        ).reshape(-1, len(S))
+    SA1t = np.vstack([SA.T, np.ones(len(SA))])
+    PAt, PB = pairs(SA), pairs(SB).T.copy()
+    na, nb, k = len(SA), len(SB), len(gather)
+    cols = (nA + 1 + na) * nb
+
+    def energies(Z, buf):
+        # (nb, r na) energies E_b + sum_i a_i G_i, and (r, na) E_a, from a
+        # tile of the rows that run gathers
+        r, ZT = Z.shape[0], Z.T
+        G = buf[:(nA + 1) * nb * r].reshape(nA + 1, nb, r)
+        E = buf[(nA + 1) * nb * r:cols * r].reshape(nb * r, na)
+        np.matmul(SB, ZT[:nA * nB].reshape(nA, nB, r), out=G[:nA])
+        np.matmul(PB, ZT[nA * nB:k], out=G[nA])
+        np.matmul(G.reshape(nA + 1, nb * r).T, SA1t, out=E)
+        return E.reshape(nb, r * na), Z[:, k:]
+
+    def sup_tile(_, Z, buf):
+        E, Ea = energies(Z, buf)
+        return (E.max(axis=0).reshape(Ea.shape) + Ea).max(axis=1)
+
+    def logz_tile(_, Z, buf, beta):
+        # beta of the unscaled energies; the max over b, then over a, each
+        # through _exp_block, so the sups are sup_tile's
+        E, Ea = energies(Z, buf)
+        M = _exp_block(E.T, beta).reshape(Ea.shape) + Ea
+        w = E.sum(axis=0).reshape(Ea.shape)
+        s = _exp_block(M, beta)
+        return s, np.log(np.einsum("ra,ra->r", M, w))
+
+    def run(tile, X):
+        # the a-b and b-b couplings and E_a of every row, gathered once per
+        # block rather than once per tile
+        Z = np.concatenate([X[:, gather], X[:, aa] @ PAt], axis=1)
+        return _tiled(tile, None, Z, cols, SPLIT_TILE_BYTES)
+
+    def sup(T, X):
+        return np.concatenate(run(sup_tile, X)) * scale
+
+    def logz(T, X, beta):
+        tiles = run(partial(logz_tile, beta=beta * scale), X)
+        s, z = (np.concatenate(part) for part in zip(*tiles))
+        sups = s * scale
+        return sups, beta * sups + z + math.log(2.0)
+    return sup, logz
+
+
 def _half_orbit_sup(T: IndexSet, X: np.ndarray) -> np.ndarray:
-    """Sup over an even-order spin set: rows sigma and -sigma coincide, and
-    the first half (sigma_1 = -1) holds every distinct row."""
+    """Sup over a spin set of even order m >= 4: rows sigma and -sigma
+    coincide, and the first half (sigma_1 = -1) holds every distinct row.
+    A two-spin set splits its spins instead (``_split_kernels``)."""
     return _chunked_sup(T.points[:T.cardinality // 2], X)
 
 
 def _half_orbit_logz(T: IndexSet, X: np.ndarray, beta: float) -> tuple:
-    """logz over an even-order spin set: the sum over the first half, plus
-    log 2; the sups are _half_orbit_sup's."""
+    """logz over a spin set of even order m >= 4: the sum over the first
+    half, plus log 2; the sups are _half_orbit_sup's."""
     sups, logz = _chunked_logz(T.points[:T.cardinality // 2], X, beta)
     return sups, logz + math.log(2.0)
 

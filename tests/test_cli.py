@@ -503,7 +503,8 @@ def test_json_records_its_provenance(tmp_path):
     doc = strict_json(tmp_path / "estimate.json")
     assert doc["provenance"] == {
         "python": platform.python_version(), "numpy": np.__version__,
-        "workers": isets.WORKERS, "tile_bytes": isets.TILE_BYTES}
+        "workers": isets.WORKERS, "tile_bytes": isets.TILE_BYTES,
+        "split_tile_bytes": isets.SPLIT_TILE_BYTES}
 
 
 # runs that between them reach the Gaussian quantile by ppf (paired bounds)

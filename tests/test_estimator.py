@@ -1,6 +1,12 @@
 import dataclasses
 import gc
+import hashlib
+import itertools
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 import weakref
 
@@ -114,18 +120,37 @@ KERNEL_CASES = {
     "basis-negative-scaled": (
         lambda n: isets.make_basis_family(n, "negative-scaled", 1.7),
         lambda n: 1.7 * (1.0 - 2.0 ** (1 - n))),
-    "spin-quadratic": (_two_spin_within, None),
     "spin-tensor": (lambda n: isets.make_spin_tensor(6, 4), None),
 }
 
-# CLOSED_FORM_CASES holds closed forms, equal to the matmul path up to
-# rounding: (constructor of a set of that kind from n and k, its exact
-# Rademacher complexity at n and k)
-CLOSED_FORM_CASES = {
-    "diagonal-cube": (
-        lambda n, k: isets.make_diagonal_cube(_cube_diag(n), k=k),
-        lambda n, k: float(_cube_diag(n)[n - k:].sum())),
+# ROUNDING_CASES holds kernels equal to the matmul path up to rounding: a
+# constructor of a set of that kind in dimension <= n, with k free signs
+# where the kind has them.  The closed forms are checked at n and k; the
+# split two-spin kernel against an exact integer oracle (_integer_sups)
+ROUNDING_CASES = {
+    "diagonal-cube": lambda n, k: isets.make_diagonal_cube(_cube_diag(n),
+                                                           k=k),
+    "spin-quadratic": lambda n, k: _two_spin_within(n),
 }
+
+# the closed forms among them: their exact Rademacher complexity at n, k
+CLOSED_FORMS = {
+    "diagonal-cube": lambda n, k: float(_cube_diag(n)[n - k:].sum()),
+}
+
+
+def _integer_sups(T, X):
+    """The sups of a two-spin set T at +-1 rows X: its scale times the
+    largest integer energy sum_{i<j} x_ij sigma_i sigma_j over the half
+    orbit, in int64 arithmetic with no BLAS, rounded once."""
+    N = (1 + math.isqrt(1 + 8 * T.dim)) // 2
+    S = isets.sign_patterns(N)[:1 << (N - 1)].astype(np.int64)
+    P = np.stack([S[:, i] * S[:, j]
+                  for i, j in itertools.combinations(range(N), 2)], axis=1)
+    assert np.array_equal(np.abs(X), np.ones_like(X))
+    energies = X.astype(np.int64) @ P.T
+    assert energies.dtype == np.int64
+    return energies.max(axis=1) * abs(T.points[0, 0])
 
 
 def families(tmp_path):
@@ -151,8 +176,9 @@ def test_declaring_builds_no_points(tmp_path):
 def test_every_kernel_has_exactly_one_case(tmp_path):
     declared = {T.kind for T in families(tmp_path)
                 if T.sup is not isets.IndexSet.sup}
-    assert not set(KERNEL_CASES) & set(CLOSED_FORM_CASES)
-    assert set(KERNEL_CASES) | set(CLOSED_FORM_CASES) == declared
+    assert not set(KERNEL_CASES) & set(ROUNDING_CASES)
+    assert set(KERNEL_CASES) | set(ROUNDING_CASES) == declared
+    assert set(CLOSED_FORMS) <= set(ROUNDING_CASES)
 
 
 def test_every_set_carries_callable_kernels(tmp_path):
@@ -256,13 +282,23 @@ def test_fast_paths_match_generic_bitwise():
             assert a == b
 
 
-@pytest.mark.parametrize("kind", sorted(KERNEL_CASES))
+# and the split two-spin kernel, against its integer oracle
+@pytest.mark.parametrize("kind", sorted(KERNEL_CASES) + ["spin-quadratic"])
 def test_exact_rademacher_over_chunks_matches_matmul_path(kind):
     n = 16
+    if kind == "spin-quadratic":
+        T = _two_spin_within(n)
+        # 2 chunks of the 15-dimensional cube; every sup is the oracle's
+        # bitwise, so their mean is too
+        assert 1 << T.dim == 2 * est.POINT_CHUNK
+        r = est.exact_rademacher_complexity(T)
+        sups = _integer_sups(T, isets.sign_patterns(T.dim))
+        assert r.mean == float(np.mean(sups))
+        return
     build, exact = KERNEL_CASES[kind]
     T = build(n)
     # the enumeration spans several chunks: 4 for basis sets, 2 for the
-    # spin sets of dimension 15
+    # spin set of dimension 15
     assert 1 << T.dim >= 2 * est.POINT_CHUNK
     r = est.exact_rademacher_complexity(T)
     assert r == est.exact_rademacher_complexity(isets.build_explicit(T.points))
@@ -272,11 +308,11 @@ def test_exact_rademacher_over_chunks_matches_matmul_path(kind):
         assert r.mean == exact(n)
 
 
-@pytest.mark.parametrize("kind", sorted(CLOSED_FORM_CASES))
+@pytest.mark.parametrize("kind", sorted(CLOSED_FORMS))
 @pytest.mark.parametrize("n,k", [(7, 0), (7, 3), (7, 7), (20, 14),
                                  (10_001, 3)])
 def test_closed_form_kernels_match_matmul_path(kind, n, k):
-    T = CLOSED_FORM_CASES[kind][0](n, k)
+    T = ROUNDING_CASES[kind](n, k)
     assert T.kind == kind
     G = dataclasses.replace(isets.build_explicit(T.points),
                             controls=T.controls)
@@ -298,14 +334,13 @@ def test_closed_form_kernels_match_matmul_path(kind, n, k):
     assert a.mean == pytest.approx(b.mean, rel=1e-9, abs=1e-12)
 
 
-@pytest.mark.parametrize("kind", sorted(CLOSED_FORM_CASES))
+@pytest.mark.parametrize("kind", sorted(CLOSED_FORMS))
 @pytest.mark.parametrize("k", [0, 3, 16])
 def test_closed_form_exact_rademacher_over_chunks(kind, k):
     n = 16
     assert 1 << n == 4 * est.POINT_CHUNK  # the enumeration spans 4 chunks
-    build, exact = CLOSED_FORM_CASES[kind]
-    r = est.exact_rademacher_complexity(build(n, k))
-    assert r.mean == pytest.approx(exact(n, k), rel=1e-14)
+    r = est.exact_rademacher_complexity(ROUNDING_CASES[kind](n, k))
+    assert r.mean == pytest.approx(CLOSED_FORMS[kind](n, k), rel=1e-14)
 
 
 # one case per kind of set whose constructor declares a log-partition
@@ -389,7 +424,7 @@ def test_basis_softmax_over_the_point_budget_is_refused():
 def test_diagonal_cube_gaussian_value():
     # E sup = sum_{free} d_i E|g_i| - sum_{fixed} d_i E g_i
     n, k = 20, 14
-    T = CLOSED_FORM_CASES["diagonal-cube"][0](n, k)
+    T = ROUNDING_CASES["diagonal-cube"](n, k)
     mc = est.estimate_complexity(T, dists.gaussian(), 20000,
                                  dists.RandomStream(125).substream("cube"))
     expected = SQRT_2_OVER_PI * float(_cube_diag(n)[n - k:].sum())
@@ -409,7 +444,7 @@ def test_explicit_sign_cube_takes_matmul_path():
     assert not np.allclose(sups, prefix)
 
 
-@pytest.mark.parametrize("N", [2, 3, 7, 12])
+@pytest.mark.parametrize("N", [2, 3, 7, 12, 14])
 @pytest.mark.parametrize("normalized", [False, True])
 def test_two_spin_half_orbit(N, normalized):
     T = isets.make_spin_quadratic(N, normalized)
@@ -418,10 +453,108 @@ def test_two_spin_half_orbit(N, normalized):
     half = T.points[:T.cardinality // 2]
     assert np.unique(half, axis=0).shape[0] == half.shape[0]
     rng = np.random.default_rng(N)
-    for X in (rng.standard_normal((500, T.dim)),
-              rng.choice([-1.0, 1.0], size=(500, T.dim))):
-        assert np.array_equal(T.sup(T, X),
-                              isets._chunked_sup(T.points, X))
+    # on +-1 draws the split sup is the integer oracle's, bitwise
+    X = rng.choice([-1.0, 1.0], size=(500, T.dim))
+    assert np.array_equal(T.sup(T, X), _integer_sups(T, X))
+    # on Gaussian draws it is the matmul's over every row, up to rounding
+    X = rng.standard_normal((500, T.dim))
+    bound = 1e-13 * (np.abs(X) @ np.abs(T.points).max(axis=0))
+    assert np.all(np.abs(T.sup(T, X) - isets._chunked_sup(T.points, X))
+                  <= bound)
+
+
+SPLIT_BETAS = (0.3, 40.0)
+
+
+def _split_outputs(N, X, tile_bytes):
+    """T.sup, then T.logz's sups and log sums at each of SPLIT_BETAS, on
+    the two-spin set of N spins at rows X, in tiles of tile_bytes."""
+    T = isets.make_spin_quadratic(N)
+    saved, isets.SPLIT_TILE_BYTES = isets.SPLIT_TILE_BYTES, tile_bytes
+    try:
+        return [T.sup(T, X)] + [part for beta in SPLIT_BETAS
+                                for part in T.logz(T, X, beta)]
+    finally:
+        isets.SPLIT_TILE_BYTES = saved
+
+
+# tiles: one tile, tiles of a few rows that 37 rows split unevenly, and
+# one-row tiles, whose products BLAS forms as matrix-vector products
+SPLIT_TILES = {"one": lambda N: 2 ** 40, "ragged": lambda N: 40 << (N - 1),
+               "row": lambda N: 1}
+
+
+@pytest.mark.parametrize("tiles", sorted(SPLIT_TILES))
+def test_split_kernels_match_the_matmul_path(tiles):
+    for N in range(2, 15):
+        T = isets.make_spin_quadratic(N)
+        half = T.points[:T.cardinality // 2]
+        rng = np.random.default_rng(N)
+        pm = rng.choice([-1.0, 1.0], size=(37, T.dim))
+        for X in (rng.standard_normal((37, T.dim)), pm):
+            sup, *logz = _split_outputs(N, X, SPLIT_TILES[tiles](N))
+            scale = np.abs(X) @ np.abs(half).max(axis=0)
+            assert np.all(np.abs(sup - isets._chunked_sup(half, X))
+                          <= 1e-13 * scale)
+            for i, beta in enumerate(SPLIT_BETAS):
+                sups, z = logz[2 * i:2 * i + 2]
+                # logz's sups are T.sup's bitwise, in every tiling
+                assert np.array_equal(sups, sup)
+                gz = isets._chunked_logz(half, X, beta)[1] + math.log(2.0)
+                size = np.maximum(np.abs(gz), beta * scale)
+                assert np.all(np.abs(z - gz) <= 1e-13 * size)
+        # on +-1 draws, the integer oracle's, bitwise
+        assert np.array_equal(sup, _integer_sups(T, pm))
+
+
+def _split_digest():
+    """SHA-256 of every split-kernel output on Gaussian draws at N = 2..14
+    in every tiling of SPLIT_TILES."""
+    h = hashlib.sha256()
+    for N in range(2, 15):
+        X = np.random.default_rng(N).standard_normal((37, N * (N - 1) // 2))
+        for tiles in sorted(SPLIT_TILES):
+            for part in _split_outputs(N, X, SPLIT_TILES[tiles](N)):
+                h.update(part.tobytes())
+    return h.hexdigest()
+
+
+def test_split_kernels_do_not_depend_on_blas_threads():
+    # here at the BLAS thread count of the environment, and in fresh
+    # interpreters at one and two BLAS threads
+    path = os.pathsep.join([str(pathlib.Path(est.__file__).parents[1]),
+                            str(pathlib.Path(__file__).parent)])
+    here = _split_digest()
+    for threads in ("1", "2"):
+        run = subprocess.run(
+            [sys.executable, "-c",
+             "import test_estimator; print(test_estimator._split_digest())"],
+            check=True, capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=path,
+                     OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads))
+        assert run.stdout.strip() == here, threads
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_split_block_holds_no_points(workers, monkeypatch):
+    # the N=14 point matrix is 16384 x 91 (11.4 MiB); a 1024-row block of
+    # the split kernels holds its draws and at most WORKERS x TILE_BYTES
+    monkeypatch.setattr(isets, "WORKERS", workers)
+    T = isets.make_spin_quadratic(14)
+    X = np.random.default_rng(14).standard_normal((1024, T.dim))
+    tracemalloc.start()
+    try:
+        T.sup(T, X)
+        T.logz(T, X, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < workers * isets.TILE_BYTES + X.nbytes
+    stream = dists.RandomStream(14).substream("no-points")
+    est.paired_gap_estimate(T, dists.rademacher(), 2048, stream)
+    small = isets.make_spin_quadratic(6)
+    est.exact_rademacher_complexity(small)
+    assert "points" not in vars(T) and "points" not in vars(small)
 
 
 def test_duplicates_do_not_change_estimates():
@@ -507,10 +640,11 @@ def test_complexity_enumerates_rademacher_up_to_the_cap(monkeypatch):
 def test_paired_gap_gaussian_self_is_zero():
     # both laws draw the same numbers on every kind of set, the canonical
     # basis's column of maxima included
-    for kind in KERNEL_CASES:
-        T = KERNEL_CASES[kind][0](4)
+    sets = ([build(4) for build, _ in KERNEL_CASES.values()]
+            + [build(4, 2) for build in ROUNDING_CASES.values()])
+    for T in sets:
         xi, g, diff = est.paired_gap_estimate(
-            T, dists.gaussian(), 1000, dists.RandomStream(11).substream(kind))
+            T, dists.gaussian(), 1000, dists.RandomStream(11).substream(T.kind))
         assert xi == g and diff.mean == 0.0 and diff.std_error == 0.0
 
 

@@ -149,11 +149,11 @@ DIGESTS = {
     "laplace":
         "d6b77019522ed9d976115bc83ea00d45a82f784b08633b08c98bdca7eaa23cb6",
     "sk":
-        "aa8c91546508ca76c09a4d02965609745d2b75c869002e55188bc9c9d261bfc2",
+        "3718389d1ff5f7c38e8773622c76d8cb6dc72aa5a49c10dde108306d2a8920e7",
     "sk-cv":
-        "fb0495954e07e74e4abfb3f2b9a395d2285f23a2393c11cbce81e946a822e16b",
+        "e7e0eb1e519534997bc8093d43c7999b5394ee6ca5b901131a283a5c43faf8d7",
     "sk-rademacher":
-        "c79751b8fe040ccfd8f29bb987dcaed7bef4b61adb8ec9fe706949716734a9c7",
+        "0ca218a9e0762e05780976b3b0a67be720828f64e00c3415b8e51e2dddebb9ab",
     "tensor":
         "21b9487c8e3cd3727fbc01acfdf9dbba3d12f4f5968214fc6364d9719b66b4ca",
     "phase-curves":

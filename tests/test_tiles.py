@@ -1,7 +1,7 @@
 """The generic kernels' row tiles: bitwise the untiled arithmetic on the
-sets below at every worker count and tiling, bitwise the same at any
-worker count, within their byte budget, and under the caller's numpy
-error state.
+point matrices below at every worker count and tiling, bitwise the same
+at any worker count, within their byte budget, and under the caller's
+numpy error state.
 
 The untiled reference is the loop the kernels ran before they were tiled:
 one matmul per POINT_CHUNK chunk of points over every row of X.
@@ -48,7 +48,10 @@ def _explicit(rows, dim, seed):
 
 
 # name -> (set, kernel under test, rows r of a full tile); X has 4r rows
-# for "several" tiles and 4r + 1, which 5 does not divide, for "ragged" ones
+# for "several" tiles and 4r + 1, which 5 does not divide, for "ragged" ones.
+# The two-spin sets declare split kernels, which read no points; their
+# cases run the generic kernels on the half orbit, at 8192 x 91 and
+# 2048 x 66
 SETS = {
     "spin-quadratic:N=14": (lambda: isets.make_spin_quadratic(14), "sup", 255),
     "spin-quadratic:N=12": (lambda: isets.make_spin_quadratic(12), "logz",
@@ -61,8 +64,7 @@ TILINGS = ("one", "several", "ragged")
 
 
 def _points(T):
-    # the rows the set's kernel multiplies by: even-order spin sets run
-    # their distinct half
+    # the rows the generic kernels multiply by: a spin set's distinct half
     if T.kind == "spin-quadratic":
         return T.points[:T.cardinality // 2]
     return T.points
@@ -99,13 +101,12 @@ def test_tiled_kernels_are_bitwise_the_untiled_loop(case, tiling, workers,
         assert len(sizes) == 5 and max(sizes) - min(sizes) == 1
         assert max(sizes) <= r
     if kernel in ("sup", "both"):
-        assert np.array_equal(T.sup(T, X), untiled_sup(points, X))
+        assert np.array_equal(isets._chunked_sup(points, X),
+                              untiled_sup(points, X))
     if kernel in ("logz", "both"):
         for beta in (0.5, 8.0):
-            sups, logz = T.logz(T, X, beta)
+            sups, logz = isets._chunked_logz(points, X, beta)
             ref_sups, ref_logz = untiled_logz(points, X, beta)
-            if T.kind == "spin-quadratic":
-                ref_logz = ref_logz + np.log(2.0)
             assert np.array_equal(sups, ref_sups)
             assert np.array_equal(logz, ref_logz)
 
@@ -120,15 +121,15 @@ def test_golden_digests_with_one_worker(name, tmp_path, monkeypatch):
 def test_products_held_are_within_workers_tile_bytes(workers, monkeypatch):
     # untiled, the products of 1024 draws with the 8192 distinct rows of
     # the N=14 spin set would take 64 MiB at once
-    T = isets.make_spin_quadratic(14)
-    T.points
-    X = np.random.default_rng(3).choice([-1.0, 1.0], size=(1024, T.dim))
+    points = _points(isets.make_spin_quadratic(14))
+    X = np.random.default_rng(3).choice([-1.0, 1.0],
+                                        size=(1024, points.shape[1]))
     monkeypatch.setattr(isets, "WORKERS", workers)
-    assert 8 * X.shape[0] * T.cardinality // 2 >= 8 * isets.TILE_BYTES
+    assert 8 * X.shape[0] * points.shape[0] >= 8 * isets.TILE_BYTES
     tracemalloc.start()
     try:
-        T.sup(T, X)
-        T.logz(T, X, 1.0)
+        isets._chunked_sup(points, X)
+        isets._chunked_logz(points, X, 1.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -198,6 +199,36 @@ def test_tiles_run_under_the_callers_error_state(monkeypatch):
             T.logz(T, X, 1e308)
     assert np.array_equal(sups, expected)
     assert np.all(np.isinf(logz))
+
+
+@pytest.mark.parametrize("fails", [None, "caller", "pool"])
+def test_lanes_run_every_tile_once_and_raise_any_lanes_error(fails,
+                                                            monkeypatch):
+    # ten 4-row tiles on two lanes, each of which waits at its first tile
+    # until the other has one too; then the calling thread's lane or the
+    # pool's fails
+    monkeypatch.setattr(isets, "WORKERS", 2)
+    caller, barrier, first, ran = (threading.current_thread(),
+                                   threading.Barrier(2), set(), [])
+
+    def kernel(points, tile, buf):
+        me = threading.current_thread()
+        if me not in first:
+            first.add(me)
+            barrier.wait(30.0)
+        ran.append(tile[0, 0])
+        if fails == ("caller" if me is caller else "pool"):
+            raise ZeroDivisionError(fails)
+        return tile[:, 0]
+    X = np.arange(40.0)[:, None]
+    if fails is None:
+        assert np.array_equal(
+            np.concatenate(isets._tiled(kernel, None, X, 1, 32)), X[:, 0])
+    else:
+        with pytest.raises(ZeroDivisionError, match=fails):
+            isets._tiled(kernel, None, X, 1, 32)
+    # each lane stops at its own error; the other runs what is left
+    assert sorted(ran) == list(range(0, 40, 4))
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
