@@ -4,25 +4,27 @@ laws xi, by Monte-Carlo or exact enumeration.
 Determinism contract: for a fixed (master seed, substream) the estimate is
 a pure function of the inputs.  Samples are drawn in fixed SAMPLE_BLOCK
 blocks, one substream per block index, so the draw for block b never
-depends on how many blocks run or in which order.  The control-variate
-fit of a sup estimate reads every block, so a block's adjusted values,
-unlike its draws, depend on the other blocks; the fit's sums are einsum
-and its solves elementwise, so no value depends on the BLAS thread
-count.  Every Monte-Carlo estimate of the package, the Ornstein-Uhlenbeck
-and Stein ones of
-``ou_stein`` included, runs its blocks through the one driver ``_blocked``
-and reports its mean and standard error through ``mean_se``.  Every
-law-versus-Gaussian gap is ``_gap_fields``, one paired pass unless the
-law's value is enumerated, but one: ``experiments.heavy_tail_growth``
-computes its signed Laplace gap from two estimates on one substream.
+depends on how many blocks run or in which order.  The control-variate fit
+of a sup estimate reads every block, so a block's adjusted values, unlike
+its draws, depend on the other blocks; the fit's sums are einsum and its
+solves elementwise, so no value depends on the BLAS thread count.  Every
+Monte-Carlo estimate of the package, the Ornstein-Uhlenbeck and Stein ones
+of ``ou_stein`` included, runs its blocks through the one driver
+``_blocked`` and reports its mean and standard error through
+``mean_se``.  Every law-versus-Gaussian gap is ``_gap_fields``, one paired
+pass unless the law's value is enumerated, but one:
+``experiments.heavy_tail_growth`` computes its signed Laplace gap from two
+estimates on one substream.
 
-Sup kernels: every estimate maps draws to sup_t <x, t> per row through
-the set's own fields, ``T.sup(T, X)`` on blocks from ``T.draw(T, laws,
-rng)`` (see ``index_sets``).  A new fast path is a declared field, plus a
-case in ``KERNEL_CASES`` (bitwise kernels) or ``ROUNDING_CASES`` (equal
-up to rounding) of tests/test_estimator.py, whose differential tests run
-every declared kernel against the matmul path on an untagged copy of the
-points.
+Sup kernels: every Monte-Carlo set estimate is one ``_sup_pass``, which
+maps draws to sup_t <x, t> per row through the set's own fields,
+``T.sup(T, X)`` on blocks from ``T.draw(T, laws, rng)`` (see
+``index_sets``); a pass at a beta adds F_beta and takes the sup from the
+same ``T.logz`` call, on blocks of every coordinate, since F_beta reads
+them all.  A new fast path is a declared field, plus a case in
+``KERNEL_CASES`` (bitwise kernels) or ``ROUNDING_CASES`` (equal up to
+rounding) of tests/test_estimator.py, whose differential tests run every
+declared kernel against the matmul path on an untagged copy of the points.
 
 Control variates: a pass subtracts from every value it makes (a lone
 law's sup; or xi's, g's and xi - g) a fitted multiple of every control it
@@ -48,7 +50,7 @@ import numpy as np
 
 from .distributions import CoordinateDistribution, RandomStream, gaussian
 from .index_sets import (MAX_POINT_BYTES, POINT_CHUNK, SAMPLE_BLOCK,
-                         IndexSet, sign_patterns)
+                         IndexSet, _draw_blocks, sign_patterns)
 from .softmax import _require_beta, _smoothed_max_rows
 
 MIN_REPLICATES = 100
@@ -171,16 +173,19 @@ def _estimates(Y: np.ndarray, C: np.ndarray, methods: list,
 
 
 def _sup_pass(T: IndexSet, laws: tuple, tag: str, replicates: int,
-              stream: RandomStream) -> np.ndarray:
+              stream: RandomStream, beta: float | None = None) -> np.ndarray:
     """One pass of blocks that the set's sampler draws for the laws: per
-    replicate each law's sup, then each law's own control columns, side
-    by side."""
+    replicate each law's sup, and at a beta its F_beta from the same
+    ``T.logz`` call, then each law's own control columns, side by side.
+    A beta pass draws every coordinate, through ``_draw_blocks``."""
     def reduce(X):
-        return np.column_stack([T.sup(T, x) for x in X]
-                               + [c for x, law in zip(X, laws)
-                                  for c in T.controls(T, x, law)])
-    return _blocked(stream, tag, replicates,
-                    lambda rng: T.draw(T, laws, rng), reduce)
+        return np.column_stack(
+            [v for x in X for v in ([T.sup(T, x)] if beta is None
+                                    else _smoothed_max_rows(T, beta, x))]
+            + [c for x, law in zip(X, laws) for c in T.controls(T, x, law)])
+    draw = T.draw if beta is None else _draw_blocks
+    return _blocked(stream, tag, replicates, lambda rng: draw(T, laws, rng),
+                    reduce)
 
 
 def estimate_complexity(T: IndexSet, dist: CoordinateDistribution,
@@ -201,8 +206,7 @@ def paired_gap_estimate(T: IndexSet, dist: CoordinateDistribution,
     per-replicate difference, which strips the variation the two share.
     All three are adjusted by both laws' controls, so the gap's mean is
     the difference of the two sups' means up to rounding."""
-    vals = _sup_pass(T, (dist, gaussian()), "paired-block", replicates,
-                     stream)
+    vals = _sup_pass(T, (dist, gaussian()), "paired-block", replicates, stream)
     Y = np.column_stack([vals[:, 0], vals[:, 1], vals[:, 0] - vals[:, 1]])
     return _estimates(Y, vals[:, 2:], ["mc", "mc", "mc-paired"],
                       stream.master_seed)
@@ -257,25 +261,20 @@ def _gap_fields(T: IndexSet, dist: CoordinateDistribution, replicates: int,
 
 def softmax_complexity(T: IndexSet, dist: CoordinateDistribution, beta: float,
                        replicates: int, stream: RandomStream):
-    """(estimate of E F_beta(xi), log|T|/beta, worst bracket slack).
+    """(estimate of E F_beta(xi), log|T|/beta, worst bracket slack), from
+    one beta pass of ``_sup_pass``: F_beta is adjusted by the law's
+    controls, as a sup is.
 
     The certified bracket E sup <= E F_beta <= E sup + log|T|/beta is a
     pointwise fact; the slack is the least margin min(F - sup, sup +
-    offset - F) over all replicates, so the bracket held iff slack >=
-    -BRACKET_TOL.  Soft-max sums run over all declared rows (duplicates
-    included), matching the offset's log-cardinality.
+    offset - F) over the raw per-replicate values, so the bracket held
+    iff slack >= -BRACKET_TOL.  Soft-max sums run over all declared rows
+    (duplicates included), matching the offset's log-cardinality.
     """
     offset = T.log_cardinality / _require_beta(beta)
-
-    def smoothed(X):
-        # per row: F_beta and its margin inside the bracket
-        sups, F = _smoothed_max_rows(T, beta, X)
-        return np.stack([F, np.minimum(F - sups, sups + offset - F)], axis=1)
-
-    vals = _blocked(stream, "softmax-block", replicates,
-                    lambda rng: dist.sample(rng, (SAMPLE_BLOCK, T.dim)),
-                    smoothed)
-    est = SupremumEstimate.from_samples(vals[:, 0], "mc-softmax",
-                                        stream.master_seed)
+    vals = _sup_pass(T, (dist,), "softmax-block", replicates, stream, beta)
+    sups, F = vals[:, 0], vals[:, 1]
+    est = _estimates(vals[:, 1:2], vals[:, 2:], ["mc-softmax"],
+                     stream.master_seed)[0]
     # np.min, unlike the builtin min, carries a NaN margin into the slack
-    return est, offset, float(vals[:, 1].min())
+    return est, offset, float(np.min(np.minimum(F - sups, sups + offset - F)))

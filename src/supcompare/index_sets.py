@@ -31,12 +31,13 @@ through one body, ``_exp_block``.  A kernel receives the set rather than
 capturing it, so a set holds no reference to itself and is freed with
 its last reference.
 
-``draw(T, laws, rng)`` stacks one block X[k] of rows per law laws[k] for
-``sup``, the laws paired by common random numbers (``_draw_blocks``).
-The canonical basis's sup is the max of the coordinates, so its blocks
-are one column of order-statistic maxima (``_draw_maxima``), which its
-sup passes through: no 1024 x n block.  Every law draws its column from
-one generator state, so the laws are paired at every n, 1 included.
+``draw(T, laws, rng)``, the sampler of ``sup``, stacks one block X[k] of
+rows per law laws[k], the laws paired by common random numbers
+(``_draw_blocks``, which a soft-max pass runs for every set).  The
+canonical basis's sup is the max of the coordinates, so its blocks are one
+column of order-statistic maxima (``_draw_maxima``), which its sup passes
+through: no 1024 x n block.  Every law draws its column from one
+generator state, so the laws are paired at every n, 1 included.
 
 ``controls(T, X, law)`` is a list of columns, per-row statistics of a
 block X drawn from ``law``, each of mean exactly zero under it; a pass

@@ -26,7 +26,7 @@ from supcompare import cli
 from supcompare import distributions as dists
 from supcompare import estimator as est
 from supcompare import index_sets as isets
-from test_estimator import _cube_diag, families
+from test_estimator import LAWS, _cube_diag, families
 
 # one case per kind of set whose constructor declares its controls: small
 # sets of that kind (dimension <= 21, so a law of two values enumerates),
@@ -44,10 +44,6 @@ CONTROL_CASES = {
         (isets.make_spin_quadratic(N), count, count - 1)
         for N, count in ((3, 2), (5, 3), (7, 3))],
 }
-
-# a law of each kind in distributions.LAWS, parameters filled in
-LAWS = [dists.from_name(kind + ("2.5" if kind.endswith(":") else ""))
-        for kind in dists.LAWS]
 
 
 def _sets():

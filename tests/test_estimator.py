@@ -22,6 +22,9 @@ from test_distributions import EXPECTED_MAX, _continuous_max
 from test_golden_csv import EXPLICIT_POINTS
 
 SQRT_2_OVER_PI = 0.7978845608028654  # E|g| for standard Gaussian
+# a law of each kind in distributions.LAWS, parameters filled in
+LAWS = [dists.from_name(kind + ("2.5" if kind.endswith(":") else ""))
+        for kind in dists.LAWS]
 
 
 def exact_sup(T, x):
@@ -613,16 +616,63 @@ def test_gaussian_halfline_value():
 
 
 def test_softmax_complexity_bracket():
-    T = isets.make_basis_family(5)
-    stream = dists.RandomStream(10).substream("soft")
-    soft, offset, slack = est.softmax_complexity(T, dists.gaussian(), 2.0,
-                                                 2000, stream)
-    assert offset == pytest.approx(math.log(5) / 2.0)
-    assert slack >= -est.BRACKET_TOL
-    plain = est.estimate_complexity(T, dists.gaussian(), 2000, stream)
-    # same stream tag differs, but the bracket holds in expectation strongly
-    assert plain.mean - 4 * plain.std_error <= soft.mean \
-        <= plain.mean + offset + 4 * soft.std_error
+    # a plain run, and one whose F_beta the controls act on: the slack is
+    # the raw per-replicate margin either way, not the adjusted values'
+    for T, replicates, method in ((isets.make_basis_family(5), 2000,
+                                   "mc-softmax"),
+                                  (isets.make_spin_quadratic(6), 2048,
+                                   "mc-softmax-cv")):
+        stream = dists.RandomStream(10).substream("soft")
+        soft, offset, slack = est.softmax_complexity(
+            T, dists.gaussian(), 2.0, replicates, stream)
+        assert soft.method == method
+        assert offset == pytest.approx(T.log_cardinality / 2.0)
+        assert slack >= -est.BRACKET_TOL
+        vals = est._sup_pass(T, (dists.gaussian(),), "softmax-block",
+                             replicates, stream, 2.0)
+        sups, F = vals[:, 0], vals[:, 1]
+        assert slack == np.min(np.minimum(F - sups, sups + offset - F))
+        plain = est.estimate_complexity(T, dists.gaussian(), replicates,
+                                        stream)
+        # same stream tag differs, but the bracket holds in expectation
+        # strongly
+        assert plain.mean - 4 * plain.std_error <= soft.mean \
+            <= plain.mean + offset + 4 * soft.std_error
+
+
+def test_softmax_controls_act_on_two_full_blocks():
+    T, law = isets.make_spin_quadratic(8), dists.gaussian()
+    stream = dists.RandomStream(26).substream("soft")
+    plain = est.softmax_complexity(T, law, 2.0, 2047, stream)[0]
+    assert plain.method == "mc-softmax"
+    soft = est.softmax_complexity(T, law, 2.0, 2048, stream)[0]
+    assert soft.method == "mc-softmax-cv"
+    F = est._sup_pass(T, (law,), "softmax-block", 2048, stream, 2.0)[:, 1]
+    assert soft.std_error <= 0.2 * est.mean_se(F)[1]
+
+
+def test_beta_pass_adds_f_beta_to_the_plain_pass(tmp_path):
+    # a beta pass's sups and controls are bitwise the plain pass's on the
+    # same stream and tag, F_beta the column between them; the canonical
+    # basis's plain pass draws maxima, and its beta pass every coordinate
+    stream = dists.RandomStream(27).substream("beta-pass")
+    replicates, beta = 1100, 0.7
+    for T in families(tmp_path):
+        for law in LAWS:
+            soft = est._sup_pass(T, (law,), "tag", replicates, stream, beta)
+            if T.kind != "basis-canonical":
+                plain = est._sup_pass(T, (law,), "tag", replicates, stream)
+                assert np.array_equal(soft[:, :1], plain[:, :1])
+                assert np.array_equal(soft[:, 2:], plain[:, 1:])
+                continue
+            X = np.vstack([law.sample(stream.substream("tag", b).generator(),
+                                      (est.SAMPLE_BLOCK, T.dim))
+                           for b in range(2)])[:replicates]
+            assert soft.shape == (replicates, 2)
+            assert np.array_equal(soft[:, 0], X.max(axis=1))
+            np.testing.assert_allclose(soft[:, 1],
+                                       logsumexp(beta * X, axis=1) / beta,
+                                       rtol=1e-13, atol=0)
 
 
 def test_complexity_enumerates_rademacher_up_to_the_cap(monkeypatch):

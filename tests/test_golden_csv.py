@@ -43,6 +43,9 @@ CONFIGS = {
     "estimate-spin-quadratic-cv": [
         "estimate", "set=spin-quadratic:N=8", "distribution=uniform",
         "replicates=2048", "seed=23"],
+    "estimate-spin-quadratic-beta-cv": [
+        "estimate", "set=spin-quadratic:N=8", "distribution=gaussian",
+        "beta=2", "replicates=2048", "seed=25"],
     "estimate-spin-tensor": [
         "estimate", "set=spin-tensor:N=5,m=3,normalized=1",
         "distribution=uniform", "replicates=500", "seed=6"],
@@ -118,6 +121,8 @@ DIGESTS = {
         "77ae506c4965eb9439840961255cb4e76aae68321da21f7dc9c0a5e521909aee",
     "estimate-spin-quadratic-cv":
         "39f733a90f8cc2f7b88b7da423da6193b68cfabc98b1c5c5d81e64382a36247b",
+    "estimate-spin-quadratic-beta-cv":
+        "a458e1e35cfbfb9f53757ca147a4cf16fd7472c94e5fe9b56d3762275880e3d8",
     "estimate-spin-tensor":
         "aec584ef7bece7531e0a81e47414f56aa800bd2991e332e9f13e577d9242aa8c",
     "estimate-spin-tensor-even":
